@@ -19,6 +19,7 @@ from . import constructions, parseio, suspension
 from .algebra import GradingError, PresentationError
 from .coeff import CoefficientError
 from .derivation import (
+    DEFAULT_CAP,
     DerivationError,
     InconclusiveError,
     MissingCertificateError,
@@ -55,8 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cap",
         type=int,
-        default=64,
-        help="iteration cap for nilpotency certification (default 64)",
+        default=DEFAULT_CAP,
+        help=f"iteration cap for nilpotency certification (default {DEFAULT_CAP})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -295,6 +296,8 @@ def _cmd_exp(args) -> int:
     algebra, derivation = _load_algebra_and_derivation(args)
     certify_lnd(derivation, args.cap)
     scalar_poly = parseio.parse_expression(args.t, algebra.context)
+    if not scalar_poly.is_constant():
+        raise UsageError(f"--t must be a constant, got {args.t!r}")
     scalar = scalar_poly.constant_value()
     morphism = exp(derivation, scalar, with_inverse=True)
     for name in algebra.variables:

@@ -2,10 +2,22 @@
 
 Rational scalars are plain ``fractions.Fraction`` values, which already keep
 themselves normalized (coprime numerator/denominator, positive denominator).
-A :class:`CyclotomicNumber` holds coordinates in the power basis
-``1, z, ..., z^(p-2)`` of the field obtained by adjoining a primitive p-th
-root of unity ``z`` to Q, for prime p.  All arithmetic reduces modulo
-``1 + z + ... + z^(p-1)``, so every value has exactly one representation.
+
+A :class:`CyclotomicNumber` is an element of the field obtained by adjoining
+a primitive p-th root of unity ``z`` to Q, for prime p.  It is stored in the
+power basis ``1, z, ..., z^(p-2)`` as a tuple of p-1 integer numerators over
+one shared positive integer denominator.  Normalization invariant: the
+denominator is positive and the gcd of the denominator and all numerators
+is 1 (zero is all-zero numerators over 1).  Together with reduction modulo
+``1 + z + ... + z^(p-1)`` this gives every value exactly one
+representation, so equality and hashing compare the stored integers.
+
+Products are an integer convolution, the fold ``z^p = 1`` and
+``z^(p-1) = -(1 + z + ... + z^(p-2))``, and one gcd; sums and differences
+are integer operations.  A rational operand (``int``, ``Fraction`` or a
+value with rational coordinates) scales the numerators instead of running
+the convolution.  Inverses use the norm: the product of the p-2 nontrivial
+Galois conjugates of a value, divided by the (rational) norm.
 
 Values are immutable and all operations are pure.
 """
@@ -15,6 +27,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import repeat
+from math import gcd, lcm
+from operator import add, floordiv, mul, sub
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -26,6 +42,7 @@ class CoefficientError(ValueError):
     """Invalid scalar construction, mismatched fields, or division by zero."""
 
 
+@lru_cache(maxsize=256)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -45,84 +62,66 @@ def _as_fraction(value) -> Fraction:
     raise CoefficientError(f"expected a rational value, got {value!r}")
 
 
-# --- dense univariate helpers over Q (little-endian coefficient lists) ----
-#
-# Only used for inversion: extended Euclid in Q[t] modulo the cyclotomic
-# polynomial 1 + t + ... + t^(p-1).
+# --- integer kernels on numerator tuples of length p-1 --------------------
 
 
-def _trim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
+def _convolve(p: int, a: tuple, b: tuple) -> tuple:
+    """Product of two integer coordinate tuples, reduced mod 1 + ... + z^(p-1)."""
+    conv = [0] * (2 * p - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                if y:
+                    conv[j] += x * y
+    # z^p = 1 folds index k + p onto k; then z^(p-1) = -(1 + z + ... + z^(p-2))
+    top = conv[p - 1]
+    return tuple(conv[t] + conv[t + p] - top for t in range(p - 1))
 
 
-def _psub(a, b):
-    out = [_ZERO] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _trim(out)
+def _conjugate(p: int, a: tuple, k: int) -> tuple:
+    """The Galois image z -> z^k of an integer coordinate tuple."""
+    dense = [0] * p
+    for i, x in enumerate(a):
+        dense[i * k % p] += x
+    top = dense[p - 1]
+    return tuple(dense[t] - top for t in range(p - 1))
 
 
-def _pmul(a, b):
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _trim(out)
-
-
-def _pdivmod(a, b):
-    a = _trim(list(a))
-    db = len(b) - 1
-    inv_lead = _ONE / b[db]
-    q = [_ZERO] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and a:
-        da = len(a) - 1
-        f = a[da] * inv_lead
-        q[da - db] = f
-        for i, cb in enumerate(b):
-            a[i + da - db] -= f * cb
-        _trim(a)
-    return _trim(q), a
-
-
-def _pxgcd(a, m):
-    """Return (g, u) with u*a = g modulo m, g the gcd of a and m."""
-    r0, r1 = list(a), list(m)
-    s0, s1 = [_ONE], []
-    while r1:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _psub(s0, _pmul(q, s1))
-    return r0, s0
+def _is_rational(num: tuple) -> bool:
+    return not any(num[1:])
 
 
 class CyclotomicNumber:
     """Element of the field Q(z) with z a primitive p-th root of unity."""
 
-    __slots__ = ("p", "coeffs")
+    __slots__ = ("p", "_num", "_den")
 
     def __init__(self, p: int, coeffs) -> None:
         if not is_prime(p):
             raise CoefficientError(f"cyclotomic order must be prime, got {p}")
-        coeffs = tuple(_as_fraction(c) for c in coeffs)
+        coeffs = [_as_fraction(c) for c in coeffs]
         if len(coeffs) != p - 1:
             raise CoefficientError(
                 f"expected {p - 1} coordinates for order {p}, got {len(coeffs)}"
             )
+        # the lcm of reduced denominators leaves no common factor behind
+        den = lcm(*(c.denominator for c in coeffs))
         self.p = p
-        self.coeffs = coeffs
+        self._num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self._den = den
 
     @classmethod
     def from_rational(cls, p: int, value) -> CyclotomicNumber:
+        if not is_prime(p):
+            raise CoefficientError(f"cyclotomic order must be prime, got {p}")
         value = _as_fraction(value)
-        return cls(p, (value,) + (_ZERO,) * (p - 2))
+        return _rational(p, value.numerator, value.denominator)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The p-1 coordinates in the power basis, as Fractions."""
+        den = self._den
+        return tuple(Fraction(n, den) for n in self._num)
 
     def _coerce(self, other):
         if isinstance(other, CyclotomicNumber):
@@ -131,27 +130,40 @@ class CyclotomicNumber:
                     f"mixed cyclotomic orders {self.p} and {other.p}"
                 )
             return other
-        if isinstance(other, (int, Fraction)):
-            return CyclotomicNumber.from_rational(self.p, other)
+        if isinstance(other, int):
+            return _rational(self.p, other, 1)
+        if isinstance(other, Fraction):
+            return _rational(self.p, other.numerator, other.denominator)
         return None
 
-    def __add__(self, other):
+    def _scale(self, n: int, d: int) -> CyclotomicNumber:
+        """Multiply by the rational n/d (d > 0)."""
+        if not n:
+            return _rational(self.p, 0, 1)
+        if n == 1 and d == 1:
+            return self
+        num = self._num if n == 1 else tuple(map(mul, self._num, repeat(n)))
+        return _reduced(self.p, num, self._den * d)
+
+    def _combine(self, other, op):
+        """Apply op (add or sub) coordinatewise over a common denominator."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CyclotomicNumber(
-            self.p, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        a, b = self._num, other._num
+        da, db = self._den, other._den
+        if da == db:
+            return _reduced(self.p, tuple(map(op, a, b)), da)
+        num = tuple(map(op, map(mul, a, repeat(db)), map(mul, b, repeat(da))))
+        return _reduced(self.p, num, da * db)
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return CyclotomicNumber(
-            self.p, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -160,40 +172,39 @@ class CyclotomicNumber:
         return other - self
 
     def __neg__(self):
-        return CyclotomicNumber(self.p, tuple(-a for a in self.coeffs))
+        return _new(self.p, tuple(-x for x in self._num), self._den)
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            return self._scale(other, 1)
+        if isinstance(other, Fraction):
+            return self._scale(other.numerator, other.denominator)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        p = self.p
-        conv = [_ZERO] * (2 * p - 3)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        conv[i + j] += a * b
-        # z^p = 1, then z^(p-1) = -(1 + z + ... + z^(p-2))
-        folded = [_ZERO] * p
-        for k, c in enumerate(conv):
-            folded[k % p] += c
-        top = folded[p - 1]
-        return CyclotomicNumber(p, tuple(folded[t] - top for t in range(p - 1)))
+        a, b = self._num, other._num
+        if _is_rational(b):
+            return self._scale(b[0], other._den)
+        if _is_rational(a):
+            return other._scale(a[0], self._den)
+        return _reduced(self.p, _convolve(self.p, a, b), self._den * other._den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> CyclotomicNumber:
-        if not self:
+        p, a = self.p, self._num
+        if not any(a):
             raise CoefficientError("division by zero")
-        if self.is_rational():
-            return CyclotomicNumber.from_rational(self.p, _ONE / self.coeffs[0])
-        modulus = [_ONE] * self.p
-        g, u = _pxgcd(list(self.coeffs), modulus)
-        # the cyclotomic polynomial is irreducible over Q, so g is a constant
-        scale = _ONE / g[0]
-        _, u = _pdivmod([c * scale for c in u], modulus)
-        u = u + [_ZERO] * (self.p - 1 - len(u))
-        return CyclotomicNumber(self.p, u)
+        if _is_rational(a):
+            n = a[0]
+            return _rational(p, self._den if n > 0 else -self._den, abs(n))
+        # a * prod_{k=2}^{p-1} sigma_k(a) is the norm of a: a nonzero integer,
+        # and positive, because the conjugates pair up as complex conjugates
+        cofactor = _conjugate(p, a, 2)
+        for k in range(3, p):
+            cofactor = _convolve(p, cofactor, _conjugate(p, a, k))
+        norm = _convolve(p, a, cofactor)[0]
+        return _reduced(p, tuple(map(mul, cofactor, repeat(self._den))), norm)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -212,7 +223,7 @@ class CyclotomicNumber:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = CyclotomicNumber.from_rational(self.p, 1)
+        result = _rational(self.p, 1, 1)
         base = self
         while n:
             if n & 1:
@@ -222,29 +233,37 @@ class CyclotomicNumber:
         return result
 
     def __eq__(self, other):
-        try:
-            other = self._coerce(other)
-        except CoefficientError:
-            return False
-        if other is None:
-            return NotImplemented
-        return self.coeffs == other.coeffs
+        if isinstance(other, CyclotomicNumber):
+            return (
+                self.p == other.p
+                and self._den == other._den
+                and self._num == other._num
+            )
+        if isinstance(other, int):
+            return self._den == 1 and self._num[0] == other and _is_rational(self._num)
+        if isinstance(other, Fraction):
+            return (
+                self._den == other.denominator
+                and self._num[0] == other.numerator
+                and _is_rational(self._num)
+            )
+        return NotImplemented
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.p, self.coeffs))
+        if _is_rational(self._num):
+            return hash(Fraction(self._num[0], self._den))
+        return hash((self.p, self._num, self._den))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self._num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return _is_rational(self._num)
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise CoefficientError(f"value does not lie in Q: {self}")
-        return self.coeffs[0]
+        return Fraction(self._num[0], self._den)
 
     def __str__(self) -> str:
         sym = f"z@{self.p}"
@@ -276,6 +295,33 @@ class CyclotomicNumber:
         return f"CyclotomicNumber({self.p}, {self})"
 
 
+# --- trusted constructors: the order is already known to be prime ---------
+
+
+def _new(p: int, num: tuple, den: int) -> CyclotomicNumber:
+    """Wrap numerators and a denominator that already satisfy the invariant."""
+    value = object.__new__(CyclotomicNumber)
+    value.p = p
+    value._num = num
+    value._den = den
+    return value
+
+
+def _reduced(p: int, num: tuple, den: int) -> CyclotomicNumber:
+    """Normalize integer numerators over a positive denominator."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(map(floordiv, num, repeat(g)))
+            den //= g
+    return _new(p, num, den)
+
+
+def _rational(p: int, n: int, d: int) -> CyclotomicNumber:
+    """The rational n/d (d > 0) in Q(z@p)."""
+    return _reduced(p, (n,) + (0,) * (p - 2), d)
+
+
 def root_of_unity(p: int, i: int) -> CyclotomicNumber:
     """Return the i-th root of unity z^i of prime order p (z^p = 1)."""
     if not is_prime(p):
@@ -284,10 +330,10 @@ def root_of_unity(p: int, i: int) -> CyclotomicNumber:
         raise CoefficientError(f"root index must lie in 1..{p}, got {i}")
     k = i % p
     if k < p - 1:
-        coords = [_ZERO] * (p - 1)
-        coords[k] = _ONE
-        return CyclotomicNumber(p, coords)
-    return CyclotomicNumber(p, (-_ONE,) * (p - 1))
+        num = [0] * (p - 1)
+        num[k] = 1
+        return _new(p, tuple(num), 1)
+    return _new(p, (-1,) * (p - 1), 1)
 
 
 @dataclass(frozen=True)
@@ -329,15 +375,16 @@ class CyclotomicField:
                     f"cyclotomic order {value.p} does not match field order {self.p}"
                 )
             return value
-        return CyclotomicNumber.from_rational(self.p, _as_fraction(value))
+        value = _as_fraction(value)
+        return _rational(self.p, value.numerator, value.denominator)
 
     @property
     def zero(self) -> CyclotomicNumber:
-        return CyclotomicNumber.from_rational(self.p, 0)
+        return _rational(self.p, 0, 1)
 
     @property
     def one(self) -> CyclotomicNumber:
-        return CyclotomicNumber.from_rational(self.p, 1)
+        return _rational(self.p, 1, 1)
 
     @property
     def text(self) -> str:

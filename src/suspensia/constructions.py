@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .algebra import Grading, PresentedAlgebra, attach_grading
 from .coeff import CyclotomicField, QQ, is_prime, root_of_unity
-from .derivation import Derivation, certify_lnd, new_derivation
+from .derivation import DEFAULT_CAP, Derivation, certify_lnd, new_derivation
 from .linalg import solve_linear
 from .poly import Context, Polynomial, collapse_power
 from .suspension import adjoin_root, lift_along_root
@@ -246,7 +246,7 @@ class YpBundle:
     report: dict
 
 
-def certify_bundle(p: int, n: int, cap: int = 64) -> YpBundle:
+def certify_bundle(p: int, n: int, cap: int = DEFAULT_CAP) -> YpBundle:
     """Run the whole family construction for prime p dividing n.
 
     Builds both algebras, the solved derivation with its certificates, and

@@ -5,6 +5,14 @@ modulo an ideal computable through unique remainders.  Plain Buchberger with
 the product and chain pair-pruning criteria is enough at the scale this
 package targets (a handful of variables and relations).
 
+Base change: when the context field is Q(z@p) and every generator
+coefficient is rational, :func:`buchberger` computes the reduced basis over
+Q and embeds it into Q(z@p).  Buchberger's algorithm never leaves the field
+its input lies in, and the reduced basis of an ideal is unique, so this is
+the same basis the computation over Q(z@p) returns, at the cost of rational
+arithmetic.  Generators with any non-rational coefficient take the route in
+the field of the context (:func:`buchberger_in_field`).
+
 Completed bases are immutable; reductions against one basis are pure and may
 run concurrently.
 """
@@ -13,7 +21,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from operator import add, le, neg, sub
 
+from .coeff import QQ, CyclotomicField
 from .poly import Context, ContextError, Polynomial
 
 
@@ -38,7 +48,7 @@ class MonomialOrder:
         if self.kind == "lex":
             return lambda m: m
         if self.kind == "grevlex":
-            return lambda m: (sum(m), *(-e for e in reversed(m)))
+            return lambda m: (sum(m), *map(neg, reversed(m)))
         if self.kind == "elimination":
             idx = tuple(context.index(v) for v in self.block)
             if len(set(idx)) != len(idx):
@@ -90,16 +100,13 @@ class _Prepared:
 
 
 def _divides(a, b) -> bool:
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
+    return all(map(le, a, b))
 
 
 def _reduce_terms(work: dict, prepared: list, keyf) -> dict:
     """Fully reduce a term dict, returning the (canonical) remainder dict."""
     work = dict(work)
-    heap = [(tuple(-v for v in keyf(m)), m) for m in work]
+    heap = [(tuple(map(neg, keyf(m))), m) for m in work]
     heapq.heapify(heap)
     remainder = {}
     while heap:
@@ -117,13 +124,13 @@ def _reduce_terms(work: dict, prepared: list, keyf) -> dict:
             del work[mono]
             continue
         del work[mono]
-        shift = tuple(a - b for a, b in zip(mono, reducer.lm))
+        shift = tuple(map(sub, mono, reducer.lm))
         for mg, cg in reducer.tail:
-            t = tuple(a + b for a, b in zip(mg, shift))
+            t = tuple(map(add, mg, shift))
             prev = work.get(t)
             if prev is None:
                 work[t] = -coeff * cg
-                heapq.heappush(heap, (tuple(-v for v in keyf(t)), t))
+                heapq.heappush(heap, (tuple(map(neg, keyf(t))), t))
             else:
                 val = prev - coeff * cg
                 if val:
@@ -147,30 +154,30 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     if f.context != g.context:
         raise ContextError("polynomials from different contexts")
     keyf = order.key_for(f.context)
-    terms = _s_poly_terms(f.terms, g.terms, keyf)
+    tf = _monic(f.terms, keyf)
+    tg = _monic(g.terms, keyf)
+    terms = _s_poly_terms(tf, max(tf, key=keyf), tg, max(tg, key=keyf))
     return Polynomial._raw(f.context, terms)
 
 
-def _s_poly_terms(tf: dict, tg: dict, keyf) -> dict:
-    lmf = max(tf, key=keyf)
-    lmg = max(tg, key=keyf)
-    lcm = tuple(max(a, b) for a, b in zip(lmf, lmg))
-    out = {}
-    inv_f = 1 / tf[lmf]
-    shift_f = tuple(a - b for a, b in zip(lcm, lmf))
-    for m, c in tf.items():
-        t = tuple(a + b for a, b in zip(m, shift_f))
-        out[t] = out.get(t, 0) + c * inv_f
-    inv_g = 1 / tg[lmg]
-    shift_g = tuple(a - b for a, b in zip(lcm, lmg))
+def _s_poly_terms(tf: dict, lmf, tg: dict, lmg) -> dict:
+    """The S-polynomial of two monic term dicts with lead monomials lmf, lmg."""
+    lcm = tuple(map(max, lmf, lmg))
+    shift_f = tuple(map(sub, lcm, lmf))
+    out = {tuple(map(add, m, shift_f)): c for m, c in tf.items()}
+    shift_g = tuple(map(sub, lcm, lmg))
     for m, c in tg.items():
-        t = tuple(a + b for a, b in zip(m, shift_g))
-        val = out.get(t, 0) - c * inv_g
-        if val:
-            out[t] = val
-        elif t in out:
-            del out[t]
-    return {m: c for m, c in out.items() if c}
+        t = tuple(map(add, m, shift_g))
+        prev = out.get(t)
+        if prev is None:
+            out[t] = -c
+        else:
+            val = prev - c
+            if val:
+                out[t] = val
+            else:
+                del out[t]
+    return out
 
 
 @dataclass
@@ -208,19 +215,43 @@ class GroebnerBasis:
 def buchberger(
     generators, order: MonomialOrder | None = None, context: Context | None = None
 ) -> GroebnerBasis:
-    """Compute the reduced Groebner basis of the ideal the generators span."""
+    """Compute the reduced Groebner basis of the ideal the generators span.
+
+    Over Q(z@p) with only rational coefficients the basis is computed over Q
+    and embedded (see the module docstring); otherwise Buchberger runs in the
+    field of the context.
+    """
     generators = list(generators)
     if context is None:
         if not generators:
             raise ContextError("cannot infer a context from no generators")
         context = generators[0].context
     order = order if order is not None else grevlex()
+    for g in generators:
+        if g.context != context:
+            raise ContextError("generators from different contexts")
+    if isinstance(context.field, CyclotomicField) and all(
+        c.is_rational() for g in generators for c in g.terms.values()
+    ):
+        rational = Context(QQ, context.variables)
+        basis = buchberger_in_field(
+            [g.convert(rational) for g in generators], order, rational
+        )
+        return GroebnerBasis(
+            context, order, tuple(g.convert(context) for g in basis.generators)
+        )
+    return buchberger_in_field(generators, order, context)
+
+
+def buchberger_in_field(generators, order: MonomialOrder, context: Context) -> GroebnerBasis:
+    """Buchberger's algorithm over the field of the context, with no base change.
+
+    The generators must already lie in the context.
+    """
     keyf = order.key_for(context)
 
     basis = []
     for g in generators:
-        if g.context != context:
-            raise ContextError("generators from different contexts")
         if g.terms:
             basis.append(_monic(g.terms, keyf))
 
@@ -228,7 +259,7 @@ def buchberger(
     lms = [p.lm for p in prepared]
 
     def lcm_of(i, j):
-        return tuple(max(a, b) for a, b in zip(lms[i], lms[j]))
+        return tuple(map(max, lms[i], lms[j]))
 
     pairs = {}
     for i in range(len(basis)):
@@ -253,7 +284,7 @@ def buchberger(
                 break
         if skip:
             continue
-        s_terms = _s_poly_terms(basis[i], basis[j], keyf)
+        s_terms = _s_poly_terms(basis[i], lms[i], basis[j], lms[j])
         remainder = _reduce_terms(s_terms, prepared, keyf) if s_terms else {}
         if remainder:
             new_terms = _monic(remainder, keyf)

@@ -305,7 +305,16 @@ def derivation_from_data(images: dict, algebra: PresentedAlgebra) -> Derivation:
 
 def read_json(path) -> dict:
     """Read a JSON file, converting decode errors to located ParseErrors."""
-    text = Path(path).read_text(encoding="utf-8")
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        raise ParseError(
+            f"invalid UTF-8: {exc.reason}",
+            data.count(b"\n", 0, exc.start) + 1,
+            exc.start - line_start + 1,
+        ) from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .coeff import CoefficientError, CyclotomicField, CyclotomicNumber, RationalField
 
@@ -206,7 +207,7 @@ class Polynomial:
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
+                mono = tuple(map(add, m1, m2))
                 coeff = c1 * c2
                 prev = out.get(mono)
                 if prev is None:

@@ -17,6 +17,7 @@ from functools import reduce
 
 from .algebra import AlgebraElement, PresentedAlgebra
 from .derivation import (
+    DEFAULT_CAP,
     Derivation,
     InconclusiveError,
     certify_lnd,
@@ -185,7 +186,7 @@ def lift_lnd(
         raise SuspensionError("derivation does not live on the suspension base")
     certificate = derivation.lnd_certificate
     if certificate is None:
-        certificate = certify_lnd(derivation, cap or 64)
+        certificate = certify_lnd(derivation, cap or DEFAULT_CAP)
     if not certificate.certified:
         raise InconclusiveError("cannot lift: source derivation is not certified")
     df = derivation.apply(spec.function)
@@ -276,7 +277,7 @@ def lift_along_root(
         )
     certificate = derivation.lnd_certificate
     if certificate is None:
-        certificate = certify_lnd(derivation, cap or 64)
+        certificate = certify_lnd(derivation, cap or DEFAULT_CAP)
     if not certificate.certified:
         raise InconclusiveError("cannot lift: source derivation is not certified")
     image = Polynomial.variable(lifted_algebra.context, new_var) ** power

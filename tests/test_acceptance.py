@@ -6,6 +6,8 @@ with time.perf_counter around the relevant computation.
 """
 
 import functools
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction
@@ -380,3 +382,28 @@ def test_end_to_end_determinism(tmp_path):
     names = ("Xp.json", "Yp.json", "derivation.json", "certificate.json")
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# SHA-256 of the artifacts of build-yp --p 7 --n 14.  Artifacts are exact and
+# canonical, so no change to the arithmetic may alter a byte of them.
+P7_DIGESTS = {
+    "Xp.json": "7f43beb5a3bccc88ca756389729a8ae7e0a5c23b11f47f2ba3f0c07a0d346031",
+    "Yp.json": "857d47d0b5f154398bb986a056c7b63fb5fb29b1c76f727a9c406114baffe96a",
+    "derivation.json": "488b4b2f942581b1f80a7f24392eae9e33b9c7ce301598df45e77788158d1625",
+    "certificate.json": "212949a639bda2a13acd203b080802922b5029829f5fd23cf69e4f91f26a52a4",
+}
+
+
+@criterion(13, "p=7 pipeline: orders x_j:2 z:1 y,w:0 and unchanged artifact digests")
+def test_p7_pipeline(tmp_path):
+    out = tmp_path / "p7"
+    start = time.perf_counter()
+    assert main(["build-yp", "--p", "7", "--n", "14", "--out", str(out)]) == 0
+    elapsed = time.perf_counter() - start
+    report = json.loads((out / "certificate.json").read_text(encoding="utf-8"))
+    expected = {f"x{j}": 2 for j in range(7)}
+    expected.update({"z": 1, "y": 0, "w": 0})
+    assert report["lnd"]["orders"] == expected
+    for name, digest in P7_DIGESTS.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    assert elapsed < 10.0, f"took {elapsed:.2f}s"

@@ -210,3 +210,17 @@ def test_unknown_grading_name(tmp_path, capsys):
         },
     )
     assert main(["decompose", path, "--grading", "nope"]) == 3
+
+
+def test_exp_non_constant_t_is_input_error(capsys):
+    code = main(["exp", str(FIXTURES / "yp3_derivation.json"), "--t", "x0"])
+    assert code == 3
+    assert "input error:" in capsys.readouterr().err
+
+
+def test_validate_non_utf8_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"field": "Q",\n "variables": ["\xe9"]}')
+    assert main(["validate", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "input error:" in err and "line 2, column 17" in err

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from suspensia import (
     CoefficientError,
@@ -164,3 +166,56 @@ def test_field_descriptors():
     with pytest.raises(CoefficientError):
         QQ.coerce(root_of_unity(3, 1))
     assert QQ.coerce(CyclotomicNumber.from_rational(3, 2)) == 2
+
+
+def _oracle_product(p, a, b):
+    dense = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            dense[i + j] += x * y
+    return reduce_cyclotomic_oracle(p, dense)
+
+
+_rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+
+
+@st.composite
+def _coordinate_pairs(draw):
+    p = draw(st.sampled_from([3, 5, 7]))
+    coords = st.lists(_rationals, min_size=p - 1, max_size=p - 1)
+    return p, draw(coords), draw(coords)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_coordinate_pairs(), st.integers(min_value=2, max_value=30), _rationals)
+def test_integer_kernel_agrees_with_oracle(case, k, q):
+    p, a, b = case
+    x, y = CyclotomicNumber(p, a), CyclotomicNumber(p, b)
+    assert x.coeffs == tuple(a) and y.coeffs == tuple(b)
+    assert (x + y).coeffs == reduce_cyclotomic_oracle(p, [s + t for s, t in zip(a, b)])
+    assert (x - y).coeffs == reduce_cyclotomic_oracle(p, [s - t for s, t in zip(a, b)])
+    assert (x * y).coeffs == _oracle_product(p, a, b)
+    assert (x * q).coeffs == _oracle_product(p, a, [q])
+    assert (x == y) == (tuple(a) == tuple(b))
+    if x == y:
+        assert hash(x) == hash(y)
+    if x:
+        one = (1,) + (0,) * (p - 2)
+        assert _oracle_product(p, a, x.inverse().coeffs) == one
+    # one value reached through differently scaled inputs
+    scaled = CyclotomicNumber(p, [c * k for c in a])
+    split = CyclotomicNumber(p, [c - Fraction(1, k) for c in a]) + CyclotomicNumber(
+        p, [Fraction(1, k)] * (p - 1)
+    )
+    for same in (scaled / k, scaled * Fraction(1, k), split, x * y / y if y else x):
+        assert same == x
+        assert hash(same) == hash(x)
+        assert str(same) == str(x)
+    # a rational value hashes like its Fraction, however it was reached
+    for rational in (
+        CyclotomicNumber.from_rational(p, q),
+        x + q - x,
+        CyclotomicNumber(p, [q] + [0] * (p - 2)),
+    ):
+        assert rational.is_rational() and rational == q
+        assert hash(rational) == hash(q)

@@ -6,6 +6,8 @@ import pytest
 
 from suspensia import (
     Context,
+    CyclotomicField,
+    CyclotomicNumber,
     OrderError,
     Polynomial,
     QQ,
@@ -15,10 +17,13 @@ from suspensia import (
     grevlex,
     lex,
     parse_expression,
+    root_of_unity,
     s_polynomial,
 )
+from suspensia import groebner
+from suspensia.constructions import build_Yp
 
-from helpers import random_polynomial, QXY
+from helpers import QXY, nonzero_random_polynomial, random_polynomial
 
 
 def P(text, ctx):
@@ -139,3 +144,56 @@ def test_elimination_order_sorts_block_first():
     y = (0, 1)
     x_cubed = (3, 0)
     assert key(y) > key(x_cubed)
+
+
+def _rational_and_field_routes(gens, order):
+    context = gens[0].context
+    return (
+        buchberger(gens, order, context),
+        groebner.buchberger_in_field(gens, order, context),
+    )
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_base_change_matches_field_route_on_yp(p):
+    gens = list(build_Yp(p).relations)
+    fast, reference = _rational_and_field_routes(gens, grevlex())
+    assert fast.generators == reference.generators
+    assert all(
+        isinstance(c, CyclotomicNumber) for g in fast.generators for c in g.terms.values()
+    )
+
+
+def test_base_change_matches_field_route_on_random_rational_ideals():
+    rng = random.Random(23)
+    qctx = Context(QQ, ("x", "y", "z"))
+    zctx = Context(CyclotomicField(5), ("x", "y", "z"))
+    for trial in range(30):
+        gens = [
+            nonzero_random_polynomial(rng, qctx, max_terms=3, max_exp=2).convert(zctx)
+            for _ in range(rng.randint(1, 3))
+        ]
+        for order in (grevlex(), lex()):
+            fast, reference = _rational_and_field_routes(gens, order)
+            assert fast.generators == reference.generators, trial
+
+
+def test_non_rational_generators_take_field_route(monkeypatch):
+    zctx = Context(CyclotomicField(5), ("x", "y"))
+    fields = []
+    in_field = groebner.buchberger_in_field
+
+    def spy(generators, order, context):
+        fields.append(context.field)
+        return in_field(generators, order, context)
+
+    monkeypatch.setattr(groebner, "buchberger_in_field", spy)
+    rational = [P("x^2 - y", zctx), P("y^2 - x", zctx)]
+    twisted = rational + [P("x", zctx) * root_of_unity(5, 1) - P("y", zctx)]
+    buchberger(rational)
+    assert fields == [QQ]
+    fields.clear()
+    basis = buchberger(twisted)
+    assert fields == [CyclotomicField(5)]
+    for g in twisted:
+        assert basis.is_member(g)
