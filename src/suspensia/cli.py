@@ -48,6 +48,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    """Argument type for --cap and --power: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="suspensia",
@@ -55,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cap",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_CAP,
         help=f"iteration cap for nilpotency certification (default {DEFAULT_CAP})",
     )
@@ -108,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--derivation")
     p.add_argument("--var", required=True)
     p.add_argument("--new", required=True, dest="new_var")
-    p.add_argument("--power", type=int, required=True)
+    p.add_argument("--power", type=_positive_int, required=True)
     p.add_argument("--out", help="write the lifted algebra + derivation here")
     p.set_defaults(handler=_cmd_lift)
 
@@ -299,11 +310,11 @@ def _cmd_exp(args) -> int:
     if not scalar_poly.is_constant():
         raise UsageError(f"--t must be a constant, got {args.t!r}")
     scalar = scalar_poly.constant_value()
-    morphism = exp(derivation, scalar, with_inverse=True)
+    morphism = exp(derivation, scalar)
     for name in algebra.variables:
         print(f"{name} -> {morphism.images[name].rep.text()}")
-    half = algebra.field.coerce(scalar) * Fraction(1, 2)
-    one_param = exp(derivation, half).compose(exp(derivation, half))
+    half = exp(derivation, algebra.field.coerce(scalar) * Fraction(1, 2))
+    one_param = half.compose(half)
     if not one_param.agrees_with(morphism):
         raise MorphismError("one-parameter law failed (internal error)")
     print("one-parameter law verified at t/2 + t/2")

@@ -3,10 +3,14 @@
 A derivation is fixed by its generator images and extends through the
 Leibniz rule.  It descends to the quotient exactly when the extension sends
 every relation into the ideal, which is checked (and certified) at
-construction.  Nilpotency is certified by direct iteration on generators;
-finite orders on all generators extend to the whole algebra because the
-induced order function nu is a degree function (subadditive under sums,
-additive under products), so the certificate never relies on sampling.
+construction.  Nilpotency is certified by iteration on generators; finite
+orders on all generators extend to the whole algebra because the induced
+order function nu is a degree function: nu(f + g) <= max(nu f, nu g) and
+nu(fg) <= nu f + nu g, the latter by the Leibniz formula for D^n(fg), which
+holds in every commutative Q-algebra (equality needs a domain).  The same
+two laws bound the order of a generator by the orders of the generators in
+its image, so iteration stops at a proven bound and the certificate never
+relies on sampling.
 
 Certifying nilpotency is semi-decidable: the certifier answers Certified or
 Inconclusive (cap reached), never "not locally nilpotent".
@@ -233,23 +237,63 @@ def nu(derivation: Derivation, value, cap: int = DEFAULT_CAP):
 
 
 def certify_lnd(derivation: Derivation, cap: int = DEFAULT_CAP) -> LNDCertificate:
-    """Certify local nilpotency by iterating on every generator.
+    """Certify local nilpotency generator by generator.
 
-    Generators that reach zero within the cap get their order recorded; any
-    survivor makes the certificate inconclusive.  A "not locally nilpotent"
+    Generator x is iterated until D^k(x) = 0, which gives order k - 1, or
+    until a proven bound.  When every generator v occurring in D(x) already
+    has a certified order o(v), the degree-function laws give
+
+        nu(x) <= U(x) = 1 + max over the monomials m of D(x) of sum_v m_v o(v),
+
+    with U(x) = 0 when D(x) = 0.  Iteration then stops at D^U(x): a nonzero
+    D^U(x) certifies order exactly U(x), and D^(U+1)(x) is never computed.
+    U(x) is computed once, from the image D(x).  Generators whose image
+    mentions only certified generators go first, in variable order; when
+    none is left (a cycle such as x_j <-> z in Yp(p), or D(x) = c*x), the
+    pending generator occurring in the most pending images is iterated
+    directly, ties broken by variable order.
+
+    A generator is certified only when its order is at most ``cap``, even
+    where the bound proves a larger order, so orders and inconclusive
+    generators are exactly what ``nu`` gives with the same cap.  Any
+    survivor makes the certificate inconclusive; a "not locally nilpotent"
     verdict is never produced.  The certificate is cached on the derivation.
     """
-    orders = {}
-    unresolved = []
-    for name in derivation.algebra.variables:
-        val = nu(derivation, derivation.algebra.variable(name), cap)
-        if val is None:
-            unresolved.append(name)
-        elif val == MINUS_INFINITY:
-            orders[name] = 0
+    algebra = derivation.algebra
+    names = algebra.variables
+    supports = [
+        {v for v, column in enumerate(zip(*derivation.images[name].rep.terms)) if any(column)}
+        for name in names
+    ]
+    found = {}
+    pending = list(range(len(names)))
+    while pending:
+        for pick in pending:
+            if supports[pick] <= found.keys():
+                bounded = True
+                break
         else:
-            orders[name] = val
-    certificate = LNDCertificate(cap, orders, tuple(unresolved))
+            bounded = False
+            pick = max(pending, key=lambda i: (sum(i in supports[j] for j in pending), -i))
+        pending.remove(pick)
+        image = derivation.images[names[pick]].rep
+        limit = cap + 1
+        if bounded and image.terms:
+            # generators outside the image do not occur in it; weight 0
+            weights = [found.get(v, 0) for v in range(len(names))]
+            limit = min(limit, 1 + image.weighted_degree(weights))
+        current = algebra.variable(names[pick])
+        steps = 0
+        while current and steps < limit:
+            current = derivation.apply(current)
+            steps += 1
+        if not current:
+            found[pick] = max(steps - 1, 0)
+        elif steps <= cap:
+            found[pick] = steps
+    orders = {name: found[i] for i, name in enumerate(names) if i in found}
+    unresolved = tuple(name for i, name in enumerate(names) if i not in found)
+    certificate = LNDCertificate(cap, orders, unresolved)
     derivation.lnd_certificate = certificate
     return certificate
 

@@ -224,3 +224,37 @@ def test_validate_non_utf8_file_is_input_error(tmp_path, capsys):
     assert main(["validate", str(path)]) == 3
     err = capsys.readouterr().err
     assert "input error:" in err and "line 2, column 17" in err
+
+
+def test_certify_cap_below_order_is_inconclusive(capsys):
+    code = main(["--cap", "1", "certify-derivation", str(FIXTURES / "yp3_derivation.json")])
+    assert code == 2
+    out = capsys.readouterr().out
+    assert "order(x0) = inconclusive" in out
+    assert "order(z) = 1" in out
+    assert "status: inconclusive (cap 1)" in out
+
+
+def test_non_positive_cap_is_input_error(capsys):
+    for cap in ("-5", "0", "two"):
+        code = main(["--cap", cap, "certify-derivation", str(FIXTURES / "yp3_derivation.json")])
+        assert code == 3
+        assert "input error:" in capsys.readouterr().err
+
+
+def test_non_positive_power_is_input_error(capsys):
+    for power in ("0", "-2"):
+        code = main(
+            [
+                "lift",
+                str(FIXTURES / "yp3_derivation.json"),
+                "--var",
+                "y",
+                "--new",
+                "u",
+                "--power",
+                power,
+            ]
+        )
+        assert code == 3
+        assert "input error:" in capsys.readouterr().err

@@ -4,12 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from suspensia import (
     MINUS_INFINITY,
+    Context,
     DerivationError,
     MissingCertificateError,
     NotWellDefinedError,
+    Polynomial,
     QQ,
     algebra_from_strings,
     attach_grading,
@@ -22,6 +26,7 @@ from suspensia import (
     homogenize_lnd,
     identity_morphism,
     is_diagonal_semisimple,
+    new_algebra,
     new_derivation,
     nu,
     parse_expression,
@@ -130,6 +135,67 @@ def test_certify_vandermonde(y3):
     certificate = derivation.lnd_certificate
     assert certificate.certified
     assert certificate.orders == {"x0": 2, "x1": 2, "x2": 2, "y": 0, "z": 1, "w": 0}
+
+
+def test_certify_cap_boundary_vandermonde():
+    # orders are z -> 1 and x_j -> 2; the bound 1 + o(z) = 2 proves x_j's
+    # order, yet at cap 1 the x_j must stay inconclusive
+    derivation = build_vandermonde_lnd(3, build_Yp(3))
+    low = certify_lnd(derivation, 1)
+    assert low.inconclusive == ("x0", "x1", "x2")
+    assert low.orders == {"y": 0, "z": 1, "w": 0}
+    assert not low.certified
+    exact = certify_lnd(derivation, 2)
+    assert exact.certified
+    assert exact.orders == {"x0": 2, "x1": 2, "x2": 2, "y": 0, "z": 1, "w": 0}
+    assert list(exact.orders) == list(derivation.algebra.variables)
+
+
+@st.composite
+def _random_free_derivations(draw):
+    """A derivation of Q[x0..x(n-1)], n in {3, 4}, with a cap in 0..8.
+
+    Most draws are triangular (x_i's image only mentions x_j with j < i);
+    the rest may mention any generator, which gives cycles and self-loops.
+    """
+    n = draw(st.integers(min_value=3, max_value=4))
+    triangular = draw(st.integers(min_value=0, max_value=3)) > 0
+    names = tuple(f"x{i}" for i in range(n))
+    context = Context(QQ, names)
+    images = {}
+    for i, name in enumerate(names):
+        allowed = range(i) if triangular else range(n)
+        terms = {}
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            mono = [0] * n
+            for _ in range(draw(st.integers(min_value=0, max_value=2))):
+                if allowed:
+                    mono[draw(st.sampled_from(allowed))] += 1
+            coeff = draw(st.integers(min_value=-3, max_value=3).filter(bool))
+            terms[tuple(mono)] = coeff
+        images[name] = Polynomial(context, terms)
+    algebra = new_algebra(QQ, names, [])
+    cap = draw(st.integers(min_value=0, max_value=8))
+    return new_derivation(algebra, images), cap
+
+
+@settings(max_examples=120, deadline=None)
+@given(_random_free_derivations())
+def test_certify_matches_nu_oracle(case):
+    derivation, cap = case
+    algebra = derivation.algebra
+    expected_orders = {}
+    expected_inconclusive = []
+    for name in algebra.variables:
+        order = nu(derivation, algebra.variable(name), cap)
+        if order is None:
+            expected_inconclusive.append(name)
+        else:
+            expected_orders[name] = 0 if order == MINUS_INFINITY else order
+    certificate = certify_lnd(derivation, cap)
+    assert certificate.orders == expected_orders
+    assert list(certificate.orders) == [n for n in algebra.variables if n in expected_orders]
+    assert certificate.inconclusive == tuple(expected_inconclusive)
 
 
 def test_certify_euler_inconclusive():
