@@ -47,7 +47,6 @@ from .derivation import (
     HomogeneousDecomposition,
     InconclusiveError,
     LNDCertificate,
-    MissingCertificateError,
     MorphismError,
     NotWellDefinedError,
     WellDefinedness,

@@ -34,9 +34,14 @@ class GradingError(ValueError):
 
 
 class PresentedAlgebra:
-    """K[variables]/(relations), with computable equality via normal forms."""
+    """K[variables]/(relations), with computable equality via normal forms.
 
-    def __init__(self, context: Context, relations, order: MonomialOrder | None = None):
+    ``gradings`` maps names to weight matrices; each is validated by
+    ``attach_grading`` and kept, as a Grading, under the same name.
+    """
+
+    def __init__(self, context: Context, relations, order: MonomialOrder | None = None,
+                 gradings: dict | None = None):
         relations = tuple(relations)
         for r in relations:
             if not isinstance(r, Polynomial) or r.context != context:
@@ -48,8 +53,9 @@ class PresentedAlgebra:
             raise PresentationError(
                 "inconsistent presentation: 1 lies in the relation ideal"
             )
-        self.unit_witnesses = _detect_unit_witnesses(context, relations)
-        self.gradings = {}
+        self.gradings = {
+            name: attach_grading(self, matrix) for name, matrix in (gradings or {}).items()
+        }
 
     @property
     def variables(self) -> tuple:
@@ -96,26 +102,6 @@ class PresentedAlgebra:
 def new_algebra(field, variables, relations) -> PresentedAlgebra:
     """Construct K[variables]/(relations); fails if the ideal is the unit ideal."""
     return PresentedAlgebra(Context(field, tuple(variables)), relations)
-
-
-def _detect_unit_witnesses(context: Context, relations) -> dict:
-    """Variables made invertible by a relation of the exact shape u*v - 1."""
-    witnesses = {}
-    zero_mono = (0,) * context.nvars
-    for r in relations:
-        if len(r.terms) != 2:
-            continue
-        const = r.terms.get(zero_mono)
-        if const is None or const != -1:
-            continue
-        mono, coeff = next((m, c) for m, c in r.terms.items() if m != zero_mono)
-        if coeff != 1 or sum(mono) != 2 or max(mono) != 1:
-            continue
-        i, j = [k for k, e in enumerate(mono) if e]
-        u, v = context.variables[i], context.variables[j]
-        witnesses[u] = v
-        witnesses[v] = u
-    return witnesses
 
 
 class AlgebraElement:
@@ -175,8 +161,12 @@ class AlgebraElement:
             raise ValueError("element power must be a non-negative integer")
         result = self.algebra.one()
         base = self
-        for _ in range(n):
-            result = result * base
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other):

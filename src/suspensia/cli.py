@@ -22,7 +22,6 @@ from .derivation import (
     DEFAULT_CAP,
     DerivationError,
     InconclusiveError,
-    MissingCertificateError,
     MorphismError,
     NotWellDefinedError,
     certificate_json,
@@ -176,7 +175,7 @@ def _cmd_certify(args) -> int:
         print(f"order({name}) = {shown}")
     print(f"status: {certificate.status} (cap {certificate.cap})")
     if args.out:
-        parseio.save_json(args.out, certificate_json(derivation))
+        parseio.save_json(args.out, certificate_json(certificate))
         print(f"wrote {args.out}")
     return EXIT_OK if certificate.certified else EXIT_INCONCLUSIVE
 
@@ -208,7 +207,6 @@ def _cmd_decompose(args) -> int:
 def _cmd_homogenize(args) -> int:
     algebra, derivation = _load_algebra_and_derivation(args)
     grading = _pick_grading(algebra, args.grading)
-    certify_lnd(derivation, args.cap)
     result, degree = homogenize_lnd(derivation, grading, args.cap)
     print(f"homogeneous degree: {list(degree)}")
     for name in algebra.variables:
@@ -265,18 +263,17 @@ def _cmd_torus(args) -> int:
 
 def _cmd_lift(args) -> int:
     algebra, derivation = _load_algebra_and_derivation(args)
-    certify_lnd(derivation, args.cap)
+    source = certify_lnd(derivation, args.cap)
     lifted_algebra = suspension.adjoin_root(algebra, args.var, args.new_var, args.power)
-    lifted = suspension.lift_along_root(
-        derivation, lifted_algebra, args.var, args.new_var, args.power, cap=args.cap
+    certificate = suspension.lift_along_root(
+        source, lifted_algebra, args.var, args.new_var, args.power, cap=args.cap
     )
-    certificate = lifted.lnd_certificate
     print(f"lifted along {args.var} = {args.new_var}^{args.power}: {certificate.status}")
     for name in lifted_algebra.variables:
         print(f"order({name}) = {certificate.orders.get(name, 'inconclusive')}")
     if args.out:
         data = parseio.algebra_to_data(
-            lifted_algebra, derivations={"lifted": lifted}
+            lifted_algebra, derivations={"lifted": certificate.derivation}
         )
         parseio.save_json(args.out, data)
         print(f"wrote {args.out}")
@@ -305,15 +302,14 @@ def _cmd_build_yp(args) -> int:
 
 def _cmd_exp(args) -> int:
     algebra, derivation = _load_algebra_and_derivation(args)
-    certify_lnd(derivation, args.cap)
     scalar_poly = parseio.parse_expression(args.t, algebra.context)
     if not scalar_poly.is_constant():
         raise UsageError(f"--t must be a constant, got {args.t!r}")
     scalar = scalar_poly.constant_value()
-    morphism = exp(derivation, scalar)
+    morphism = exp(derivation, scalar, args.cap)
     for name in algebra.variables:
         print(f"{name} -> {morphism.images[name].rep.text()}")
-    half = exp(derivation, algebra.field.coerce(scalar) * Fraction(1, 2))
+    half = exp(derivation, algebra.field.coerce(scalar) * Fraction(1, 2), args.cap)
     one_param = half.compose(half)
     if not one_param.agrees_with(morphism):
         raise MorphismError("one-parameter law failed (internal error)")
@@ -333,7 +329,7 @@ def main(argv=None) -> int:
     except InconclusiveError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except (NotWellDefinedError, MissingCertificateError, DerivationError,
+    except (NotWellDefinedError, DerivationError,
             GradingError, PresentationError, MorphismError, PowerCollapseError,
             suspension.SuspensionError, ContextError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .algebra import Grading, PresentedAlgebra, attach_grading
+from .algebra import Grading, PresentedAlgebra
 from .coeff import CyclotomicField, QQ, is_prime, root_of_unity
 from .derivation import DEFAULT_CAP, Derivation, certify_lnd, new_derivation
 from .linalg import solve_linear
@@ -144,13 +144,13 @@ def build_Xp(p: int, G: Polynomial | None = None):
     z = Polynomial.variable(context, "z")
     s = Polynomial.variable(context, "s")
     w = Polynomial.variable(context, "w")
-    algebra = PresentedAlgebra(context, [Gc - z * z, s * w ** p - 1])
     weights = {name: 2 for name in x_names(p)}
     weights.update({"z": p, "s": 0, "w": 0})
     row = tuple(weights[name] for name in context.variables)
-    grading = attach_grading(algebra, [row])
-    algebra.gradings["weights"] = grading
-    return algebra, grading
+    algebra = PresentedAlgebra(
+        context, [Gc - z * z, s * w ** p - 1], gradings={"weights": [row]}
+    )
+    return algebra, algebra.gradings["weights"]
 
 
 def yp_weight_row(p: int) -> tuple:
@@ -173,10 +173,8 @@ def build_vandermonde_lnd(p: int, algebra: PresentedAlgebra | None = None) -> De
     zero, and y, w map to zero.  Written on the unknowns d(x_j)*y^j this is
     a linear system whose matrix is the Vandermonde matrix of the distinct
     roots of unity, hence uniquely solvable.  The solved image of x_j is a
-    constant times z*y^(p-1-j); the exponent is non-negative for every j, so
-    no clearing through the inverse variable w is needed (the fallback would
-    multiply by w to keep images polynomial).  The image of z is
-    y^(p-1) times the product of the last p-1 linear forms.
+    constant times z*y^(p-1-j), a polynomial since 0 <= j <= p-1.  The image
+    of z is y^(p-1) times the product of the last p-1 linear forms.
     """
     if algebra is None:
         algebra = build_Yp(p)
@@ -188,15 +186,7 @@ def build_vandermonde_lnd(p: int, algebra: PresentedAlgebra | None = None) -> De
 
     images = {"y": Polynomial.zero(context), "w": Polynomial.zero(context)}
     for j in range(p):
-        exponent = p - 1 - j
-        if exponent >= 0:
-            images[f"x{j}"] = Polynomial.monomial(
-                context, {"z": 1, "y": exponent}, constants[j]
-            )
-        else:
-            images[f"x{j}"] = Polynomial.monomial(
-                context, {"z": 1, "w": -exponent}, constants[j]
-            )
+        images[f"x{j}"] = Polynomial.monomial(context, {"z": 1, "y": p - 1 - j}, constants[j])
     forms = linear_forms(p).forms
     z_image = Polynomial.monomial(context, {"y": p - 1})
     for form in forms[1:]:
@@ -264,8 +254,8 @@ def certify_bundle(p: int, n: int, cap: int = DEFAULT_CAP) -> YpBundle:
 
     e = n // p
     lifted_algebra = adjoin_root(Yp, "y", "u", e)
-    lifted = lift_along_root(derivation, lifted_algebra, "y", "u", e, cap=cap)
-    lifted_lnd = lifted.lnd_certificate
+    lifted_lnd = lift_along_root(lnd, lifted_algebra, "y", "u", e, cap=cap)
+    lifted = lifted_lnd.derivation
 
     shared = [name for name in Yp.variables if name != "y"]
     orders_match = all(lifted_lnd.orders[g] == lnd.orders[g] for g in shared)
@@ -282,10 +272,7 @@ def certify_bundle(p: int, n: int, cap: int = DEFAULT_CAP) -> YpBundle:
             ),
             "coefficientsRational": True,
         },
-        "imageBranches": {
-            f"x{j}": "direct-power" if p - 1 - j >= 0 else "unit-cleared"
-            for j in range(p)
-        },
+        "imageBranches": {f"x{j}": "direct-power" for j in range(p)},
         "wellDefined": derivation.well_defined.to_json(),
         "lnd": lnd.to_json(),
         "grading": {

@@ -20,8 +20,7 @@ Derivations are immutable after construction; apply/nu/exp are pure.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import AlgebraElement, Grading, PresentedAlgebra
@@ -49,10 +48,6 @@ class NotWellDefinedError(DerivationError):
         super().__init__(message)
         self.relation = relation
         self.witness = witness
-
-
-class MissingCertificateError(DerivationError):
-    """An operation that needs a nilpotency certificate was called without one."""
 
 
 class InconclusiveError(DerivationError):
@@ -105,8 +100,9 @@ class WellDefinedness:
 
 @dataclass(frozen=True)
 class LNDCertificate:
-    """Nilpotency orders per generator, or the generators still unresolved."""
+    """Nilpotency orders per generator of ``derivation``, or those unresolved."""
 
+    derivation: Derivation = field(repr=False)
     cap: int
     orders: dict
     inconclusive: tuple
@@ -133,13 +129,12 @@ class LNDCertificate:
 class Derivation:
     """A certified-well-defined derivation of a presented algebra."""
 
-    __slots__ = ("algebra", "images", "well_defined", "lnd_certificate")
+    __slots__ = ("algebra", "images", "well_defined")
 
     def __init__(self, algebra, images, well_defined):
         self.algebra = algebra
         self.images = images
         self.well_defined = well_defined
-        self.lnd_certificate = None
 
     def image(self, name: str) -> AlgebraElement:
         return self.images[name]
@@ -236,28 +231,25 @@ def nu(derivation: Derivation, value, cap: int = DEFAULT_CAP):
     return None
 
 
-def certify_lnd(derivation: Derivation, cap: int = DEFAULT_CAP) -> LNDCertificate:
-    """Certify local nilpotency generator by generator.
+def _orbits(derivation: Derivation, cap: int):
+    """Yield (generator index, orbit) for every generator, in pick order.
 
-    Generator x is iterated until D^k(x) = 0, which gives order k - 1, or
-    until a proven bound.  When every generator v occurring in D(x) already
-    has a certified order o(v), the degree-function laws give
+    The orbit is [x, D x, ..., D^order x] when the order of x is at most
+    ``cap``, else None.  Generator x is iterated until D^k(x) = 0, which
+    gives order k - 1, or until a proven bound.  When every generator v
+    occurring in D(x) already has an order o(v), the degree-function laws
+    give
 
         nu(x) <= U(x) = 1 + max over the monomials m of D(x) of sum_v m_v o(v),
 
     with U(x) = 0 when D(x) = 0.  Iteration then stops at D^U(x): a nonzero
-    D^U(x) certifies order exactly U(x), and D^(U+1)(x) is never computed.
-    U(x) is computed once, from the image D(x).  Generators whose image
-    mentions only certified generators go first, in variable order; when
-    none is left (a cycle such as x_j <-> z in Yp(p), or D(x) = c*x), the
-    pending generator occurring in the most pending images is iterated
-    directly, ties broken by variable order.
-
-    A generator is certified only when its order is at most ``cap``, even
-    where the bound proves a larger order, so orders and inconclusive
-    generators are exactly what ``nu`` gives with the same cap.  Any
-    survivor makes the certificate inconclusive; a "not locally nilpotent"
-    verdict is never produced.  The certificate is cached on the derivation.
+    D^U(x) has order exactly U(x), and D^(U+1)(x) is never computed.  U(x)
+    is computed once, from the image D(x).  Generators whose image mentions
+    only resolved generators go first, in variable order; when none is left
+    (a cycle such as x_j <-> z in Yp(p), or D(x) = c*x), the pending
+    generator occurring in the most pending images is iterated directly,
+    ties broken by variable order.  A generator resolves only when its order
+    is at most ``cap``, even where the bound proves a larger order.
     """
     algebra = derivation.algebra
     names = algebra.variables
@@ -278,24 +270,37 @@ def certify_lnd(derivation: Derivation, cap: int = DEFAULT_CAP) -> LNDCertificat
         pending.remove(pick)
         image = derivation.images[names[pick]].rep
         limit = cap + 1
-        if bounded and image.terms:
+        if bounded:
             # generators outside the image do not occur in it; weight 0
             weights = [found.get(v, 0) for v in range(len(names))]
-            limit = min(limit, 1 + image.weighted_degree(weights))
-        current = algebra.variable(names[pick])
-        steps = 0
-        while current and steps < limit:
-            current = derivation.apply(current)
-            steps += 1
-        if not current:
-            found[pick] = max(steps - 1, 0)
-        elif steps <= cap:
-            found[pick] = steps
+            limit = min(limit, 1 + image.weighted_degree(weights)) if image.terms else 0
+        orbit = [algebra.variable(names[pick])]
+        while orbit[-1] and len(orbit) <= limit:
+            orbit.append(derivation.apply(orbit[-1]))
+        if not orbit[-1] and len(orbit) > 1:
+            orbit.pop()
+        if len(orbit) <= cap + 1:
+            found[pick] = len(orbit) - 1
+            yield pick, orbit
+        else:
+            yield pick, None
+
+
+def certify_lnd(derivation: Derivation, cap: int = DEFAULT_CAP) -> LNDCertificate:
+    """Certify local nilpotency generator by generator.
+
+    Each generator's orbit is iterated up to its order or a proven bound
+    (see ``_orbits``).  A generator is certified only when its order is at
+    most ``cap``, so orders and inconclusive generators are exactly what
+    ``nu`` gives with the same cap.  Any survivor makes the certificate
+    inconclusive; a "not locally nilpotent" verdict is never produced.  The
+    certificate is a value bound to ``derivation``, which is not modified.
+    """
+    names = derivation.algebra.variables
+    found = {i: len(orbit) - 1 for i, orbit in _orbits(derivation, cap) if orbit is not None}
     orders = {name: found[i] for i, name in enumerate(names) if i in found}
     unresolved = tuple(name for i, name in enumerate(names) if i not in found)
-    certificate = LNDCertificate(cap, orders, unresolved)
-    derivation.lnd_certificate = certificate
-    return certificate
+    return LNDCertificate(derivation, cap, orders, unresolved)
 
 
 # ----------------------------------------------------------------------
@@ -380,32 +385,27 @@ def homogeneous_degree(derivation: Derivation, grading: Grading):
     return tuple(result)
 
 
-def homogenize_lnd(derivation: Derivation, grading: Grading, cap: int | None = None):
-    """Extract a homogeneous certified-nilpotent derivation from a certified one.
+def homogenize_lnd(derivation: Derivation, grading: Grading, cap: int = DEFAULT_CAP):
+    """Extract a homogeneous certified-nilpotent derivation from a nilpotent one.
 
-    Row by row, the top graded component is taken (extreme components of a
-    nilpotent derivation stay nilpotent) and re-certified.  Returns the
-    homogeneous derivation together with its multidegree.
+    The input is certified within ``cap`` first.  Row by row, the top graded
+    component is taken (extreme components of a nilpotent derivation stay
+    nilpotent) and certified within the same cap.  Returns the homogeneous
+    derivation together with its multidegree.
     """
     if derivation.is_zero():
         raise DerivationError("cannot homogenize the zero derivation")
-    certificate = derivation.lnd_certificate
-    if certificate is None:
-        certificate = certify_lnd(derivation, cap or DEFAULT_CAP)
-    if not certificate.certified:
+    if not certify_lnd(derivation, cap).certified:
         raise InconclusiveError(
-            "homogenization needs a certified derivation; cap "
-            f"{certificate.cap} was not enough"
+            f"homogenization needs a certified derivation; cap {cap} was not enough"
         )
-    cap_value = cap or certificate.cap
     current = derivation
     for row in range(grading.nrows):
         pieces = decompose(current, grading, row)
         top = pieces.components[pieces.upper]
-        top_cert = certify_lnd(top, cap_value)
-        if not top_cert.certified:
+        if not certify_lnd(top, cap).certified:
             raise InconclusiveError(
-                f"extreme component at row {row} did not certify within cap {cap_value}"
+                f"extreme component at row {row} did not certify within cap {cap}"
             )
         current = top
     degree = homogeneous_degree(current, grading)
@@ -448,16 +448,15 @@ def is_diagonal_semisimple(derivation: Derivation):
 class AlgebraMorphism:
     """An algebra map given on generators; relations must map to zero."""
 
-    __slots__ = ("source", "target", "images", "inverse")
+    __slots__ = ("source", "target", "images")
 
-    def __init__(self, source, target, images: dict, inverse=None, check: bool = True):
+    def __init__(self, source, target, images: dict, check: bool = True):
         self.source = source
         self.target = target
         self.images = {name: target.element(v) for name, v in images.items()}
         for name in source.variables:
             if name not in self.images:
                 raise MorphismError(f"missing image for variable {name!r}")
-        self.inverse = inverse
         if check:
             for r in source.relations:
                 nf = target.normal_form(self._push(r))
@@ -495,45 +494,43 @@ def identity_morphism(algebra: PresentedAlgebra) -> AlgebraMorphism:
     )
 
 
-def exp(derivation: Derivation, t, certificate: LNDCertificate | None = None,
-        with_inverse: bool = False) -> AlgebraMorphism:
+def exp(derivation: Derivation, t, cap: int = DEFAULT_CAP) -> AlgebraMorphism:
     """The automorphism sum_j t^j D^j / j!, exact thanks to nilpotency.
 
-    Requires a certificate (the cached one is used if present): each
-    generator's series stops at its certified order, so the sum is finite
-    and the map lands back in the algebra.  Relations are verified to map
+    Each generator's series is summed over the orbit x, D x, ..., D^order x
+    that certification computes, so the sum is finite and the map lands
+    back in the algebra.  Raises InconclusiveError when some generator's
+    order is not certified within ``cap``.  Relations are verified to map
     to zero after substitution.
     """
     algebra = derivation.algebra
-    certificate = certificate or derivation.lnd_certificate
-    if certificate is None:
-        raise MissingCertificateError(
-            "exponentiation requires a nilpotency certificate; run certify_lnd first"
-        )
-    if not certificate.certified:
-        raise InconclusiveError("cannot exponentiate an inconclusive certificate")
     t = algebra.field.coerce(t)
-    images = {}
-    for name in algebra.variables:
-        order = certificate.orders[name]
-        acc = algebra.variable(name)
-        term = acc
-        for j in range(1, order + 1):
-            term = derivation.apply(term)
-            scalar = t ** j * Fraction(1, math.factorial(j))
-            acc = acc + term * scalar
-        images[name] = acc
-    forward = AlgebraMorphism(algebra, algebra, images, check=True)
-    if with_inverse:
-        forward.inverse = exp(derivation, -t, certificate, with_inverse=False)
-    return forward
+    series = {}
+    for i, orbit in _orbits(derivation, cap):
+        if orbit is None:
+            raise InconclusiveError("cannot exponentiate an inconclusive certificate")
+        # scalar multiples and sums of normal forms are normal forms
+        total = orbit[0].rep
+        scalar = algebra.field.one
+        for j, term in enumerate(orbit[1:], 1):
+            scalar = scalar * t * Fraction(1, j)
+            if not scalar:
+                break
+            total = total + Polynomial._raw(
+                total.context, {m: c * scalar for m, c in term.rep.terms.items()}
+            )
+        series[algebra.variables[i]] = AlgebraElement(algebra, total)
+    images = {name: series[name] for name in algebra.variables}
+    return AlgebraMorphism(algebra, algebra, images, check=True)
 
 
-def certificate_json(derivation: Derivation, grading: Grading | None = None) -> dict:
+def certificate_json(certificate: LNDCertificate, grading: Grading | None = None) -> dict:
     """The certificate payload: well-definedness, nilpotency, homogeneity."""
-    data = {"wellDefined": derivation.well_defined.to_json()}
-    if derivation.lnd_certificate is not None:
-        data["lnd"] = derivation.lnd_certificate.to_json()
+    derivation = certificate.derivation
+    data = {
+        "wellDefined": derivation.well_defined.to_json(),
+        "lnd": certificate.to_json(),
+    }
     if grading is not None:
         degree = homogeneous_degree(derivation, grading)
         if degree is not None:

@@ -13,32 +13,9 @@ class SingularMatrixError(ValueError):
     """The linear system has no unique solution."""
 
 
-def solve_linear(matrix, rhs):
-    """Solve the square system matrix * x = rhs by Gaussian elimination."""
-    n = len(matrix)
-    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    if any(len(row) != n + 1 for row in rows) or len(rhs) != n:
-        raise ValueError("system dimensions do not match")
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
-            raise SingularMatrixError(f"no pivot in column {col}")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = rows[col][col]
-        rows[col] = [c / inv for c in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return [rows[r][n] for r in range(n)]
-
-
-def rank(matrix) -> int:
-    """Rank of an integer or rational matrix, computed over Q."""
-    rows = [[Fraction(c) for c in row] for row in matrix]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
+def _eliminate(rows, ncols: int) -> int:
+    """Reduce rows in place to reduced row echelon form on the first ncols
+    columns; return the number of pivots, the rank of those columns."""
     r = 0
     for col in range(ncols):
         pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
@@ -53,6 +30,24 @@ def rank(matrix) -> int:
                 rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
         r += 1
     return r
+
+
+def solve_linear(matrix, rhs):
+    """Solve the square system matrix * x = rhs by Gaussian elimination."""
+    n = len(matrix)
+    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    if any(len(row) != n + 1 for row in rows) or len(rhs) != n:
+        raise ValueError("system dimensions do not match")
+    found = _eliminate(rows, n)
+    if found < n:
+        raise SingularMatrixError(f"matrix of size {n} has rank {found}")
+    return [row[n] for row in rows]
+
+
+def rank(matrix) -> int:
+    """Rank of an integer or rational matrix, computed over Q."""
+    rows = [[Fraction(c) for c in row] for row in matrix]
+    return _eliminate(rows, len(rows[0])) if rows else 0
 
 
 def matmul(a, b):

@@ -23,7 +23,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import PresentedAlgebra, attach_grading
+from .algebra import PresentedAlgebra
 from .coeff import CyclotomicField, field_from_text, root_of_unity
 from .derivation import Derivation, new_derivation
 from .poly import Context, ContextError, Polynomial
@@ -272,7 +272,6 @@ def algebra_from_data(data: dict) -> PresentedAlgebra:
         "'relations' must be a list of expression strings",
     )
     parsed = [parse_expression(r, context) for r in relations]
-    algebra = PresentedAlgebra(context, parsed)
     gradings = data.get("gradings", {})
     _expect(isinstance(gradings, dict), "'gradings' must be an object")
     for name, matrix in gradings.items():
@@ -282,7 +281,7 @@ def algebra_from_data(data: dict) -> PresentedAlgebra:
             and all(isinstance(w, int) for row in matrix for w in row),
             f"grading {name!r} must be a list of integer rows",
         )
-        algebra.gradings[name] = attach_grading(algebra, matrix)
+    algebra = PresentedAlgebra(context, parsed, gradings=gradings)
     derivations = data.get("derivations", {})
     _expect(isinstance(derivations, dict), "'derivations' must be an object")
     for name, images in derivations.items():

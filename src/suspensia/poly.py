@@ -129,7 +129,9 @@ class Polynomial:
 
     @classmethod
     def variable(cls, context: Context, name: str) -> Polynomial:
-        return cls.monomial(context, {name: 1})
+        exponents = [0] * context.nvars
+        exponents[context.index(name)] = 1
+        return cls._raw(context, {tuple(exponents): context.field.one})
 
     @classmethod
     def monomial(cls, context: Context, exponents, coeff=1) -> Polynomial:

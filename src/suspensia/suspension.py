@@ -16,13 +16,7 @@ from enum import Enum
 from functools import reduce
 
 from .algebra import AlgebraElement, PresentedAlgebra
-from .derivation import (
-    DEFAULT_CAP,
-    Derivation,
-    InconclusiveError,
-    certify_lnd,
-    new_derivation,
-)
+from .derivation import InconclusiveError, LNDCertificate, certify_lnd, new_derivation
 from .poly import Context, Polynomial, collapse_power
 
 
@@ -170,23 +164,33 @@ def torus_action(extended: PresentedAlgebra, spec: SuspensionSpec) -> TorusActio
     return TorusAction(extended, tuple(rows))
 
 
+def _certified_lift(certificate: LNDCertificate, algebra: PresentedAlgebra,
+                    images: dict, cap: int | None) -> LNDCertificate:
+    """Build the lifted derivation and certify it, by default within the source cap."""
+    lifted = certify_lnd(
+        new_derivation(algebra, images), certificate.cap if cap is None else cap
+    )
+    if not lifted.certified:
+        raise InconclusiveError("lifted derivation did not certify within the cap")
+    return lifted
+
+
 def lift_lnd(
-    derivation: Derivation,
+    certificate: LNDCertificate,
     extended: PresentedAlgebra,
     spec: SuspensionSpec,
     cap: int | None = None,
-) -> Derivation:
+) -> LNDCertificate:
     """Lift a certified nilpotent derivation of the base to the suspension.
 
-    Needs the derivation to kill the suspension function; the lift keeps all
-    base images and sends every suspension variable to zero.  The result is
-    re-certified (well-definedness and nilpotency) from scratch.
+    Takes the certificate of the base derivation and returns that of the
+    lift.  Needs the derivation to kill the suspension function; the lift
+    keeps all base images and sends every suspension variable to zero.  The
+    result is re-certified (well-definedness and nilpotency) from scratch.
     """
+    derivation = certificate.derivation
     if not derivation.algebra.same_presentation(spec.base):
         raise SuspensionError("derivation does not live on the suspension base")
-    certificate = derivation.lnd_certificate
-    if certificate is None:
-        certificate = certify_lnd(derivation, cap or DEFAULT_CAP)
     if not certificate.certified:
         raise InconclusiveError("cannot lift: source derivation is not certified")
     df = derivation.apply(spec.function)
@@ -201,11 +205,21 @@ def lift_lnd(
     }
     for name in spec.suspension_variables:
         images[name] = Polynomial.zero(extended.context)
-    lifted = new_derivation(extended, images)
-    lifted_cert = certify_lnd(lifted, cap or certificate.cap)
-    if not lifted_cert.certified:
-        raise InconclusiveError("lifted derivation did not certify within the cap")
-    return lifted
+    return _certified_lift(certificate, extended, images, cap)
+
+
+def _renamed_context(algebra: PresentedAlgebra, var: str, new_var: str,
+                     power: int, kind: str) -> Context:
+    """The algebra's context with var renamed to the fresh new_var."""
+    if power < 1:
+        raise SuspensionError(f"{kind} power must be a positive integer")
+    context = algebra.context
+    i = context.index(var)
+    if new_var in context.variables:
+        raise SuspensionError(f"variable {new_var!r} already exists in the algebra")
+    new_names = list(context.variables)
+    new_names[i] = new_var
+    return Context(context.field, tuple(new_names))
 
 
 def adjoin_root(
@@ -216,15 +230,7 @@ def adjoin_root(
     The forward direction of root adjunction; always valid.  The old variable
     disappears and the fresh one takes its position.
     """
-    if power < 1:
-        raise SuspensionError("root power must be a positive integer")
-    context = algebra.context
-    i = context.index(var)
-    if new_var in context.variables:
-        raise SuspensionError(f"variable {new_var!r} already exists in the algebra")
-    new_names = list(context.variables)
-    new_names[i] = new_var
-    new_context = Context(context.field, tuple(new_names))
+    new_context = _renamed_context(algebra, var, new_var, power, "root")
     image = Polynomial.variable(new_context, new_var) ** power
     relations = [r.substitute({var: image}, into=new_context) for r in algebra.relations]
     return PresentedAlgebra(new_context, relations)
@@ -239,15 +245,7 @@ def collapse_root(
     uses var in exponents divisible by the power, which is verified monomial
     by monomial (failures carry the offending monomial).
     """
-    if power < 1:
-        raise SuspensionError("collapse power must be a positive integer")
-    context = algebra.context
-    i = context.index(var)
-    if new_var in context.variables:
-        raise SuspensionError(f"variable {new_var!r} already exists in the algebra")
-    new_names = list(context.variables)
-    new_names[i] = new_var
-    new_context = Context(context.field, tuple(new_names))
+    new_context = _renamed_context(algebra, var, new_var, power, "collapse")
     relations = [
         collapse_power(r, var, power, new_var, new_context) for r in algebra.relations
     ]
@@ -255,40 +253,34 @@ def collapse_root(
 
 
 def lift_along_root(
-    derivation: Derivation,
+    certificate: LNDCertificate,
     lifted_algebra: PresentedAlgebra,
     var: str,
     new_var: str,
     power: int,
     cap: int | None = None,
-) -> Derivation:
+) -> LNDCertificate:
     """Transport a certified derivation along the substitution var = new_var^power.
 
-    Requires the derivation to kill var (otherwise the substitution does not
-    commute with it); images are rewritten through the substitution and the
-    result is re-certified on the new algebra.
+    Takes the certificate of the source derivation and returns that of the
+    lift.  Requires the derivation to kill var (otherwise the substitution
+    does not commute with it); images are rewritten through the substitution
+    and the result is re-certified on the new algebra.
     """
-    source = derivation.algebra
+    derivation = certificate.derivation
     dvar = derivation.images[var]
     if dvar:
         raise SuspensionError(
             f"derivation must kill {var!r} to lift along the root substitution; "
             f"its image has normal form {dvar.rep.text()}"
         )
-    certificate = derivation.lnd_certificate
-    if certificate is None:
-        certificate = certify_lnd(derivation, cap or DEFAULT_CAP)
     if not certificate.certified:
         raise InconclusiveError("cannot lift: source derivation is not certified")
     image = Polynomial.variable(lifted_algebra.context, new_var) ** power
     images = {}
-    for name in source.variables:
+    for name in derivation.algebra.variables:
         target_name = new_var if name == var else name
         images[target_name] = derivation.images[name].rep.substitute(
             {var: image}, into=lifted_algebra.context
         )
-    lifted = new_derivation(lifted_algebra, images)
-    lifted_cert = certify_lnd(lifted, cap or certificate.cap)
-    if not lifted_cert.certified:
-        raise InconclusiveError("lifted derivation did not certify within the cap")
-    return lifted
+    return _certified_lift(certificate, lifted_algebra, images, cap)

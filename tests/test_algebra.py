@@ -9,6 +9,7 @@ from suspensia import (
     GradingError,
     Polynomial,
     PresentationError,
+    PresentedAlgebra,
     QQ,
     algebra_from_strings,
     attach_grading,
@@ -30,7 +31,6 @@ def torus_line():
 def test_torus_line_algebra():
     algebra = torus_line()
     assert algebra.variables == ("y", "w")
-    assert algebra.unit_witnesses == {"y": "w", "w": "y"}
     assert algebra.element(parse_expression("y*w", algebra.context)) == algebra.one()
 
 
@@ -65,6 +65,30 @@ def test_element_arithmetic_reduces():
     assert y * w == 1
     assert (y * w + w) == w + 1
     assert (y + w) ** 2 == y ** 2 + 2 + w ** 2
+
+
+def test_element_power_matches_repeated_multiplication():
+    rng = random.Random(17)
+    algebra = build_Yp(3)
+    base = algebra.variable("x0") + algebra.variable("y") * 2 + algebra.variable("w")
+    expected = algebra.one()
+    for n in range(8):
+        assert base ** n == expected, n
+        expected = expected * base
+    for _ in range(10):
+        f = algebra.element(random_polynomial(rng, algebra.context, max_terms=3, max_exp=2))
+        assert f ** 0 == algebra.one()
+        assert f ** 3 == f * f * f
+
+
+def test_gradings_given_at_construction():
+    ctx = Context(QQ, ("x", "y"))
+    relation = parse_expression("x^2 - y^2", ctx)
+    algebra = PresentedAlgebra(ctx, [relation], gradings={"std": [[1, 1]]})
+    assert algebra.gradings["std"].matrix == ((1, 1),)
+    assert algebra.gradings["std"].algebra is algebra
+    with pytest.raises(GradingError):
+        PresentedAlgebra(ctx, [relation], gradings={"bad": [[1, 2]]})
 
 
 def test_attach_grading_x3():

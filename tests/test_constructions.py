@@ -79,7 +79,6 @@ def test_yp_structure():
     assert len(Yp.variables) == 6
     assert len(Yp.relations) == 2
     assert Yp.field.text == "Q(z@3)"
-    assert Yp.unit_witnesses == {"y": "w", "w": "y"}
 
 
 def test_xp_grading_degrees():

@@ -1,5 +1,6 @@
 """Derivation certification: well-definedness, nilpotency, decomposition, exp."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,10 +12,11 @@ from suspensia import (
     MINUS_INFINITY,
     Context,
     DerivationError,
-    MissingCertificateError,
+    InconclusiveError,
     NotWellDefinedError,
     Polynomial,
     QQ,
+    adjoin_root,
     algebra_from_strings,
     attach_grading,
     build_vandermonde_lnd,
@@ -26,6 +28,7 @@ from suspensia import (
     homogenize_lnd,
     identity_morphism,
     is_diagonal_semisimple,
+    lift_along_root,
     new_algebra,
     new_derivation,
     nu,
@@ -59,7 +62,6 @@ def D(algebra, **images):
 def y3():
     algebra = build_Yp(3)
     derivation = build_vandermonde_lnd(3, algebra)
-    certify_lnd(derivation, 8)
     return algebra, derivation
 
 
@@ -132,7 +134,8 @@ def test_nu_values(y3):
 
 def test_certify_vandermonde(y3):
     _, derivation = y3
-    certificate = derivation.lnd_certificate
+    certificate = certify_lnd(derivation, 8)
+    assert certificate.derivation is derivation
     assert certificate.certified
     assert certificate.orders == {"x0": 2, "x1": 2, "x2": 2, "y": 0, "z": 1, "w": 0}
 
@@ -210,6 +213,18 @@ def test_certify_zero_derivation():
     certificate = certify_lnd(zero, 4)
     assert certificate.certified
     assert set(certificate.orders.values()) == {0}
+
+
+def test_zero_image_needs_no_application(monkeypatch):
+    # U(x) = 0 when D(x) = 0: order 0 is read off the image, D is never applied
+    from suspensia.derivation import Derivation
+
+    applied = []
+    apply = Derivation.apply
+    monkeypatch.setattr(Derivation, "apply", lambda d, v: applied.append(v) or apply(d, v))
+    certificate = certify_lnd(D(free_xy(), x="0", y="x"), 4)
+    assert certificate.orders == {"x": 0, "y": 1}
+    assert len(applied) == 1
 
 
 def test_degree_function_laws_partial_derivative():
@@ -325,18 +340,16 @@ def test_homogenize_takes_top_component():
     algebra = free_xy()
     d = D(algebra, x="0", y="x + x^2")
     grading = attach_grading(algebra, [(1, 1)])
-    certify_lnd(d, 8)
     result, degree = homogenize_lnd(d, grading)
     assert result.images["y"].rep == parse_expression("x^2", algebra.context)
     assert degree == (1,)
-    assert result.lnd_certificate.certified
+    assert certify_lnd(result, 8).certified
 
 
 def test_homogenize_two_rows():
     algebra = free_xy()
     d = D(algebra, x="0", y="x + x^2")
     grading = attach_grading(algebra, [(1, 1), (1, 2)])
-    certify_lnd(d, 8)
     result, degree = homogenize_lnd(d, grading)
     assert homogeneous_degree(result, grading) == degree
     # homogeneous under both rows
@@ -371,30 +384,39 @@ def test_diagonal_semisimple_absent(y3):
 def test_exp_identity_at_zero():
     algebra = free_xy()
     d = D(algebra, x="0", y="x")
-    certify_lnd(d, 4)
     assert exp(d, 0).agrees_with(identity_morphism(algebra))
 
 
 def test_exp_triangular():
     algebra = free_xy()
     d = D(algebra, x="0", y="x")
-    certify_lnd(d, 4)
     m = exp(d, Fraction(1))
     assert m.images["y"].rep == parse_expression("x + y", algebra.context)
     assert m.images["x"] == algebra.variable("x")
 
 
-def test_exp_requires_certificate():
-    d = D(free_xy(), x="0", y="x")
-    with pytest.raises(MissingCertificateError):
-        exp(d, 1)
+def test_exp_after_low_cap_certification():
+    # a certificate is a value: an inconclusive result at cap 0 leaves the
+    # derivation, and its exponential, exactly as they were
+    algebra = free_xy()
+    d = D(algebra, x="0", y="x")
+    assert certify_lnd(d, 8).certified
+    assert not certify_lnd(d, 0).certified
+    m = exp(d, 1)
+    assert m.images["y"].rep == parse_expression("x + y", algebra.context)
+
+
+def test_exp_inconclusive_within_cap(y3):
+    _, derivation = y3
+    with pytest.raises(InconclusiveError):
+        exp(derivation, 1, cap=1)
+    assert exp(derivation, 1, cap=2).images["z"] != derivation.algebra.variable("z")
 
 
 def test_exp_group_law_triangular():
     rng = random.Random(71)
     algebra = free_xy()
     d = D(algebra, x="0", y="x + x^2")
-    certify_lnd(d, 8)
     for _ in range(20):
         s = helpers.random_fraction(rng)
         t = helpers.random_fraction(rng)
@@ -404,11 +426,10 @@ def test_exp_group_law_triangular():
 
 def test_exp_vandermonde_maps_relations_into_ideal(y3):
     algebra, derivation = y3
-    m = exp(derivation, 1, with_inverse=True)
+    m = exp(derivation, 1)
     for relation in algebra.relations:
         assert not m.apply(relation)
-    assert m.inverse is not None
-    roundtrip = m.inverse.compose(m)
+    roundtrip = exp(derivation, -1).compose(m)
     assert roundtrip.agrees_with(identity_morphism(algebra))
 
 
@@ -428,7 +449,7 @@ def test_certificate_json_payload(y3):
 
     algebra, derivation = y3
     grading = attach_grading(algebra, [yp_weight_row(3)])
-    payload = certificate_json(derivation, grading)
+    payload = certificate_json(certify_lnd(derivation, 8), grading)
     assert payload["wellDefined"]["ok"]
     assert all(r["identicallyZero"] for r in payload["wellDefined"]["relations"])
     assert payload["lnd"]["status"] == "certified"
@@ -449,3 +470,58 @@ def test_decomposed_components_satisfy_leibniz(y3):
         for _ in range(25):
             a, b = rng.sample(pool, 2)
             assert part.apply(a * b) == a * part.apply(b) + b * part.apply(a)
+
+
+def _state(obj):
+    """Every attribute of obj, with a shallow copy of each dict attribute."""
+    if hasattr(obj, "__dict__"):
+        attributes = dict(vars(obj))
+    else:
+        attributes = {name: getattr(obj, name) for name in type(obj).__slots__}
+    return {
+        name: (value, dict(value) if isinstance(value, dict) else None)
+        for name, value in attributes.items()
+    }
+
+
+def _assert_same_state(before, after):
+    assert before.keys() == after.keys()
+    for name, (value, contents) in before.items():
+        assert after[name][0] is value, name
+        assert after[name][1] == contents, name
+
+
+def test_certification_writes_nothing():
+    algebra = build_Yp(3)
+    derivation = build_vandermonde_lnd(3, algebra)
+    grading = attach_grading(algebra, [yp_weight_row(3)])
+    watched = (derivation, algebra)
+    before = [_state(obj) for obj in watched]
+    certificate = certify_lnd(derivation, 8)
+    exp(derivation, 1)
+    homogenize_lnd(derivation, grading, 8)
+    lifted = lift_along_root(certificate, adjoin_root(algebra, "y", "u", 2), "y", "u", 2)
+    assert lifted.certified
+    for obj, state in zip(watched, before):
+        _assert_same_state(state, _state(obj))
+    assert not hasattr(derivation, "__dict__")
+
+
+@settings(max_examples=80, deadline=None)
+@given(_random_free_derivations(), st.fractions(min_value=-3, max_value=3, max_denominator=5))
+def test_exp_matches_direct_series(case, t):
+    derivation, cap = case
+    algebra = derivation.algebra
+    orders = {name: nu(derivation, algebra.variable(name), cap) for name in algebra.variables}
+    if any(order is None for order in orders.values()):
+        with pytest.raises(InconclusiveError):
+            exp(derivation, t, cap)
+        return
+    morphism = exp(derivation, t, cap)
+    for name, order in orders.items():
+        expected = algebra.zero()
+        term = algebra.variable(name)
+        for j in range(order + 1):
+            expected = expected + term * (t ** j / math.factorial(j))
+            term = derivation.apply(term)
+        assert morphism.images[name] == expected, name

@@ -105,7 +105,6 @@ def test_load_algebra_torus_line(tmp_path):
     save_json(path, {"field": "Q", "variables": ["y", "w"], "relations": ["y*w - 1"]})
     algebra = load_algebra(path)
     assert algebra.variables == ("y", "w")
-    assert algebra.unit_witnesses == {"y": "w", "w": "y"}
 
 
 def test_reserved_variable_name_rejected(tmp_path):

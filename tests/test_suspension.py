@@ -147,10 +147,10 @@ def test_torus_requires_two_variables():
 def test_lift_zero_derivation():
     X = algebra_from_strings(QQ, ["x"], [])
     Y, spec = suspend(X, parse_expression("x", X.context), (2, 2))
-    zero = zero_derivation(X)
-    certify_lnd(zero, 4)
-    lifted = lift_lnd(zero, Y, spec)
-    assert lifted.is_zero()
+    lifted = lift_lnd(certify_lnd(zero_derivation(X), 4), Y, spec)
+    assert lifted.certified
+    assert lifted.derivation.is_zero()
+    assert lifted.derivation.algebra is Y
 
 
 def test_lift_requires_killing_the_function():
@@ -161,10 +161,9 @@ def test_lift_requires_killing_the_function():
     d = new_derivation(
         X, {"x": parse_expression("0", X.context), "t": parse_expression("x", X.context)}
     )
-    certify_lnd(d, 4)
     Y, spec = suspend(X, parse_expression("x + t", X.context), (2, 2))
     with pytest.raises(SuspensionError) as info:
-        lift_lnd(d, Y, spec)
+        lift_lnd(certify_lnd(d, 4), Y, spec)
     assert "x" in str(info.value)
 
 
@@ -174,8 +173,7 @@ def test_lift_lnd_over_suspension_of_y3():
     d = build_vandermonde_lnd(3, Y3)
     source_cert = certify_lnd(d, 8)
     Y, spec = suspend(Y3, Y3.variable("y"), (2, 3), names=("u1", "u2"))
-    lifted = lift_lnd(d, Y, spec)
-    cert = lifted.lnd_certificate
+    cert = lift_lnd(source_cert, Y, spec)
     assert cert.certified
     for name in Y3.variables:
         assert cert.orders[name] == source_cert.orders[name]
@@ -205,9 +203,9 @@ def test_lift_along_root_preserves_orders():
     d = build_vandermonde_lnd(3, Y3)
     source = certify_lnd(d, 8)
     Y = adjoin_root(Y3, "y", "u", 2)
-    lifted = lift_along_root(d, Y, "y", "u", 2)
-    cert = lifted.lnd_certificate
+    cert = lift_along_root(source, Y, "y", "u", 2)
     assert cert.certified
+    assert cert.derivation.algebra is Y
     assert cert.orders["u"] == 0
     for name in ("x0", "x1", "x2", "z", "w"):
         assert cert.orders[name] == source.orders[name]
@@ -220,10 +218,9 @@ def test_lift_along_root_requires_killed_variable():
     d = new_derivation(
         X, {"x": parse_expression("y", X.context), "y": parse_expression("1", X.context)}
     )
-    certify_lnd(d, 4)
     target = adjoin_root(X, "y", "u", 2)
     with pytest.raises(SuspensionError):
-        lift_along_root(d, target, "y", "u", 2)
+        lift_along_root(certify_lnd(d, 4), target, "y", "u", 2)
 
 
 def test_collapse_root_on_prepared_relations():
