@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeff import CyclotomicNumber
-from .groebner import GroebnerBasis, MonomialOrder, buchberger, grevlex
+from .groebner import buchberger
 from .linalg import matmul, rank
 from .poly import Context, ContextError, Polynomial, monomial_text
 
@@ -40,15 +40,14 @@ class PresentedAlgebra:
     ``attach_grading`` and kept, as a Grading, under the same name.
     """
 
-    def __init__(self, context: Context, relations, order: MonomialOrder | None = None,
-                 gradings: dict | None = None):
+    def __init__(self, context: Context, relations, gradings: dict | None = None):
         relations = tuple(relations)
         for r in relations:
             if not isinstance(r, Polynomial) or r.context != context:
                 raise ContextError("every relation must be a polynomial in the algebra context")
         self.context = context
         self.relations = relations
-        self.basis = buchberger(relations, order or grevlex(), context=context)
+        self.basis = buchberger(relations, context=context)
         if self.basis.is_unit_ideal():
             raise PresentationError(
                 "inconsistent presentation: 1 lies in the relation ideal"
@@ -195,9 +194,6 @@ class Grading:
     @property
     def nrows(self) -> int:
         return len(self.matrix)
-
-    def row(self, r: int) -> tuple:
-        return self.matrix[r]
 
     def degree(self, value) -> tuple:
         """The multidegree of a homogeneous element; raises if inhomogeneous."""

@@ -136,9 +136,6 @@ class Derivation:
         self.images = images
         self.well_defined = well_defined
 
-    def image(self, name: str) -> AlgebraElement:
-        return self.images[name]
-
     def leibniz_image(self, f: Polynomial) -> Polynomial:
         """Image of a plain polynomial under the Leibniz extension (no reduction)."""
         out = Polynomial.zero(self.algebra.context)
@@ -317,9 +314,6 @@ class HomogeneousDecomposition:
     components: dict
     lower: int | None
     upper: int | None
-
-    def component(self, degree: int) -> Derivation:
-        return self.components[degree]
 
 
 def decompose(derivation: Derivation, grading: Grading, row: int = 0) -> HomogeneousDecomposition:

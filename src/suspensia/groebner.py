@@ -5,6 +5,14 @@ modulo an ideal computable through unique remainders.  Plain Buchberger with
 the product and chain pair-pruning criteria is enough at the scale this
 package targets (a handful of variables and relations).
 
+Every basis element, during Buchberger and in a finished basis, is held as
+one ``_Reducer``: its lead monomial, its monic term dict and its tail.
+
+Invariants of a :class:`GroebnerBasis`: it is the reduced basis of its ideal
+under its order, its generators are monic and sorted ascending by lead
+monomial, and its reducers are built once, at construction.  It is frozen:
+reductions against one basis write nothing and may run concurrently.
+
 Base change: when the context field is Q(z@p) and every generator
 coefficient is rational, :func:`buchberger` computes the reduced basis over
 Q and embeds it into Q(z@p).  Buchberger's algorithm never leaves the field
@@ -12,9 +20,6 @@ its input lies in, and the reduced basis of an ideal is unique, so this is
 the same basis the computation over Q(z@p) returns, at the cost of rational
 arithmetic.  Generators with any non-rational coefficient take the route in
 the field of the context (:func:`buchberger_in_field`).
-
-Completed bases are immutable; reductions against one basis are pure and may
-run concurrently.
 """
 
 from __future__ import annotations
@@ -83,27 +88,27 @@ def elimination(*variables: str) -> MonomialOrder:
     return MonomialOrder("elimination", tuple(variables))
 
 
-class _Prepared:
-    """A basis element preprocessed for division: monic, lead term split off."""
+class _Reducer:
+    """A basis element: lead monomial, monic term dict, non-lead term pairs."""
 
-    __slots__ = ("lm", "tail")
+    __slots__ = ("lm", "terms", "tail")
 
     def __init__(self, terms: dict, keyf):
         lm = max(terms, key=keyf)
         lc = terms[lm]
-        if lc == 1:
-            self.tail = [(m, c) for m, c in terms.items() if m != lm]
-        else:
+        if lc != 1:
             inv = 1 / lc
-            self.tail = [(m, c * inv) for m, c in terms.items() if m != lm]
+            terms = {m: c * inv for m, c in terms.items()}
         self.lm = lm
+        self.terms = terms
+        self.tail = [(m, c) for m, c in terms.items() if m != lm]
 
 
 def _divides(a, b) -> bool:
     return all(map(le, a, b))
 
 
-def _reduce_terms(work: dict, prepared: list, keyf) -> dict:
+def _reduce_terms(work: dict, reducers, keyf) -> dict:
     """Fully reduce a term dict, returning the (canonical) remainder dict."""
     work = dict(work)
     heap = [(tuple(map(neg, keyf(m))), m) for m in work]
@@ -115,7 +120,7 @@ def _reduce_terms(work: dict, prepared: list, keyf) -> dict:
         if not coeff:
             continue
         reducer = None
-        for g in prepared:
+        for g in reducers:
             if _divides(g.lm, mono):
                 reducer = g
                 break
@@ -140,33 +145,22 @@ def _reduce_terms(work: dict, prepared: list, keyf) -> dict:
     return remainder
 
 
-def _monic(terms: dict, keyf) -> dict:
-    lm = max(terms, key=keyf)
-    lc = terms[lm]
-    if lc == 1:
-        return dict(terms)
-    inv = 1 / lc
-    return {m: c * inv for m, c in terms.items()}
-
-
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     """The S-polynomial of f and g under the given order."""
     if f.context != g.context:
         raise ContextError("polynomials from different contexts")
     keyf = order.key_for(f.context)
-    tf = _monic(f.terms, keyf)
-    tg = _monic(g.terms, keyf)
-    terms = _s_poly_terms(tf, max(tf, key=keyf), tg, max(tg, key=keyf))
+    terms = _s_poly_terms(_Reducer(f.terms, keyf), _Reducer(g.terms, keyf))
     return Polynomial._raw(f.context, terms)
 
 
-def _s_poly_terms(tf: dict, lmf, tg: dict, lmg) -> dict:
-    """The S-polynomial of two monic term dicts with lead monomials lmf, lmg."""
-    lcm = tuple(map(max, lmf, lmg))
-    shift_f = tuple(map(sub, lcm, lmf))
-    out = {tuple(map(add, m, shift_f)): c for m, c in tf.items()}
-    shift_g = tuple(map(sub, lcm, lmg))
-    for m, c in tg.items():
+def _s_poly_terms(f: _Reducer, g: _Reducer) -> dict:
+    """The S-polynomial of two reducers, as a term dict."""
+    lcm = tuple(map(max, f.lm, g.lm))
+    shift_f = tuple(map(sub, lcm, f.lm))
+    out = {tuple(map(add, m, shift_f)): c for m, c in f.terms.items()}
+    shift_g = tuple(map(sub, lcm, g.lm))
+    for m, c in g.terms.items():
         t = tuple(map(add, m, shift_g))
         prev = out.get(t)
         if prev is None:
@@ -180,21 +174,19 @@ def _s_poly_terms(tf: dict, lmf, tg: dict, lmg) -> dict:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroebnerBasis:
-    """A Groebner basis; when reduced is set, it is the unique reduced basis."""
+    """The reduced Groebner basis of an ideal (invariants in the module docstring)."""
 
     context: Context
     order: MonomialOrder
     generators: tuple
-    reduced: bool = True
-    _prepared: list = field(default=None, repr=False, compare=False)
+    _reducers: tuple = field(init=False, repr=False, compare=False)
 
-    def _prep(self):
-        if self._prepared is None:
-            keyf = self.order.key_for(self.context)
-            self._prepared = [_Prepared(g.terms, keyf) for g in self.generators]
-        return self._prepared
+    def __post_init__(self):
+        keyf = self.order.key_for(self.context)
+        reducers = tuple(_Reducer(g.terms, keyf) for g in self.generators)
+        object.__setattr__(self, "_reducers", reducers)
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         """The unique remainder of f against this basis."""
@@ -203,7 +195,7 @@ class GroebnerBasis:
         if not f.terms or not self.generators:
             return f
         keyf = self.order.key_for(self.context)
-        return Polynomial._raw(self.context, _reduce_terms(f.terms, self._prep(), keyf))
+        return Polynomial._raw(self.context, _reduce_terms(f.terms, self._reducers, keyf))
 
     def is_member(self, f: Polynomial) -> bool:
         return not self.normal_form(f).terms
@@ -249,17 +241,10 @@ def buchberger_in_field(generators, order: MonomialOrder, context: Context) -> G
     The generators must already lie in the context.
     """
     keyf = order.key_for(context)
-
-    basis = []
-    for g in generators:
-        if g.terms:
-            basis.append(_monic(g.terms, keyf))
-
-    prepared = [_Prepared(t, keyf) for t in basis]
-    lms = [p.lm for p in prepared]
+    basis = [_Reducer(g.terms, keyf) for g in generators if g.terms]
 
     def lcm_of(i, j):
-        return tuple(map(max, lms[i], lms[j]))
+        return tuple(map(max, basis[i].lm, basis[j].lm))
 
     pairs = {}
     for i in range(len(basis)):
@@ -271,57 +256,50 @@ def buchberger_in_field(generators, order: MonomialOrder, context: Context) -> G
         del pairs[(i, j)]
         lcm = lcm_of(i, j)
         # product criterion: coprime lead monomials never yield new elements
-        if all(a + b == c for a, b, c in zip(lms[i], lms[j], lcm)):
+        if all(a + b == c for a, b, c in zip(basis[i].lm, basis[j].lm, lcm)):
             continue
         # chain criterion: a third element dividing the lcm, with both of its
         # pairs already handled, makes this pair redundant
         skip = False
         for k in range(len(basis)):
-            if k in (i, j) or not _divides(lms[k], lcm):
+            if k in (i, j) or not _divides(basis[k].lm, lcm):
                 continue
             if (min(i, k), max(i, k)) not in pairs and (min(j, k), max(j, k)) not in pairs:
                 skip = True
                 break
         if skip:
             continue
-        s_terms = _s_poly_terms(basis[i], lms[i], basis[j], lms[j])
-        remainder = _reduce_terms(s_terms, prepared, keyf) if s_terms else {}
+        s_terms = _s_poly_terms(basis[i], basis[j])
+        remainder = _reduce_terms(s_terms, basis, keyf) if s_terms else {}
         if remainder:
-            new_terms = _monic(remainder, keyf)
-            basis.append(new_terms)
-            prepared.append(_Prepared(new_terms, keyf))
-            lms.append(prepared[-1].lm)
+            basis.append(_Reducer(remainder, keyf))
             t = len(basis) - 1
             for k in range(t):
                 pairs[(k, t)] = keyf(lcm_of(k, t))
 
-    reduced = _reduce_basis(basis, keyf)
-    polys = tuple(
-        Polynomial._raw(context, terms)
-        for terms in sorted(reduced, key=lambda t: keyf(max(t, key=keyf)))
+    return GroebnerBasis(
+        context,
+        order,
+        tuple(Polynomial._raw(context, r.terms) for r in _reduce_basis(basis, keyf)),
     )
-    return GroebnerBasis(context, order, polys, reduced=True)
 
 
-def _reduce_basis(basis, keyf):
-    """Minimalize and interreduce a basis of monic term dicts."""
-    entries = [(max(t, key=keyf), t) for t in basis]
+def _reduce_basis(basis, keyf) -> list:
+    """The reduced basis, sorted by lead monomial, from any Groebner basis.
+
+    Reducing an element of a minimal basis against the others never changes
+    any lead monomial, so one pass already gives the unique reduced basis.
+    Only a smaller lead monomial divides a term below an element's lead, so
+    each element is reduced against the (already reduced) ones before it.
+    """
     minimal = []
-    for lm, t in sorted(entries, key=lambda e: keyf(e[0])):
-        if not any(_divides(other, lm) for other, _ in minimal):
-            minimal.append((lm, t))
-    current = [t for _, t in minimal]
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(current)):
-            others = [_Prepared(t, keyf) for k, t in enumerate(current) if k != idx]
-            reduced = _reduce_terms(current[idx], others, keyf)
-            reduced = _monic(reduced, keyf)
-            if reduced != current[idx]:
-                current[idx] = reduced
-                changed = True
-    return current
+    for r in sorted(basis, key=lambda r: keyf(r.lm)):
+        if not any(_divides(m.lm, r.lm) for m in minimal):
+            minimal.append(r)
+    out = []
+    for r in minimal:
+        out.append(_Reducer(_reduce_terms(r.terms, out, keyf), keyf))
+    return out
 
 
 def eliminate(basis: GroebnerBasis, drop) -> GroebnerBasis:
@@ -351,4 +329,4 @@ def eliminate(basis: GroebnerBasis, drop) -> GroebnerBasis:
     ]
     keyf = grevlex().key_for(new_ctx)
     gens.sort(key=lambda g: keyf(max(g.terms, key=keyf)))
-    return GroebnerBasis(new_ctx, grevlex(), tuple(gens), reduced=basis.reduced)
+    return GroebnerBasis(new_ctx, grevlex(), tuple(gens))

@@ -120,11 +120,17 @@ def _lex(text: str):
 _ATOM_STARTS = {"int", "ident", "cyclo", "("}
 
 
+# Deepest nesting of '(' and unary '-' accepted: the parser recurses once per
+# level, so deeper input is refused before it exhausts the interpreter stack.
+_MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens, context: Context):
         self.tokens = tokens
         self.pos = 0
         self.context = context
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -137,6 +143,16 @@ class _Parser:
     def fail(self, message: str, token: _Token | None = None):
         token = token or self.peek()
         raise ParseError(message, token.line, token.column)
+
+    def nested(self, parse):
+        """Take the token opening one nesting level, then parse its body."""
+        tok = self.take()
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            self.fail("expression nested too deeply", tok)
+        value = parse()
+        self.depth -= 1
+        return value
 
     def parse(self) -> Polynomial:
         value = self.expr()
@@ -166,8 +182,7 @@ class _Parser:
 
     def factor(self) -> Polynomial:
         if self.peek().kind == "-":
-            self.take()
-            return -self.factor()
+            return -self.nested(self.factor)
         return self.power()
 
     def power(self) -> Polynomial:
@@ -214,8 +229,7 @@ class _Parser:
                 )
             return Polynomial.constant(self.context, root_of_unity(tok.value, 1))
         if tok.kind == "(":
-            self.take()
-            value = self.expr()
+            value = self.nested(self.expr)
             if self.peek().kind != ")":
                 self.fail("expected ')'")
             self.take()

@@ -258,3 +258,29 @@ def test_non_positive_power_is_input_error(capsys):
         )
         assert code == 3
         assert "input error:" in capsys.readouterr().err
+
+
+def _nested_algebra(tmp_path, relation):
+    return _write(
+        tmp_path, "nested.json", {"field": "Q", "variables": ["x"], "relations": [relation]}
+    )
+
+
+def test_deeply_nested_parentheses_are_input_error(tmp_path, capsys):
+    path = _nested_algebra(tmp_path, "(" * 3000 + "x" + ")" * 3000)
+    assert main(["validate", path]) == 3
+    err = capsys.readouterr().err
+    assert "input error:" in err and "nested too deeply" in err
+
+
+def test_long_unary_minus_chain_is_input_error(tmp_path, capsys):
+    path = _nested_algebra(tmp_path, "-" * 3000 + "x")
+    assert main(["validate", path]) == 3
+    err = capsys.readouterr().err
+    assert "input error:" in err and "nested too deeply" in err
+
+
+def test_nesting_at_the_limit_parses(tmp_path, capsys):
+    path = _nested_algebra(tmp_path, "(" * 100 + "x^2 - x" + ")" * 100)
+    assert main(["validate", path]) == 0
+    assert "algebra ok" in capsys.readouterr().out

@@ -1,5 +1,6 @@
 """Buchberger, normal forms, membership, and elimination."""
 
+import dataclasses
 import random
 
 import pytest
@@ -39,12 +40,33 @@ def _assert_is_groebner(basis):
             assert basis.is_member(s), (gens[i].text(), gens[j].text())
 
 
+def _assert_is_reduced(basis):
+    """Independent check of the reduced form: every generator is monic, no
+    monomial of any generator is divisible by another generator's lead
+    monomial, and the generators are sorted ascending by lead monomial."""
+    key = basis.order.key_for(basis.context)
+    leads = [max(g.terms, key=key) for g in basis.generators]
+    for g, lead in zip(basis.generators, leads):
+        assert g.terms[lead] == 1, g.text()
+    for i, g in enumerate(basis.generators):
+        for j, lead in enumerate(leads):
+            if i == j:
+                continue
+            for mono in g.terms:
+                assert not all(a <= b for a, b in zip(lead, mono)), (
+                    g.text(),
+                    basis.generators[j].text(),
+                )
+    assert [key(m) for m in leads] == sorted(key(m) for m in leads)
+
+
 def test_single_generator_already_basis():
     ctx = Context(QQ, ("y", "w"))
     g = P("y*w - 1", ctx)
     basis = buchberger([g])
     assert basis.generators == (g,)
     _assert_is_groebner(basis)
+    _assert_is_reduced(basis)
 
 
 def test_lex_example():
@@ -56,6 +78,7 @@ def test_lex_example():
     assert basis.is_member(P("x^2 - y", QXY))
     assert basis.is_member(P("y^2 - x", QXY))
     _assert_is_groebner(basis)
+    _assert_is_reduced(basis)
 
 
 def test_unit_ideal():
@@ -91,6 +114,7 @@ def test_generators_reduce_to_zero_against_output():
     for g in gens:
         assert basis.is_member(g)
     _assert_is_groebner(basis)
+    _assert_is_reduced(basis)
 
 
 def test_reduced_basis_is_canonical():
@@ -159,6 +183,8 @@ def test_base_change_matches_field_route_on_yp(p):
     gens = list(build_Yp(p).relations)
     fast, reference = _rational_and_field_routes(gens, grevlex())
     assert fast.generators == reference.generators
+    _assert_is_reduced(fast)
+    _assert_is_reduced(reference)
     assert all(
         isinstance(c, CyclotomicNumber) for g in fast.generators for c in g.terms.values()
     )
@@ -176,6 +202,8 @@ def test_base_change_matches_field_route_on_random_rational_ideals():
         for order in (grevlex(), lex()):
             fast, reference = _rational_and_field_routes(gens, order)
             assert fast.generators == reference.generators, trial
+            _assert_is_reduced(fast)
+            _assert_is_reduced(reference)
 
 
 def test_non_rational_generators_take_field_route(monkeypatch):
@@ -197,3 +225,12 @@ def test_non_rational_generators_take_field_route(monkeypatch):
     assert fields == [CyclotomicField(5)]
     for g in twisted:
         assert basis.is_member(g)
+
+
+def test_basis_is_immutable():
+    basis = buchberger([P("x^2 - y", QXY), P("y^2 - x", QXY)])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        basis.generators = ()
+    before = dict(vars(basis))
+    basis.normal_form(P("x^3 + y^3", QXY))
+    assert vars(basis) == before
