@@ -6,6 +6,14 @@ basis, computed once at construction.  A grading is an integer weight matrix
 (one row per Z-factor) under which every relation, and every reduced basis
 element, must be homogeneous.
 
+The monomial order is part of an algebra's presentation: it fixes the basis
+and so the normal-form representative of each coset.  The ideal, and hence
+element equality, does not depend on it.  Two algebras with the same context
+and relations are the same algebra whatever their orders, and an element
+entering an algebra under another order is reduced again on the way in
+(:meth:`PresentedAlgebra.element`), so representatives are only ever
+compared under one order.
+
 Algebras are immutable after construction and safe to share.
 """
 
@@ -15,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeff import CyclotomicNumber
-from .groebner import buchberger
+from .groebner import MonomialOrder, buchberger, grevlex
 from .linalg import matmul, rank
 from .poly import Context, ContextError, Polynomial, monomial_text
 
@@ -36,18 +44,24 @@ class GradingError(ValueError):
 class PresentedAlgebra:
     """K[variables]/(relations), with computable equality via normal forms.
 
-    ``gradings`` maps names to weight matrices; each is validated by
-    ``attach_grading`` and kept, as a Grading, under the same name.
+    ``order`` is the monomial order of the basis (grevlex by default) and is
+    kept as ``algebra.order``.  It decides which representative each coset
+    gets, never which cosets are equal; an order whose lead monomials
+    follow the relations' structure saves Buchberger work.  ``gradings``
+    maps names to weight matrices; each is validated by ``attach_grading``
+    and kept, as a Grading, under the same name.
     """
 
-    def __init__(self, context: Context, relations, gradings: dict | None = None):
+    def __init__(self, context: Context, relations, order: MonomialOrder | None = None,
+                 gradings: dict | None = None):
         relations = tuple(relations)
         for r in relations:
             if not isinstance(r, Polynomial) or r.context != context:
                 raise ContextError("every relation must be a polynomial in the algebra context")
         self.context = context
         self.relations = relations
-        self.basis = buchberger(relations, context=context)
+        self.order = order if order is not None else grevlex()
+        self.basis = buchberger(relations, self.order, context)
         if self.basis.is_unit_ideal():
             raise PresentationError(
                 "inconsistent presentation: 1 lies in the relation ideal"
@@ -68,10 +82,18 @@ class PresentedAlgebra:
         return self.basis.normal_form(f)
 
     def element(self, value) -> AlgebraElement:
-        """Wrap a polynomial (or scalar, or element) as a canonical coset."""
+        """Wrap a polynomial (or scalar, or element) as a canonical coset.
+
+        An element of the same presentation under another order is reduced
+        again, so its representative is this algebra's.
+        """
         if isinstance(value, AlgebraElement):
-            if value.algebra is not self and not self.same_presentation(value.algebra):
-                raise ContextError("element belongs to a different algebra")
+            other = value.algebra
+            if other is not self:
+                if not self.same_presentation(other):
+                    raise ContextError("element belongs to a different algebra")
+                if other.order != self.order:
+                    return AlgebraElement(self, self.normal_form(value.rep))
             return value
         if isinstance(value, (int, Fraction, CyclotomicNumber)):
             value = Polynomial.constant(self.context, value)
@@ -113,13 +135,7 @@ class AlgebraElement:
         self.rep = rep
 
     def _operand(self, other):
-        if isinstance(other, AlgebraElement):
-            if other.algebra is not self.algebra and not self.algebra.same_presentation(
-                other.algebra
-            ):
-                raise ContextError("elements of different algebras")
-            return other
-        if isinstance(other, (int, Fraction, CyclotomicNumber, Polynomial)):
+        if isinstance(other, (AlgebraElement, int, Fraction, CyclotomicNumber, Polynomial)):
             return self.algebra.element(other)
         return None
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .algebra import Grading, PresentedAlgebra
 from .coeff import CyclotomicField, QQ, is_prime, root_of_unity
 from .derivation import DEFAULT_CAP, Derivation, certify_lnd, new_derivation
+from .groebner import elimination
 from .linalg import solve_linear
 from .poly import Context, Polynomial, collapse_power
 from .suspension import adjoin_root, lift_along_root
@@ -119,7 +120,14 @@ def build_F(p: int):
 
 
 def build_Yp(p: int, F: Polynomial | None = None) -> PresentedAlgebra:
-    """The algebra on x0..x_(p-1), y, z, w with F = z^2 and y*w = 1."""
+    """The algebra on x0..x_(p-1), y, z, w with F = z^2 and y*w = 1.
+
+    The basis is taken under the elimination order with block {z}.  Its
+    lead monomials are then z^2 and y*w, which are coprime, so by
+    Buchberger's first criterion the two relations already form the
+    reduced basis.  Under grevlex the lead of F - z^2 is an x-monomial
+    sharing y with y*w, and Buchberger has to build a third, large element.
+    """
     if F is None:
         F, _ = build_F(p)
     context = yp_context(p)
@@ -127,7 +135,7 @@ def build_Yp(p: int, F: Polynomial | None = None) -> PresentedAlgebra:
     z = Polynomial.variable(context, "z")
     y = Polynomial.variable(context, "y")
     w = Polynomial.variable(context, "w")
-    return PresentedAlgebra(context, [Fc - z * z, y * w - 1])
+    return PresentedAlgebra(context, [Fc - z * z, y * w - 1], order=elimination("z"))
 
 
 def build_Xp(p: int, G: Polynomial | None = None):
@@ -135,7 +143,8 @@ def build_Xp(p: int, G: Polynomial | None = None):
 
     The weights x_j -> 2, z -> p, s -> 0, w -> 0 make both relations
     homogeneous (of degrees 2p and 0); grading rejection here would be an
-    internal failure.
+    internal failure.  As for ``build_Yp``, the block {z} makes the lead
+    monomials z^2 and s*w^p coprime, so the relations are the basis.
     """
     if G is None:
         _, G = build_F(p)
@@ -148,7 +157,10 @@ def build_Xp(p: int, G: Polynomial | None = None):
     weights.update({"z": p, "s": 0, "w": 0})
     row = tuple(weights[name] for name in context.variables)
     algebra = PresentedAlgebra(
-        context, [Gc - z * z, s * w ** p - 1], gradings={"weights": [row]}
+        context,
+        [Gc - z * z, s * w ** p - 1],
+        order=elimination("z"),
+        gradings={"weights": [row]},
     )
     return algebra, algebra.gradings["weights"]
 

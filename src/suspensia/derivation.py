@@ -165,7 +165,7 @@ class Derivation:
             return NotImplemented
         return (
             self.algebra.same_presentation(other.algebra)
-            and all(self.images[n].rep == other.images[n].rep for n in self.images)
+            and all(self.images[n] == other.images[n] for n in self.images)
         )
 
     def __repr__(self):

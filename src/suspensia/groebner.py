@@ -12,23 +12,14 @@ Invariants of a :class:`GroebnerBasis`: it is the reduced basis of its ideal
 under its order, its generators are monic and sorted ascending by lead
 monomial, and its reducers are built once, at construction.  It is frozen:
 reductions against one basis write nothing and may run concurrently.
-
-Base change: when the context field is Q(z@p) and every generator
-coefficient is rational, :func:`buchberger` computes the reduced basis over
-Q and embeds it into Q(z@p).  Buchberger's algorithm never leaves the field
-its input lies in, and the reduced basis of an ideal is unique, so this is
-the same basis the computation over Q(z@p) returns, at the cost of rational
-arithmetic.  Generators with any non-rational coefficient take the route in
-the field of the context (:func:`buchberger_in_field`).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from operator import add, le, neg, sub
+from operator import add, itemgetter, le, neg, sub
 
-from .coeff import QQ, CyclotomicField
 from .poly import Context, ContextError, Polynomial
 
 
@@ -48,6 +39,12 @@ class MonomialOrder:
     kind: str
     block: tuple = ()
 
+    def renamed(self, var: str, new_var: str) -> MonomialOrder:
+        """The same order with var renamed to new_var inside the block."""
+        return MonomialOrder(
+            self.kind, tuple(new_var if v == var else v for v in self.block)
+        )
+
     def key_for(self, context: Context):
         """Return a key function on exponent tuples; larger key = larger monomial."""
         if self.kind == "lex":
@@ -59,16 +56,16 @@ class MonomialOrder:
             if len(set(idx)) != len(idx):
                 raise OrderError("repeated variable in elimination block")
             rest = tuple(i for i in range(context.nvars) if i not in set(idx))
+            # one gather puts each block's exponents in reversed order
+            gather = idx[::-1] + rest[::-1]
+            pick = itemgetter(*gather) if len(gather) > 1 else tuple
+            nb = len(idx)
 
             def key(m):
-                b = [m[i] for i in idx]
-                r = [m[i] for i in rest]
-                return (
-                    sum(b),
-                    *(-e for e in reversed(b)),
-                    sum(r),
-                    *(-e for e in reversed(r)),
-                )
+                v = pick(m)
+                b = v[:nb]
+                r = v[nb:]
+                return (sum(b), *map(neg, b), sum(r), *map(neg, r))
 
             return key
         raise OrderError(f"unknown monomial order kind {self.kind!r}")
@@ -207,12 +204,7 @@ class GroebnerBasis:
 def buchberger(
     generators, order: MonomialOrder | None = None, context: Context | None = None
 ) -> GroebnerBasis:
-    """Compute the reduced Groebner basis of the ideal the generators span.
-
-    Over Q(z@p) with only rational coefficients the basis is computed over Q
-    and embedded (see the module docstring); otherwise Buchberger runs in the
-    field of the context.
-    """
+    """Compute the reduced Groebner basis of the ideal the generators span."""
     generators = list(generators)
     if context is None:
         if not generators:
@@ -222,24 +214,6 @@ def buchberger(
     for g in generators:
         if g.context != context:
             raise ContextError("generators from different contexts")
-    if isinstance(context.field, CyclotomicField) and all(
-        c.is_rational() for g in generators for c in g.terms.values()
-    ):
-        rational = Context(QQ, context.variables)
-        basis = buchberger_in_field(
-            [g.convert(rational) for g in generators], order, rational
-        )
-        return GroebnerBasis(
-            context, order, tuple(g.convert(context) for g in basis.generators)
-        )
-    return buchberger_in_field(generators, order, context)
-
-
-def buchberger_in_field(generators, order: MonomialOrder, context: Context) -> GroebnerBasis:
-    """Buchberger's algorithm over the field of the context, with no base change.
-
-    The generators must already lie in the context.
-    """
     keyf = order.key_for(context)
     basis = [_Reducer(g.terms, keyf) for g in generators if g.terms]
 

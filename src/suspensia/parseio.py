@@ -317,7 +317,11 @@ def derivation_from_data(images: dict, algebra: PresentedAlgebra) -> Derivation:
 
 
 def read_json(path) -> dict:
-    """Read a JSON file, converting decode errors to located ParseErrors."""
+    """Read a JSON file, converting decode errors to located ParseErrors.
+
+    Nesting deep enough to exhaust the decoder's recursion is reported at
+    the start of the file.
+    """
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
@@ -332,6 +336,8 @@ def read_json(path) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply", 1, 1) from None
 
 
 def load_algebra(path) -> PresentedAlgebra:

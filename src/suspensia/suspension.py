@@ -228,12 +228,13 @@ def adjoin_root(
     """Substitute var = new_var^power throughout the presentation.
 
     The forward direction of root adjunction; always valid.  The old variable
-    disappears and the fresh one takes its position.
+    disappears and the fresh one takes its position, in the context and in
+    the algebra's monomial order.
     """
     new_context = _renamed_context(algebra, var, new_var, power, "root")
     image = Polynomial.variable(new_context, new_var) ** power
     relations = [r.substitute({var: image}, into=new_context) for r in algebra.relations]
-    return PresentedAlgebra(new_context, relations)
+    return PresentedAlgebra(new_context, relations, algebra.order.renamed(var, new_var))
 
 
 def collapse_root(
@@ -243,13 +244,14 @@ def collapse_root(
 
     The reverse direction of root adjunction; only valid when every relation
     uses var in exponents divisible by the power, which is verified monomial
-    by monomial (failures carry the offending monomial).
+    by monomial (failures carry the offending monomial).  The fresh variable
+    takes var's place in the algebra's monomial order as well.
     """
     new_context = _renamed_context(algebra, var, new_var, power, "collapse")
     relations = [
         collapse_power(r, var, power, new_var, new_context) for r in algebra.relations
     ]
-    return PresentedAlgebra(new_context, relations)
+    return PresentedAlgebra(new_context, relations, algebra.order.renamed(var, new_var))
 
 
 def lift_along_root(

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from suspensia import (
     Context,
@@ -15,7 +17,10 @@ from suspensia import (
     attach_grading,
     build_Xp,
     build_Yp,
+    buchberger,
     coarsen_grading,
+    elimination,
+    grevlex,
     new_algebra,
     parse_expression,
 )
@@ -41,6 +46,45 @@ def test_yp3_presentation_shape():
     z2 = algebra.variable("z") ** 2
     F = algebra.element(algebra.relations[0] + parse_expression("z^2", algebra.context))
     assert F == z2
+
+
+YP3 = build_Yp(3)
+YP3_GREVLEX = buchberger(YP3.relations, grevlex())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["ideal", "random"]))
+def test_z_ordered_equality_matches_grevlex_oracle(seed, kind):
+    """Equality in the z-ordered Yp(3) is membership of a - b in the ideal,
+    decided here against a separately computed grevlex basis."""
+    rng = random.Random(seed)
+    ctx = YP3.context
+    a = random_polynomial(rng, ctx, max_terms=4, max_exp=3)
+    b = random_polynomial(rng, ctx, max_terms=3, max_exp=2)
+    if kind == "ideal":
+        for r in YP3.relations:
+            b = b + random_polynomial(rng, ctx, max_terms=2, max_exp=2) * r
+        b = a + b - YP3_GREVLEX.normal_form(b)
+    expected = YP3_GREVLEX.is_member(a - b)
+    assert (YP3.element(a) == YP3.element(b)) == expected
+    if kind == "ideal":
+        assert expected
+
+
+def test_order_is_part_of_the_presentation():
+    ctx = Context(QQ, ("x", "z"))
+    relations = [parse_expression("z^2 - x^3", ctx)]
+    by_z = PresentedAlgebra(ctx, relations, order=elimination("z"))
+    plain = PresentedAlgebra(ctx, relations)
+    assert plain.order == grevlex() and by_z.order == elimination("z")
+    assert by_z.same_presentation(plain)
+    # z^2 is its own representative under grevlex, x^3 is under block {z}
+    assert str(plain.variable("z") ** 2) != str(by_z.variable("z") ** 2)
+    assert plain.variable("z") ** 2 == by_z.variable("z") ** 2
+    assert by_z.variable("z") ** 2 == plain.variable("z") ** 2
+    assert not (plain.variable("z") ** 2 - by_z.variable("z") ** 2)
+    moved = plain.element(by_z.variable("z") ** 2)
+    assert moved.algebra is plain and moved.rep == (plain.variable("z") ** 2).rep
 
 
 def test_unit_ideal_rejected():

@@ -284,3 +284,11 @@ def test_nesting_at_the_limit_parses(tmp_path, capsys):
     path = _nested_algebra(tmp_path, "(" * 100 + "x^2 - x" + ")" * 100)
     assert main(["validate", path]) == 0
     assert "algebra ok" in capsys.readouterr().out
+
+
+def test_deeply_nested_json_is_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"field": "Q", "variables": ' + "[" * 100000 + "}", encoding="utf-8")
+    assert main(["validate", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "input error:" in err and "nested too deeply" in err

@@ -4,6 +4,8 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from suspensia import (
     Context,
@@ -21,8 +23,7 @@ from suspensia import (
     root_of_unity,
     s_polynomial,
 )
-from suspensia import groebner
-from suspensia.constructions import build_Yp
+from suspensia.constructions import build_Xp, build_Yp
 
 from helpers import QXY, nonzero_random_polynomial, random_polynomial
 
@@ -170,27 +171,56 @@ def test_elimination_order_sorts_block_first():
     assert key(y) > key(x_cubed)
 
 
-def _rational_and_field_routes(gens, order):
-    context = gens[0].context
-    return (
-        buchberger(gens, order, context),
-        groebner.buchberger_in_field(gens, order, context),
+def _elimination_key_formula(idx, rest, m):
+    b = [m[i] for i in idx]
+    r = [m[i] for i in rest]
+    return (sum(b), *(-e for e in reversed(b)), sum(r), *(-e for e in reversed(r)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_elimination_key_matches_formula(data):
+    """The elimination key equals the block-wise grevlex formula: block
+    degree, reversed negated block exponents, then the same for the rest."""
+    nvars = data.draw(st.integers(1, 5))
+    names = tuple(f"v{i}" for i in range(nvars))
+    block = data.draw(
+        st.lists(st.sampled_from(names), min_size=1, max_size=min(2, nvars), unique=True)
     )
+    idx = tuple(names.index(v) for v in block)
+    rest = tuple(i for i in range(nvars) if i not in idx)
+    key = elimination(*block).key_for(Context(QQ, names))
+    for m in data.draw(
+        st.lists(st.tuples(*[st.integers(0, 6)] * nvars), min_size=1, max_size=10)
+    ):
+        assert key(m) == _elimination_key_formula(idx, rest, m)
 
 
 @pytest.mark.parametrize("p", [3, 5])
-def test_base_change_matches_field_route_on_yp(p):
-    gens = list(build_Yp(p).relations)
-    fast, reference = _rational_and_field_routes(gens, grevlex())
-    assert fast.generators == reference.generators
-    _assert_is_reduced(fast)
-    _assert_is_reduced(reference)
+def test_yp_relations_form_the_basis(p):
+    # under elimination("z") the leads z^2 and y*w (s*w^p) are coprime
+    for algebra in (build_Yp(p), build_Xp(p)[0]):
+        assert algebra.order == elimination("z")
+        basis = algebra.basis
+        key = basis.order.key_for(algebra.context)
+        monic = [r * (1 / r.terms[max(r.terms, key=key)]) for r in algebra.relations]
+        assert len(basis.generators) == 2
+        assert all(any(g == m for g in basis.generators) for m in monic)
+        _assert_is_groebner(basis)
+        _assert_is_reduced(basis)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_basis_over_cyclotomic_field_on_yp(p):
+    basis = buchberger(build_Yp(p).relations, grevlex())
+    _assert_is_groebner(basis)
+    _assert_is_reduced(basis)
     assert all(
-        isinstance(c, CyclotomicNumber) for g in fast.generators for c in g.terms.values()
+        isinstance(c, CyclotomicNumber) for g in basis.generators for c in g.terms.values()
     )
 
 
-def test_base_change_matches_field_route_on_random_rational_ideals():
+def test_basis_of_random_rational_ideals_in_cyclotomic_field():
     rng = random.Random(23)
     qctx = Context(QQ, ("x", "y", "z"))
     zctx = Context(CyclotomicField(5), ("x", "y", "z"))
@@ -200,31 +230,25 @@ def test_base_change_matches_field_route_on_random_rational_ideals():
             for _ in range(rng.randint(1, 3))
         ]
         for order in (grevlex(), lex()):
-            fast, reference = _rational_and_field_routes(gens, order)
-            assert fast.generators == reference.generators, trial
-            _assert_is_reduced(fast)
-            _assert_is_reduced(reference)
+            basis = buchberger(gens, order, zctx)
+            for g in gens:
+                assert basis.is_member(g), trial
+            _assert_is_groebner(basis)
+            _assert_is_reduced(basis)
 
 
-def test_non_rational_generators_take_field_route(monkeypatch):
+def test_non_rational_generators_form_a_basis():
     zctx = Context(CyclotomicField(5), ("x", "y"))
-    fields = []
-    in_field = groebner.buchberger_in_field
-
-    def spy(generators, order, context):
-        fields.append(context.field)
-        return in_field(generators, order, context)
-
-    monkeypatch.setattr(groebner, "buchberger_in_field", spy)
-    rational = [P("x^2 - y", zctx), P("y^2 - x", zctx)]
-    twisted = rational + [P("x", zctx) * root_of_unity(5, 1) - P("y", zctx)]
-    buchberger(rational)
-    assert fields == [QQ]
-    fields.clear()
+    twisted = [
+        P("x^2 - y", zctx),
+        P("y^2 - x", zctx),
+        P("x", zctx) * root_of_unity(5, 1) - P("y", zctx),
+    ]
     basis = buchberger(twisted)
-    assert fields == [CyclotomicField(5)]
     for g in twisted:
         assert basis.is_member(g)
+    _assert_is_groebner(basis)
+    _assert_is_reduced(basis)
 
 
 def test_basis_is_immutable():

@@ -11,7 +11,10 @@ from suspensia import (
     Polynomial,
     QQ,
     SchemaError,
+    build_vandermonde_lnd,
     build_Yp,
+    elimination,
+    grevlex,
     load_algebra,
     load_derivation,
     parse_expression,
@@ -127,6 +130,24 @@ def test_yp3_fixture_matches_pipeline():
     assert algebra.context == built.context
     assert list(algebra.relations) == list(built.relations)
     assert algebra.same_presentation(built)
+
+
+def test_fixture_mixes_with_z_ordered_pipeline():
+    # the file has no order key, so it loads under grevlex; build_Yp orders by {z}
+    loaded = load_algebra(FIXTURES / "yp3.json")
+    built = build_Yp(3)
+    assert loaded.order == grevlex() and built.order == elimination("z")
+    assert loaded.variable("z") ** 2 == built.variable("z") ** 2
+    assert built.variable("z") ** 2 == loaded.variable("z") ** 2
+    assert not (loaded.variable("z") ** 2 - built.variable("z") ** 2)
+
+
+def test_fixture_derivation_equals_pipeline_derivation():
+    loaded = load_derivation(FIXTURES / "yp3_derivation.json")
+    built = build_vandermonde_lnd(3)
+    assert loaded.algebra.order != built.algebra.order
+    assert built == loaded
+    assert loaded == built
 
 
 def test_fixture_derivation_loads_and_certifies():

@@ -6,6 +6,7 @@ import pytest
 
 from suspensia import (
     PowerCollapseError,
+    PresentedAlgebra,
     QQ,
     SuspensionError,
     Verdict,
@@ -20,6 +21,7 @@ from suspensia import (
     eliminate,
     elimination,
     gcd_criterion,
+    grevlex,
     lift_along_root,
     lift_lnd,
     parse_expression,
@@ -196,6 +198,18 @@ def test_adjoin_root_power_one_is_rename():
     renamed = adjoin_root(X, "y", "t", 1)
     assert renamed.variables == ("x", "t")
     assert renamed.relations[0] == parse_expression("t^2 - x", renamed.context)
+
+
+def test_root_adjunction_carries_the_order():
+    lifted = adjoin_root(build_Yp(3), "y", "u", 2)
+    assert lifted.order == elimination("z")
+    assert len(lifted.basis.generators) == 2
+    X = algebra_from_strings(QQ, ["x", "y", "z"], ["z^2 - x*y^2"])
+    by_yz = PresentedAlgebra(X.context, X.relations, order=elimination("y", "z"))
+    assert adjoin_root(by_yz, "y", "u", 2).order == elimination("u", "z")
+    assert collapse_root(by_yz, "y", "s", 2).order == elimination("s", "z")
+    assert adjoin_root(by_yz, "x", "t", 2).order == elimination("y", "z")
+    assert adjoin_root(X, "y", "u", 2).order == grevlex()
 
 
 def test_lift_along_root_preserves_orders():
