@@ -87,7 +87,6 @@ from .poly import (
     ContextError,
     Polynomial,
     PowerCollapseError,
-    collapse_power,
     monomial_text,
     monomial_weight,
 )

@@ -48,7 +48,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    """Argument type for --cap and --power: an integer of at least 1."""
+    """Argument type for --cap, --power and each --k entry: an integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -216,8 +216,8 @@ def _cmd_homogenize(args) -> int:
 
 def _parse_exponents(raw: str):
     try:
-        return tuple(int(part) for part in raw.split(","))
-    except ValueError:
+        return tuple(_positive_int(part) for part in raw.split(","))
+    except argparse.ArgumentTypeError:
         raise UsageError(f"bad exponent list {raw!r}; expected e.g. 2,3")
 
 

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .algebra import Grading, PresentedAlgebra
 from .coeff import CyclotomicField, QQ, is_prime, root_of_unity
 from .derivation import DEFAULT_CAP, Derivation, certify_lnd, new_derivation
 from .groebner import elimination
 from .linalg import solve_linear
-from .poly import Context, Polynomial, collapse_power
+from .poly import Context, Polynomial
 from .suspension import adjoin_root, lift_along_root
 
 DEFAULT_MAX_PRIME = 7
@@ -94,28 +95,20 @@ def build_F(p: int):
     """Expand the product of the linear forms and collapse its y-powers.
 
     Returns (F, G) over Q: F in variables x0..x_(p-1), y and G in
-    x0..x_(p-1), s with G(x, y^p) = F.  Construction fails if any coefficient
-    does not descend to Q or any y-exponent escapes divisibility by p; both
-    would indicate an arithmetic defect, not bad input.
+    x0..x_(p-1), s with G(x, y^p) = F.  The two conversions check what the
+    construction relies on: a coefficient that does not descend to Q raises
+    ``CoefficientError`` and a y-exponent that p does not divide raises
+    ``PowerCollapseError``.  Either would indicate an arithmetic defect, not
+    bad input.
     """
     forms = linear_forms(p)
     product = Polynomial.one(forms.forms[0].context)
     for form in forms.forms:
         product = product * form
-    y_index = product.context.index("y")
-    for mono, coeff in product.terms.items():
-        if mono[y_index] % p:
-            raise ConstructionError(
-                f"y-exponent {mono[y_index]} not divisible by {p} in the expansion"
-            )
-        if not coeff.is_rational():
-            raise ConstructionError(
-                f"non-rational coefficient {coeff} in the expansion"
-            )
     f_ctx = Context(QQ, x_names(p) + ("y",))
     F = product.convert(f_ctx)
     g_ctx = Context(QQ, x_names(p) + ("s",))
-    G = collapse_power(F, "y", p, "s", g_ctx)
+    G = F.convert(g_ctx, ("y", "s", Fraction(1, p)))
     return F, G
 
 

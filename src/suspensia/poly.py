@@ -31,7 +31,7 @@ class ContextError(ValueError):
 
 
 class PowerCollapseError(ValueError):
-    """A power-collapse rewrite hit an exponent not divisible by the power."""
+    """A root rewrite hit an exponent that the power does not divide."""
 
     def __init__(self, message: str, witness: str):
         super().__init__(message)
@@ -352,32 +352,55 @@ class Polynomial:
             result = result + term
         return result
 
-    def convert(self, into: Context) -> Polynomial:
+    def convert(self, into: Context, root: tuple | None = None) -> Polynomial:
         """Reinterpret in another context, mapping variables by name.
 
         Coefficients are coerced by the target field, so Q embeds into any
         Q(z@p) and a rational-valued cyclotomic coefficient descends to Q.
+
+        ``root = (var, new_var, scale)``, with a positive rational scale, also
+        sends var^e to new_var^(e*scale): scale k substitutes var = new_var^k
+        and scale 1/k collapses var^k to new_var.  A monomial whose e*scale
+        is not an integer raises ``PowerCollapseError`` with it as witness.
         """
-        mapping = []
-        for i, name in enumerate(self.context.variables):
-            if name in into.variables:
-                mapping.append(into.index(name))
-            else:
-                mapping.append(None)
+        src = self.context
+        targets = [into.index(n) if n in into.variables else None for n in src.variables]
+        root_index, num, den = None, 1, 1
+        if root is not None:
+            var, new_var, scale = root
+            if scale <= 0:
+                raise ValueError("root scale must be positive")
+            root_index = src.index(var)
+            targets[root_index] = into.index(new_var)
+            num, den = scale.numerator, scale.denominator
+        coerce = into.field.coerce
         out = {}
         for mono, coeff in self.terms.items():
             exps = [0] * into.nvars
             for i, e in enumerate(mono):
                 if e:
-                    j = mapping[i]
+                    j = targets[i]
                     if j is None:
                         raise ContextError(
-                            f"variable {self.context.variables[i]!r} has no "
+                            f"variable {src.variables[i]!r} has no "
                             "counterpart in the target context"
                         )
-                    exps[j] = e
-            out[tuple(exps)] = coeff
-        return Polynomial(into, out)
+                    if i == root_index:
+                        e, stray = divmod(e * num, den)
+                        if stray:
+                            witness = monomial_text(src, mono)
+                            message = f"exponent of {var} in {witness} is not divisible by {den}"
+                            raise PowerCollapseError(message, witness)
+                    exps[j] += e
+            mono_t = tuple(exps)
+            coeff = coerce(coeff)
+            prev = out.get(mono_t)
+            val = coeff if prev is None else prev + coeff
+            if val:
+                out[mono_t] = val
+            elif mono_t in out:
+                del out[mono_t]
+        return Polynomial._raw(into, out)
 
     # ------------------------------------------------------------------
     # text form
@@ -423,37 +446,3 @@ def _term_text(coeff, mono_s: str):
         return (sign, mono_s)
     return (sign, f"{mag}*{mono_s}")
 
-
-def collapse_power(
-    f: Polynomial, var: str, power: int, new_var: str, into: Context
-) -> Polynomial:
-    """Rewrite var^(k*power) as new_var^k; every var-exponent must divide.
-
-    The check is the point: the rewrite is only an isomorphism onto the image
-    when no stray powers remain, so failure reports the offending monomial.
-    """
-    if power < 1:
-        raise ValueError("collapse power must be a positive integer")
-    src = f.context
-    i = src.index(var)
-    j = into.index(new_var)
-    out = {}
-    for mono, coeff in f.terms.items():
-        e = mono[i]
-        if e % power:
-            witness = monomial_text(src, mono) or "1"
-            raise PowerCollapseError(
-                f"exponent of {var} in {witness} is not divisible by {power}",
-                witness,
-            )
-        exps = [0] * into.nvars
-        for k, ek in enumerate(mono):
-            if k == i or not ek:
-                continue
-            name = src.variables[k]
-            exps[into.index(name)] = ek
-        exps[j] += e // power
-        mono_t = tuple(exps)
-        prev = out.get(mono_t)
-        out[mono_t] = coeff if prev is None else prev + coeff
-    return Polynomial(into, out)

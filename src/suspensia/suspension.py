@@ -3,9 +3,12 @@
 A suspension adjoins fresh variables y1..ym to an algebra and imposes the
 single relation y1^k1 * ... * ym^km = f for a non-constant f.  This module
 builds those extensions, reports the gcd criterion on the exponents, equips
-multi-variable suspensions with their torus weight matrix, lifts certified
-nilpotent derivations upward, and performs root-adjunction substitutions in
-both directions.
+multi-variable suspensions with their torus weight matrix, and lifts
+certified nilpotent derivations upward.
+
+Root adjunction (var = new_var^k) in both directions, and the transport of
+a derivation along it, is one exponent rewrite, ``Polynomial.convert`` with
+a root: var^e becomes new_var^(e*k) or new_var^(e/k), with no evaluation.
 """
 
 from __future__ import annotations
@@ -13,11 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from functools import reduce
 
 from .algebra import AlgebraElement, PresentedAlgebra
 from .derivation import InconclusiveError, LNDCertificate, certify_lnd, new_derivation
-from .poly import Context, Polynomial, collapse_power
+from .poly import Context, Polynomial
 
 
 class SuspensionError(ValueError):
@@ -208,18 +212,29 @@ def lift_lnd(
     return _certified_lift(certificate, extended, images, cap)
 
 
-def _renamed_context(algebra: PresentedAlgebra, var: str, new_var: str,
-                     power: int, kind: str) -> Context:
-    """The algebra's context with var renamed to the fresh new_var."""
-    if power < 1:
-        raise SuspensionError(f"{kind} power must be a positive integer")
-    context = algebra.context
-    i = context.index(var)
+def _check_root(context: Context, var: str, new_var: str, power: int) -> None:
+    """Reject a power below 1, a var the source lacks and a new_var it has."""
+    if not isinstance(power, int) or power < 1:
+        raise SuspensionError("root power must be a positive integer")
+    context.index(var)
     if new_var in context.variables:
         raise SuspensionError(f"variable {new_var!r} already exists in the algebra")
-    new_names = list(context.variables)
-    new_names[i] = new_var
-    return Context(context.field, tuple(new_names))
+
+
+def _rewrite_root(
+    algebra: PresentedAlgebra, var: str, new_var: str, scale
+) -> PresentedAlgebra:
+    """Rename var to the fresh new_var and rewrite var^e as new_var^(e*scale).
+
+    The fresh variable takes var's place in the context and in the order.
+    """
+    context = algebra.context
+    names = list(context.variables)
+    names[context.index(var)] = new_var
+    new_context = Context(context.field, tuple(names))
+    root = (var, new_var, scale)
+    relations = [r.convert(new_context, root) for r in algebra.relations]
+    return PresentedAlgebra(new_context, relations, algebra.order.renamed(var, new_var))
 
 
 def adjoin_root(
@@ -231,10 +246,8 @@ def adjoin_root(
     disappears and the fresh one takes its position, in the context and in
     the algebra's monomial order.
     """
-    new_context = _renamed_context(algebra, var, new_var, power, "root")
-    image = Polynomial.variable(new_context, new_var) ** power
-    relations = [r.substitute({var: image}, into=new_context) for r in algebra.relations]
-    return PresentedAlgebra(new_context, relations, algebra.order.renamed(var, new_var))
+    _check_root(algebra.context, var, new_var, power)
+    return _rewrite_root(algebra, var, new_var, power)
 
 
 def collapse_root(
@@ -247,11 +260,8 @@ def collapse_root(
     by monomial (failures carry the offending monomial).  The fresh variable
     takes var's place in the algebra's monomial order as well.
     """
-    new_context = _renamed_context(algebra, var, new_var, power, "collapse")
-    relations = [
-        collapse_power(r, var, power, new_var, new_context) for r in algebra.relations
-    ]
-    return PresentedAlgebra(new_context, relations, algebra.order.renamed(var, new_var))
+    _check_root(algebra.context, var, new_var, power)
+    return _rewrite_root(algebra, var, new_var, Fraction(1, power))
 
 
 def lift_along_root(
@@ -270,6 +280,7 @@ def lift_along_root(
     and the result is re-certified on the new algebra.
     """
     derivation = certificate.derivation
+    _check_root(derivation.algebra.context, var, new_var, power)
     dvar = derivation.images[var]
     if dvar:
         raise SuspensionError(
@@ -278,11 +289,11 @@ def lift_along_root(
         )
     if not certificate.certified:
         raise InconclusiveError("cannot lift: source derivation is not certified")
-    image = Polynomial.variable(lifted_algebra.context, new_var) ** power
+    root = (var, new_var, power)
     images = {}
     for name in derivation.algebra.variables:
         target_name = new_var if name == var else name
-        images[target_name] = derivation.images[name].rep.substitute(
-            {var: image}, into=lifted_algebra.context
+        images[target_name] = derivation.images[name].rep.convert(
+            lifted_algebra.context, root
         )
     return _certified_lift(certificate, lifted_algebra, images, cap)

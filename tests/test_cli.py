@@ -260,6 +260,13 @@ def test_non_positive_power_is_input_error(capsys):
         assert "input error:" in capsys.readouterr().err
 
 
+def test_non_positive_exponent_is_input_error(capsys):
+    fixture = str(FIXTURES / "yp3.json")
+    for command, ks in (("suspend", "0"), ("torus", "2,-1")):
+        assert main([command, fixture, "--f", "x0", "--k", ks]) == 3
+        assert "input error:" in capsys.readouterr().err
+
+
 def _nested_algebra(tmp_path, relation):
     return _write(
         tmp_path, "nested.json", {"field": "Q", "variables": ["x"], "relations": [relation]}

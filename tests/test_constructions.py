@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from suspensia import (
+    CoefficientError,
     ConstructionError,
     Polynomial,
+    PowerCollapseError,
     QQ,
     build_F,
     build_fmj_pair,
@@ -20,7 +22,8 @@ from suspensia import (
     parse_expression,
     root_of_unity,
 )
-from suspensia.constructions import vandermonde_matrix, yp_context
+from suspensia import constructions
+from suspensia.constructions import LinearForms, vandermonde_matrix, yp_context
 from suspensia.linalg import SingularMatrixError, solve_linear
 
 from helpers import brute_force_product
@@ -206,6 +209,18 @@ def test_fmj_pair():
         build_fmj_pair(0)
 
 
+def test_build_F_conversions_catch_a_defective_expansion(monkeypatch):
+    # the conversions to Q are what stops a defective product of forms
+    forms = linear_forms(3)
+    y = Polynomial.variable(forms.forms[0].context, "y")
+    for extra, error in ((y, PowerCollapseError), (y**3 * root_of_unity(3, 1), CoefficientError)):
+        monkeypatch.setattr(
+            constructions, "linear_forms", lambda p, extra=extra: LinearForms(p, forms.forms + (extra,))
+        )
+        with pytest.raises(error):
+            build_F(3)
+
+
 def test_certify_bundle_3_6():
     bundle = certify_bundle(3, 6)
     assert bundle.report["ok"]
@@ -218,6 +233,17 @@ def test_certify_bundle_3_6():
         "x1": "direct-power",
         "x2": "direct-power",
     }
+
+
+def test_certify_bundle_never_evaluates(monkeypatch):
+    # root adjunction and the lift along it rewrite exponents, never substitute
+    def refuse(*args, **kwargs):
+        raise AssertionError("Polynomial.substitute was called")
+
+    monkeypatch.setattr(Polynomial, "substitute", refuse)
+    bundle = certify_bundle(3, 6)
+    assert bundle.report["ok"]
+    assert bundle.report["lift"]["lnd"]["status"] == "certified"
 
 
 def test_certify_bundle_identity_substitution():

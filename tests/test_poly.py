@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from suspensia import (
     Context,
@@ -11,7 +13,6 @@ from suspensia import (
     Polynomial,
     PowerCollapseError,
     QQ,
-    collapse_power,
     parse_expression,
     root_of_unity,
 )
@@ -110,14 +111,42 @@ def test_substitute_unbound_variable_missing_from_target():
 def test_collapse_power_defining_case():
     ctx = Context(QQ, ("y",))
     target = Context(QQ, ("s",))
-    assert collapse_power(P("y^3", ctx), "y", 3, "s", target) == P("s", target)
+    assert P("y^3", ctx).convert(target, ("y", "s", Fraction(1, 3))) == P("s", target)
 
 
 def test_collapse_power_divisibility_failure():
     ctx = Context(QQ, ("x", "y"))
     with pytest.raises(PowerCollapseError) as info:
-        collapse_power(P("y^3 - x", ctx), "y", 2, "s", Context(QQ, ("x", "s")))
+        P("y^3 - x", ctx).convert(Context(QQ, ("x", "s")), ("y", "s", Fraction(1, 2)))
     assert info.value.witness == "y^3"
+    assert str(info.value) == "exponent of y in y^3 is not divisible by 2"
+
+
+def test_root_scale_must_be_positive():
+    ctx = Context(QQ, ("x", "y"))
+    with pytest.raises(ValueError, match="root scale must be positive"):
+        P("y - x", ctx).convert(Context(QQ, ("x", "s")), ("y", "s", Fraction(-1, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([QQ, CyclotomicField(5)]),
+    st.sampled_from(["x", "y", "w"]),
+    st.integers(1, 3),
+)
+def test_root_rewrite_matches_substitution(seed, field, var, k):
+    # the root rewrite against the evaluation oracle, into a target context
+    # whose variable order differs from the source's, and back down again
+    rng = random.Random(seed)
+    src = Context(field, ("x", "y", "w"))
+    names = [n for n in src.variables if n != var]
+    target = Context(field, (names[1], "u", names[0]))
+    f = random_polynomial(rng, src, max_terms=6)
+    u = Polynomial.variable(target, "u")
+    lifted = f.convert(target, (var, "u", Fraction(k)))
+    assert lifted == f.substitute({var: u**k}, into=target)
+    assert lifted.convert(src, ("u", var, Fraction(1, k))) == f
 
 
 def test_weighted_components_total_degree():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from suspensia import (
+    ContextError,
     PowerCollapseError,
     PresentedAlgebra,
     QQ,
@@ -24,6 +25,7 @@ from suspensia import (
     grevlex,
     lift_along_root,
     lift_lnd,
+    new_derivation,
     parse_expression,
     suspend,
     torus_action,
@@ -235,6 +237,33 @@ def test_lift_along_root_requires_killed_variable():
     target = adjoin_root(X, "y", "u", 2)
     with pytest.raises(SuspensionError):
         lift_along_root(certify_lnd(d, 4), target, "y", "u", 2)
+
+
+def test_lift_along_root_rejects_unknown_variable():
+    Y3 = build_Yp(3)
+    source = certify_lnd(build_vandermonde_lnd(3, Y3), 8)
+    with pytest.raises(ContextError):
+        lift_along_root(source, adjoin_root(Y3, "y", "u", 2), "q", "u", 2)
+
+
+def test_lift_along_root_rejects_existing_new_variable():
+    # a new_var the source already has would merge two images into one
+    X = algebra_from_strings(QQ, ["x", "y"], [])
+    d = new_derivation(
+        X, {"x": parse_expression("y^2", X.context), "y": parse_expression("0", X.context)}
+    )
+    target = algebra_from_strings(QQ, ["x"], [])
+    with pytest.raises(SuspensionError, match="already exists"):
+        lift_along_root(certify_lnd(d, 4), target, "y", "x", 2)
+
+
+def test_lift_along_root_checks_power_first():
+    Y3 = build_Yp(3)
+    source = certify_lnd(build_vandermonde_lnd(3, Y3), 8)
+    lifted = adjoin_root(Y3, "y", "u", 2)
+    for power in (0, -1):
+        with pytest.raises(SuspensionError, match="root power must be a positive integer"):
+            lift_along_root(source, lifted, "y", "u", power)
 
 
 def test_collapse_root_on_prepared_relations():
