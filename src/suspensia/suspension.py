@@ -9,6 +9,24 @@ certified nilpotent derivations upward.
 Root adjunction (var = new_var^k) in both directions, and the transport of
 a derivation along it, is one exponent rewrite, ``Polynomial.convert`` with
 a root: var^e becomes new_var^(e*k) or new_var^(e/k), with no evaluation.
+
+A lift never certifies nilpotency a second time; it transports the source's
+orders.  Both extensions are free modules over the source algebra A, since
+their new relation is monic in the new variables: A[u]/(u^k - y) has basis
+1, u, ..., u^(k-1), and A[y1..ym]/(y1^k1*...*ym^km - f) has the monomials in
+y1..ym not divisible by y1^k1*...*ym^km.  So the inclusion phi of A is
+injective.  When D kills y (respectively f), the lift D', which sends the
+new variables to zero, satisfies D'(phi a) = phi(D a): both sides are
+derivations along phi that agree on the generators.  Hence
+D'^n(phi x) = phi(D^n x), and by injectivity every source generator keeps
+its order, while each new variable has order 0.  This is the restriction
+principle for locally nilpotent derivations (Freudenburg, *Algebraic Theory
+of Locally Nilpotent Derivations*, ch. 1).  The argument rests on three
+premises, and each is verified exactly, without a Groebner basis: D kills y
+or f, the source is certified, and the target algebra is the extension that
+the root data or the suspension data describe (same context, relations and,
+for a root, order).  Well-definedness of the lift is still checked relation
+by relation, as an independent check.
 """
 
 from __future__ import annotations
@@ -20,7 +38,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .algebra import AlgebraElement, PresentedAlgebra
-from .derivation import InconclusiveError, LNDCertificate, certify_lnd, new_derivation
+from .derivation import InconclusiveError, LNDCertificate, new_derivation
 from .poly import Context, Polynomial
 
 
@@ -65,11 +83,22 @@ class CriterionReport:
         }
 
 
+def _exponents(exponents) -> tuple:
+    """The exponents as a tuple of ints; each must be a positive integer."""
+    raw = tuple(exponents)
+    try:
+        ks = tuple(int(k) for k in raw)
+        integral = ks == raw
+    except (TypeError, ValueError):
+        integral = False
+    if not integral or not ks or any(k < 1 for k in ks):
+        raise SuspensionError("exponents must be positive integers")
+    return ks
+
+
 def gcd_criterion(exponents) -> CriterionReport:
     """Classify suspension exponents by their gcd."""
-    ks = tuple(int(k) for k in exponents)
-    if not ks or any(k < 1 for k in ks):
-        raise SuspensionError("exponents must be positive integers")
+    ks = _exponents(exponents)
     d = reduce(math.gcd, ks)
     if d == 1:
         return CriterionReport(
@@ -95,9 +124,7 @@ def suspend(base: PresentedAlgebra, function, exponents, names=None):
     function must be non-constant in the quotient and the fresh names must
     not collide with base variables.
     """
-    ks = tuple(int(k) for k in exponents)
-    if not ks or any(k < 1 for k in ks):
-        raise SuspensionError("exponents must be positive integers")
+    ks = _exponents(exponents)
     f = base.element(function)
     if not any(any(m) for m in f.rep.terms):
         raise SuspensionError(
@@ -113,14 +140,20 @@ def suspend(base: PresentedAlgebra, function, exponents, names=None):
     if collisions or len(set(names)) != len(names):
         raise SuspensionError(f"suspension variable name collision: {collisions or names}")
 
-    context = Context(base.field, base.variables + names)
+    spec = SuspensionSpec(base, f, ks, names)
+    return PresentedAlgebra(*_suspension_presentation(spec)), spec
+
+
+def _suspension_presentation(spec: SuspensionSpec) -> tuple:
+    """The context and relations of the suspension that ``spec`` describes."""
+    base = spec.base
+    context = Context(base.field, base.variables + spec.suspension_variables)
     product = Polynomial.one(context)
-    for name, k in zip(names, ks):
+    for name, k in zip(spec.suspension_variables, spec.exponents):
         product = product * Polynomial.variable(context, name) ** k
     relations = [r.convert(context) for r in base.relations]
-    relations.append(product - f.rep.convert(context))
-    extended = PresentedAlgebra(context, relations)
-    return extended, SuspensionSpec(base, f, ks, names)
+    relations.append(product - spec.function.rep.convert(context))
+    return context, tuple(relations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,11 +201,23 @@ def torus_action(extended: PresentedAlgebra, spec: SuspensionSpec) -> TorusActio
     return TorusAction(extended, tuple(rows))
 
 
-def _certified_lift(certificate: LNDCertificate, algebra: PresentedAlgebra,
-                    images: dict, cap: int | None) -> LNDCertificate:
-    """Build the lifted derivation and certify it, by default within the source cap."""
-    lifted = certify_lnd(
-        new_derivation(algebra, images), certificate.cap if cap is None else cap
+def _transported_lift(certificate: LNDCertificate, algebra: PresentedAlgebra,
+                      images: dict, orders: dict, cap: int | None) -> LNDCertificate:
+    """Build the lifted derivation and give it the source's orders.
+
+    ``orders`` maps each generator of ``algebra`` to the order it inherits
+    (see the module docstring).  Well-definedness is checked afresh by
+    ``new_derivation``; nilpotency is not iterated again.  The cap defaults
+    to the source's, and a generator whose order exceeds it is unresolved,
+    so the result is exactly what ``certify_lnd`` would give.
+    """
+    cap = certificate.cap if cap is None else cap
+    names = algebra.variables
+    lifted = LNDCertificate(
+        new_derivation(algebra, images),
+        cap,
+        {name: orders[name] for name in names if orders[name] <= cap},
+        tuple(name for name in names if orders[name] > cap),
     )
     if not lifted.certified:
         raise InconclusiveError("lifted derivation did not certify within the cap")
@@ -188,28 +233,40 @@ def lift_lnd(
     """Lift a certified nilpotent derivation of the base to the suspension.
 
     Takes the certificate of the base derivation and returns that of the
-    lift.  Needs the derivation to kill the suspension function; the lift
-    keeps all base images and sends every suspension variable to zero.  The
-    result is re-certified (well-definedness and nilpotency) from scratch.
+    lift, which keeps all base images and sends every suspension variable
+    to zero.  Needs the derivation to kill the suspension function f, and
+    ``extended`` to be the suspension ``spec`` describes (same context and
+    relations as ``suspend`` builds), else ``SuspensionError``.
+
+    The base A embeds in A[y1..ym]/(y1^k1*...*ym^km - f), a free A-module
+    because the relation is monic in the y's, and the lift commutes with the
+    embedding because D(f) = 0.  So each base generator keeps its order and
+    each y_i has order 0; these orders are copied from the certificate, not
+    recomputed.  Well-definedness of the lift is checked afresh.
     """
     derivation = certificate.derivation
-    if not derivation.algebra.same_presentation(spec.base):
+    base = derivation.algebra
+    if not base.same_presentation(spec.base):
         raise SuspensionError("derivation does not live on the suspension base")
+    context, relations = _suspension_presentation(spec)
+    if extended.context != context or extended.relations != relations:
+        raise SuspensionError("extended algebra is not the suspension its data describe")
     if not certificate.certified:
         raise InconclusiveError("cannot lift: source derivation is not certified")
-    df = derivation.apply(spec.function)
+    df = base.normal_form(derivation.leibniz_image(spec.function.rep))
     if df:
         raise SuspensionError(
             f"derivation does not kill the suspension function: image has "
-            f"normal form {df.rep.text()}"
+            f"normal form {df.text()}"
         )
     images = {
-        name: derivation.images[name].rep.convert(extended.context)
-        for name in spec.base.variables
+        name: derivation.images[name].rep.convert(context) for name in base.variables
     }
+    orders = dict(certificate.orders)
     for name in spec.suspension_variables:
-        images[name] = Polynomial.zero(extended.context)
-    return _certified_lift(certificate, extended, images, cap)
+        images[name] = Polynomial.zero(context)
+        orders[name] = 0
+    return _transported_lift(certificate, extended, images, orders, cap)
 
 
 def _check_root(context: Context, var: str, new_var: str, power: int) -> None:
@@ -221,20 +278,19 @@ def _check_root(context: Context, var: str, new_var: str, power: int) -> None:
         raise SuspensionError(f"variable {new_var!r} already exists in the algebra")
 
 
-def _rewrite_root(
-    algebra: PresentedAlgebra, var: str, new_var: str, scale
-) -> PresentedAlgebra:
+def _root_presentation(algebra: PresentedAlgebra, var: str, new_var: str, scale) -> tuple:
     """Rename var to the fresh new_var and rewrite var^e as new_var^(e*scale).
 
-    The fresh variable takes var's place in the context and in the order.
+    Returns the context, relations and order; the fresh variable takes
+    var's place in the context and in the order.
     """
     context = algebra.context
     names = list(context.variables)
     names[context.index(var)] = new_var
     new_context = Context(context.field, tuple(names))
     root = (var, new_var, scale)
-    relations = [r.convert(new_context, root) for r in algebra.relations]
-    return PresentedAlgebra(new_context, relations, algebra.order.renamed(var, new_var))
+    relations = tuple(r.convert(new_context, root) for r in algebra.relations)
+    return new_context, relations, algebra.order.renamed(var, new_var)
 
 
 def adjoin_root(
@@ -247,7 +303,7 @@ def adjoin_root(
     the algebra's monomial order.
     """
     _check_root(algebra.context, var, new_var, power)
-    return _rewrite_root(algebra, var, new_var, power)
+    return PresentedAlgebra(*_root_presentation(algebra, var, new_var, power))
 
 
 def collapse_root(
@@ -261,7 +317,7 @@ def collapse_root(
     takes var's place in the algebra's monomial order as well.
     """
     _check_root(algebra.context, var, new_var, power)
-    return _rewrite_root(algebra, var, new_var, Fraction(1, power))
+    return PresentedAlgebra(*_root_presentation(algebra, var, new_var, Fraction(1, power)))
 
 
 def lift_along_root(
@@ -276,11 +332,26 @@ def lift_along_root(
 
     Takes the certificate of the source derivation and returns that of the
     lift.  Requires the derivation to kill var (otherwise the substitution
-    does not commute with it); images are rewritten through the substitution
-    and the result is re-certified on the new algebra.
+    does not commute with it), and ``lifted_algebra`` to be
+    ``adjoin_root(source, var, new_var, power)``: same context, relations
+    and order, else ``SuspensionError``.  Images are rewritten through the
+    substitution.
+
+    The source A embeds in A[new_var]/(new_var^power - var), a free A-module
+    with basis 1, new_var, ..., new_var^(power-1), and the lift commutes with
+    the embedding because D(var) = 0.  So each generator keeps its order and
+    new_var takes var's, which is 0; these orders are copied from the
+    certificate, not recomputed.  Well-definedness of the lift is checked
+    afresh.
     """
     derivation = certificate.derivation
-    _check_root(derivation.algebra.context, var, new_var, power)
+    source = derivation.algebra
+    _check_root(source.context, var, new_var, power)
+    presentation = (lifted_algebra.context, lifted_algebra.relations, lifted_algebra.order)
+    if presentation != _root_presentation(source, var, new_var, power):
+        raise SuspensionError(
+            f"lifted algebra is not the source with {var} = {new_var}^{power} adjoined"
+        )
     dvar = derivation.images[var]
     if dvar:
         raise SuspensionError(
@@ -291,9 +362,11 @@ def lift_along_root(
         raise InconclusiveError("cannot lift: source derivation is not certified")
     root = (var, new_var, power)
     images = {}
-    for name in derivation.algebra.variables:
+    orders = {}
+    for name in source.variables:
         target_name = new_var if name == var else name
         images[target_name] = derivation.images[name].rep.convert(
             lifted_algebra.context, root
         )
-    return _certified_lift(certificate, lifted_algebra, images, cap)
+        orders[target_name] = certificate.orders[name]
+    return _transported_lift(certificate, lifted_algebra, images, orders, cap)

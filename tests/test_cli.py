@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, artifacts, determinism."""
 
 import json
+import time
 from pathlib import Path
 
 from suspensia.cli import main
@@ -92,6 +93,19 @@ def test_validate_missing_file(capsys):
 
 def test_validate_ill_defined_derivation(capsys):
     assert main(["validate", str(FIXTURES / "bad_derivation.json")]) == 1
+
+
+def test_validate_field_order_over_limit_exits_3_at_once(tmp_path, capsys):
+    # trial division of this prime took longer than 20 s before the limit
+    path = _write(
+        tmp_path,
+        "huge_field.json",
+        {"field": "Q(z@1000000000000000003)", "variables": ["x"], "relations": []},
+    )
+    start = time.perf_counter()
+    assert main(["validate", path]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds the limit" in capsys.readouterr().err
 
 
 def test_groebner_prints_reduced_basis(tmp_path, capsys):

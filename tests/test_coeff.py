@@ -13,8 +13,10 @@ from suspensia import (
     CyclotomicNumber,
     QQ,
     field_from_text,
+    is_prime,
     root_of_unity,
 )
+from suspensia import coeff
 
 from helpers import cyclo_from_power_oracle, random_scalar, reduce_cyclotomic_oracle
 
@@ -166,6 +168,22 @@ def test_field_descriptors():
     with pytest.raises(CoefficientError):
         QQ.coerce(root_of_unity(3, 1))
     assert QQ.coerce(CyclotomicNumber.from_rational(3, 2)) == 2
+
+
+def test_field_order_limit_triggers_before_primality(monkeypatch):
+    limit = coeff.MAX_FIELD_ORDER
+    largest = max(p for p in range(limit + 1) if is_prime(p))
+    smallest_over = next(p for p in range(limit + 1, 2 * limit + 2) if is_prime(p))
+    assert field_from_text(f"Q(z@{largest})") == CyclotomicField(largest)
+    assert field_from_text("Q(z@007)") == CyclotomicField(7)
+
+    def refuse(n):
+        raise AssertionError("the order reached the primality test")
+
+    monkeypatch.setattr(coeff, "is_prime", refuse)
+    for order in (str(limit + 1), str(smallest_over), "1000000000000000003", "9" * 5000):
+        with pytest.raises(CoefficientError, match="exceeds the limit"):
+            field_from_text(f"Q(z@{order})")
 
 
 def _oracle_product(p, a, b):

@@ -1,11 +1,18 @@
 """Suspensions, the gcd criterion, torus weights, lifting, root adjunction."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from suspensia import (
+    Context,
     ContextError,
+    Derivation,
+    InconclusiveError,
+    Polynomial,
     PowerCollapseError,
     PresentedAlgebra,
     QQ,
@@ -17,12 +24,14 @@ from suspensia import (
     build_Xp,
     build_Yp,
     buchberger,
+    certify_bundle,
     certify_lnd,
     collapse_root,
     eliminate,
     elimination,
     gcd_criterion,
     grevlex,
+    lex,
     lift_along_root,
     lift_lnd,
     new_derivation,
@@ -31,6 +40,9 @@ from suspensia import (
     torus_action,
     zero_derivation,
 )
+from suspensia import derivation as derivation_module
+from suspensia import suspension as suspension_module
+from suspensia.derivation import LNDCertificate
 
 
 def test_classical_plane_suspension():
@@ -113,6 +125,19 @@ def test_gcd_criterion_rejects_bad_exponents():
         gcd_criterion((0, 2))
 
 
+def test_non_integral_exponents_rejected():
+    # int() would truncate these to (2, 4) and (2, 3)
+    with pytest.raises(SuspensionError, match="positive integers"):
+        gcd_criterion((2.5, 4.9))
+    X = algebra_from_strings(QQ, ["x"], [])
+    with pytest.raises(SuspensionError, match="positive integers"):
+        suspend(X, parse_expression("x", X.context), (2.7, 3))
+    with pytest.raises(SuspensionError, match="positive integers"):
+        suspend(X, parse_expression("x", X.context), ("2", 3))
+    # integral values of other types are still exponents
+    assert gcd_criterion((Fraction(4), 6.0)).exponents == (4, 6)
+
+
 def test_torus_weights():
     X = algebra_from_strings(QQ, ["x"], [])
     cases = {
@@ -171,6 +196,38 @@ def test_lift_requires_killing_the_function():
     assert "x" in str(info.value)
 
 
+def _transported(lift, *args, **kwargs):
+    """Run a lift; return its result (None if inconclusive) and the certificate it built.
+
+    The certificate is caught as it is constructed, so it is seen even when
+    the lift raises InconclusiveError because the cap is below some order.
+    """
+    made = []
+
+    def recording(*cert_args, **cert_kwargs):
+        made.append(LNDCertificate(*cert_args, **cert_kwargs))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(suspension_module, "LNDCertificate", recording)
+        try:
+            result = lift(*args, **kwargs)
+        except InconclusiveError:
+            result = None
+    (certificate,) = made
+    assert result is None or result is certificate
+    return result, certificate
+
+
+def _assert_matches_oracle(result, transported, oracle):
+    assert transported.cap == oracle.cap
+    assert transported.orders == oracle.orders
+    assert list(transported.orders) == list(oracle.orders)
+    assert transported.inconclusive == oracle.inconclusive
+    assert transported.to_json() == oracle.to_json()
+    assert (result is None) == (not oracle.certified)
+
+
 def test_lift_lnd_over_suspension_of_y3():
     # the solved derivation kills y, so it lifts to any suspension with f = y
     Y3 = build_Yp(3)
@@ -182,6 +239,120 @@ def test_lift_lnd_over_suspension_of_y3():
     for name in Y3.variables:
         assert cert.orders[name] == source_cert.orders[name]
     assert cert.orders["u1"] == 0 and cert.orders["u2"] == 0
+    # the oracle iterates the lifted derivation; caps below 2 cut the x_j
+    images = {name: d.images[name].rep.convert(Y.context) for name in Y3.variables}
+    images.update(u1=Polynomial.zero(Y.context), u2=Polynomial.zero(Y.context))
+    oracle_derivation = new_derivation(Y, images)
+    assert cert.derivation == oracle_derivation
+    for cap in (None, 0, 1, 2, 8):
+        result, transported = _transported(lift_lnd, source_cert, Y, spec, cap=cap)
+        oracle = certify_lnd(oracle_derivation, 8 if cap is None else cap)
+        _assert_matches_oracle(result, transported, oracle)
+
+
+@st.composite
+def _root_lift_cases(draw):
+    """A derivation over Q that kills y, with a root power in 1..3 and a lift cap.
+
+    The algebra is Q[t0..t(n-1), y, c], n in 1..3, perhaps modulo one
+    nonconstant relation in y and c.  D kills y and c, so it kills every
+    such relation, and D(t_i) mentions only t_j (j < i), y and c, so D is
+    locally nilpotent.  The cap is None (the source's) or 0..8, which is
+    below some orders (they reach 7) in many draws.
+    """
+    n = draw(st.integers(min_value=1, max_value=3))
+    names = tuple(f"t{i}" for i in range(n)) + ("y", "c")
+    context = Context(QQ, names)
+    kernel = [n, n + 1]
+
+    def polynomial(allowed):
+        terms = {}
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            mono = [0] * len(names)
+            for _ in range(draw(st.integers(min_value=0, max_value=2))):
+                mono[draw(st.sampled_from(allowed))] += 1
+            terms[tuple(mono)] = draw(st.integers(min_value=-3, max_value=3).filter(bool))
+        return Polynomial(context, terms)
+
+    images = {f"t{i}": polynomial(list(range(i)) + kernel) for i in range(n)}
+    images["y"] = images["c"] = Polynomial.zero(context)
+    relations = []
+    if draw(st.booleans()):
+        relation = polynomial(kernel)
+        if any(any(m) for m in relation.terms):
+            relations.append(relation)
+    derivation = new_derivation(PresentedAlgebra(context, relations), images)
+    power = draw(st.integers(min_value=1, max_value=3))
+    cap = draw(st.none() | st.integers(min_value=0, max_value=8))
+    return derivation, power, cap
+
+
+@settings(max_examples=60, deadline=None)
+@given(_root_lift_cases())
+def test_lift_along_root_matches_certify_oracle(case):
+    derivation, power, cap = case
+    source = certify_lnd(derivation)
+    assert source.certified
+    lifted = adjoin_root(derivation.algebra, "y", "u", power)
+    result, transported = _transported(
+        lift_along_root, source, lifted, "y", "u", power, cap=cap
+    )
+    # images through evaluation, not through the exponent rewrite
+    bindings = {"y": Polynomial.variable(lifted.context, "u") ** power}
+    images = {
+        ("u" if name == "y" else name): derivation.images[name].rep.substitute(
+            bindings, into=lifted.context
+        )
+        for name in derivation.algebra.variables
+    }
+    oracle = certify_lnd(new_derivation(lifted, images), source.cap if cap is None else cap)
+    assert transported.derivation == oracle.derivation
+    _assert_matches_oracle(result, transported, oracle)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_bundle_lift_matches_certify_oracle(p):
+    bundle = certify_bundle(p, 2 * p)
+    oracle = certify_lnd(bundle.lifted_derivation, bundle.report["cap"])
+    assert oracle.certified
+    assert bundle.report["lift"]["lnd"] == oracle.to_json()
+    assert bundle.report["lift"]["ordersMatchSource"]
+
+
+def test_lifts_never_iterate_the_derivation(monkeypatch):
+    Y3 = build_Yp(3)
+    source = certify_lnd(build_vandermonde_lnd(3, Y3), 8)
+    lifted = adjoin_root(Y3, "y", "u", 2)
+    Y, spec = suspend(Y3, Y3.variable("y"), (2, 3), names=("u1", "u2"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a lift iterated the derivation")
+
+    monkeypatch.setattr(derivation_module, "certify_lnd", refuse)
+    monkeypatch.setattr(derivation_module, "_orbits", refuse)
+    monkeypatch.setattr(suspension_module, "certify_lnd", refuse, raising=False)
+    monkeypatch.setattr(Derivation, "apply", refuse)
+    by_root = lift_along_root(source, lifted, "y", "u", 2)
+    by_suspension = lift_lnd(source, Y, spec)
+    assert by_root.certified and by_suspension.certified
+    assert by_root.orders["u"] == 0 and by_suspension.orders["u1"] == 0
+    assert by_root.orders["x0"] == by_suspension.orders["x0"] == source.orders["x0"]
+
+
+def test_lift_lnd_rejects_an_extension_other_than_the_spec():
+    # D kills t, so its lift is well defined on every suspension with f = t
+    # and only the premise check can tell the spec's target from another
+    X = algebra_from_strings(QQ, ["x", "t"], [])
+    source = certify_lnd(
+        new_derivation(X, {"x": parse_expression("t", X.context), "t": 0}), 4
+    )
+    t = parse_expression("t", X.context)
+    _, spec = suspend(X, t, (2, 3))
+    other_exponents, _ = suspend(X, t, (2, 2))
+    other_function, _ = suspend(X, parse_expression("t^2", X.context), (2, 3))
+    for other in (other_exponents, other_function):
+        with pytest.raises(SuspensionError, match="not the suspension"):
+            lift_lnd(source, other, spec)
 
 
 def test_adjoin_root_forward():
@@ -255,6 +426,22 @@ def test_lift_along_root_rejects_existing_new_variable():
     target = algebra_from_strings(QQ, ["x"], [])
     with pytest.raises(SuspensionError, match="already exists"):
         lift_along_root(certify_lnd(d, 4), target, "y", "x", 2)
+
+
+def test_lift_along_root_rejects_an_algebra_other_than_the_adjunction():
+    # D kills y and t, so its lift is well defined on both wrong targets
+    # below and only the premise check can reject them
+    X = algebra_from_strings(QQ, ["x", "y", "t"], ["t - y^2"])
+    source = certify_lnd(
+        new_derivation(X, {"x": parse_expression("t", X.context), "y": 0, "t": 0}), 4
+    )
+    adjoined = adjoin_root(X, "y", "u", 2)
+    assert lift_along_root(source, adjoined, "y", "u", 2).orders["x"] == 1
+    other_relations = algebra_from_strings(QQ, ["x", "u", "t"], ["t - u^2"])
+    other_order = PresentedAlgebra(adjoined.context, adjoined.relations, order=lex())
+    for target in (other_relations, other_order):
+        with pytest.raises(SuspensionError, match="not the source with y = u\\^2 adjoined"):
+            lift_along_root(source, target, "y", "u", 2)
 
 
 def test_lift_along_root_checks_power_first():
