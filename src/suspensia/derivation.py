@@ -15,6 +15,14 @@ relies on sampling.
 Certifying nilpotency is semi-decidable: the certifier answers Certified or
 Inconclusive (cap reached), never "not locally nilpotent".
 
+Exponentials rest on those two certificates.  For a well-defined locally
+nilpotent derivation D of a Q-algebra, exp(tD) is an algebra automorphism
+with inverse exp(-tD) (Freudenburg, Algebraic Theory of Locally Nilpotent
+Derivations, ch. 1).  So ``exp`` checks its premise, the per-relation
+witnesses and a terminating orbit for every generator, and does not push
+the relations through the images it builds.  An ``AlgebraMorphism`` built
+from user-given images still checks every relation.
+
 Derivations are immutable after construction; apply/nu/exp are pure.
 """
 
@@ -24,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import AlgebraElement, Grading, PresentedAlgebra
-from .poly import ContextError, Polynomial
+from .poly import ContextError, Polynomial, Substitution
 
 #: The order of the zero element (absorbing under addition of orders).
 MINUS_INFINITY = float("-inf")
@@ -127,7 +135,13 @@ class LNDCertificate:
 
 
 class Derivation:
-    """A certified-well-defined derivation of a presented algebra."""
+    """A derivation of a presented algebra, fixed by its generator images.
+
+    ``well_defined`` holds the per-relation witnesses that ``new_derivation``
+    computes.  A hand-built ``Derivation(algebra, images, None)`` is an
+    unverified map: its ``apply`` need not be a map on the quotient, and
+    ``exp`` refuses it.
+    """
 
     __slots__ = ("algebra", "images", "well_defined")
 
@@ -440,7 +454,13 @@ def is_diagonal_semisimple(derivation: Derivation):
 
 
 class AlgebraMorphism:
-    """An algebra map given on generators; relations must map to zero."""
+    """An algebra map given on generators; relations must map to zero.
+
+    With ``check`` (the default) every relation is pushed through the
+    images and its normal form must vanish.  ``exp``, ``compose`` and
+    ``identity_morphism`` pass ``check=False``: their maps are algebra maps
+    by construction.
+    """
 
     __slots__ = ("source", "target", "images")
 
@@ -459,9 +479,11 @@ class AlgebraMorphism:
                         f"relation {r.text()} maps to nonzero {nf.text()}"
                     )
 
+    def _bindings(self) -> dict:
+        return {name: img.rep for name, img in self.images.items()}
+
     def _push(self, f: Polynomial) -> Polynomial:
-        bindings = {name: img.rep for name, img in self.images.items()}
-        return f.substitute(bindings, into=self.target.context)
+        return f.substitute(self._bindings(), into=self.target.context)
 
     def apply(self, value) -> AlgebraElement:
         a = self.source.element(value)
@@ -471,7 +493,11 @@ class AlgebraMorphism:
         """The map sending x first through inner, then through this morphism."""
         if not inner.target.same_presentation(self.source):
             raise MorphismError("morphisms do not compose: target/source mismatch")
-        images = {name: self.apply(img) for name, img in inner.images.items()}
+        # one table of image powers serves all of inner's images
+        push = Substitution(self.source.context, self._bindings(), self.target.context)
+        images = {
+            name: self.target.element(push(img.rep)) for name, img in inner.images.items()
+        }
         return AlgebraMorphism(inner.source, self.target, images, check=False)
 
     def agrees_with(self, other: AlgebraMorphism) -> bool:
@@ -491,12 +517,22 @@ def identity_morphism(algebra: PresentedAlgebra) -> AlgebraMorphism:
 def exp(derivation: Derivation, t, cap: int = DEFAULT_CAP) -> AlgebraMorphism:
     """The automorphism sum_j t^j D^j / j!, exact thanks to nilpotency.
 
-    Each generator's series is summed over the orbit x, D x, ..., D^order x
-    that certification computes, so the sum is finite and the map lands
-    back in the algebra.  Raises InconclusiveError when some generator's
-    order is not certified within ``cap``.  Relations are verified to map
-    to zero after substitution.
+    The premise is verified, not assumed: D must carry well-definedness
+    witnesses that hold (``new_derivation`` builds them; a hand-built
+    ``Derivation`` with none raises DerivationError), and every generator's
+    orbit x, D x, ..., D^order x must end within ``cap`` (InconclusiveError
+    otherwise).  Each generator's series is summed over that orbit, so the
+    sum is finite and lands back in the algebra.  For a well-defined
+    locally nilpotent D of a Q-algebra, exp(tD) is an algebra automorphism,
+    so the relations map to zero by that theorem and are not substituted
+    into the images.
     """
+    witnesses = derivation.well_defined
+    if witnesses is None or not witnesses.ok:
+        raise DerivationError(
+            "cannot exponentiate a derivation without well-definedness witnesses; "
+            "build it with new_derivation"
+        )
     algebra = derivation.algebra
     t = algebra.field.coerce(t)
     series = {}
@@ -515,7 +551,7 @@ def exp(derivation: Derivation, t, cap: int = DEFAULT_CAP) -> AlgebraMorphism:
             )
         series[algebra.variables[i]] = AlgebraElement(algebra, total)
     images = {name: series[name] for name in algebra.variables}
-    return AlgebraMorphism(algebra, algebra, images, check=True)
+    return AlgebraMorphism(algebra, algebra, images, check=False)
 
 
 def certificate_json(certificate: LNDCertificate, grading: Grading | None = None) -> dict:

@@ -47,6 +47,17 @@ class SchemaError(ValueError):
 
 _OPS = set("+-*/^()")
 
+#: Longest integer literal, in digits.  Longer literals are refused before
+#: they are converted, which keeps every literal, and its square, under the
+#: 4300 digits that Python will convert to and from text.
+MAX_DIGITS = 1000
+
+#: Largest exponent after '^'.  The largest exponent in the family
+#: artifacts is n(p-1): 84 for p=7, n=14 and 220 for p=11, n=22.  A larger
+#: exponent is refused before any power is computed, so ``2^100000000``
+#: costs no time and no memory.
+MAX_EXPONENT = 1000
+
 
 class _Token:
     __slots__ = ("kind", "value", "line", "column")
@@ -56,6 +67,14 @@ class _Token:
         self.value = value
         self.line = line
         self.column = column
+
+
+def _integer(text: str, i: int, j: int, line: int, col: int) -> int:
+    if j - i > MAX_DIGITS:
+        raise ParseError(
+            f"integer literal of {j - i} digits exceeds the limit of {MAX_DIGITS}", line, col
+        )
+    return int(text[i:j])
 
 
 def _lex(text: str):
@@ -79,7 +98,7 @@ def _lex(text: str):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(_Token("int", int(text[i:j]), line, start_col))
+            tokens.append(_Token("int", _integer(text, i, j, line, start_col), line, start_col))
             col += j - i
             i = j
             continue
@@ -98,7 +117,8 @@ def _lex(text: str):
                     j += 1
                 if j == i + 1:
                     raise ParseError("expected a prime after 'z@'", line, col + 1)
-                tokens.append(_Token("cyclo", int(text[i + 1:j]), line, start_col))
+                prime = _integer(text, i + 1, j, line, col + 1)
+                tokens.append(_Token("cyclo", prime, line, start_col))
                 col += j - i
                 i = j
             else:
@@ -192,6 +212,8 @@ class _Parser:
             tok = self.peek()
             if tok.kind != "int":
                 self.fail("malformed exponent: expected a non-negative integer")
+            if tok.value > MAX_EXPONENT:
+                self.fail(f"exponent {tok.value} exceeds the limit {MAX_EXPONENT}", tok)
             self.take()
             base = base ** tok.value
             if self.peek().kind == "^":
@@ -319,8 +341,9 @@ def derivation_from_data(images: dict, algebra: PresentedAlgebra) -> Derivation:
 def read_json(path) -> dict:
     """Read a JSON file, converting decode errors to located ParseErrors.
 
-    Nesting deep enough to exhaust the decoder's recursion is reported at
-    the start of the file.
+    Nesting deep enough to exhaust the decoder's recursion, and an integer
+    too long for the interpreter to convert, are reported at the start of
+    the file.
     """
     data = Path(path).read_bytes()
     try:
@@ -338,6 +361,10 @@ def read_json(path) -> dict:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply", 1, 1) from None
+    except ValueError:
+        # the only other ValueError json raises: an integer too long for the
+        # interpreter's text conversion
+        raise ParseError("invalid JSON: integer too long to convert", 1, 1) from None
 
 
 def load_algebra(path) -> PresentedAlgebra:

@@ -329,28 +329,7 @@ class Polynomial:
         Unbound variables must exist (by name) in the target context.
         """
         target = into if into is not None else self.context
-        images = []
-        for name in self.context.variables:
-            if name in bindings:
-                g = bindings[name]
-                if not isinstance(g, Polynomial) or g.context != target:
-                    raise ContextError(f"binding for {name!r} is not in the target context")
-                images.append(g)
-            else:
-                images.append(Polynomial.variable(target, name))
-        power_cache = {}
-        result = Polynomial.zero(target)
-        for mono, coeff in self.terms.items():
-            term = Polynomial.constant(target, coeff)
-            for i, e in enumerate(mono):
-                if e:
-                    cached = power_cache.get((i, e))
-                    if cached is None:
-                        cached = images[i] ** e
-                        power_cache[(i, e)] = cached
-                    term = term * cached
-            result = result + term
-        return result
+        return Substitution(self.context, bindings, target)(self)
 
     def convert(self, into: Context, root: tuple | None = None) -> Polynomial:
         """Reinterpret in another context, mapping variables by name.
@@ -446,3 +425,49 @@ def _term_text(coeff, mono_s: str):
         return (sign, mono_s)
     return (sign, f"{mag}*{mono_s}")
 
+
+class Substitution:
+    """The evaluation map of ``Polynomial.substitute``, with one table of powers.
+
+    Built once from the source context, the bindings and the target
+    context; calling it on a polynomial of the source context gives that
+    polynomial's image.  Each power image**e is computed the first time a
+    monomial needs it and reused by every later call, so pushing several
+    polynomials through one map costs one table of powers, not one each.
+    """
+
+    __slots__ = ("source", "target", "images", "powers")
+
+    def __init__(self, source: Context, bindings: dict, target: Context):
+        images = []
+        for name in source.variables:
+            if name in bindings:
+                g = bindings[name]
+                if not isinstance(g, Polynomial) or g.context != target:
+                    raise ContextError(f"binding for {name!r} is not in the target context")
+                images.append(g)
+            else:
+                images.append(Polynomial.variable(target, name))
+        self.source = source
+        self.target = target
+        self.images = images
+        self.powers = {}
+
+    def _power(self, i: int, e: int) -> Polynomial:
+        power = self.powers.get((i, e))
+        if power is None:
+            power = self.powers[(i, e)] = self.images[i] ** e
+        return power
+
+    def __call__(self, f: Polynomial) -> Polynomial:
+        if f.context != self.source:
+            raise ContextError("polynomial is not in the source context of the substitution")
+        target = self.target
+        result = Polynomial.zero(target)
+        for mono, coeff in f.terms.items():
+            term = Polynomial.constant(target, coeff)
+            for i, e in enumerate(mono):
+                if e:
+                    term = term * self._power(i, e)
+            result = result + term
+        return result

@@ -74,3 +74,16 @@ def nonzero_random_polynomial(rng, context, **kwargs):
 
 
 QXY = Context(QQ, ("x", "y"))
+
+
+def refuse_large_powers(monkeypatch):
+    """Fail the test if any polynomial power above the parser's limit is computed."""
+    from suspensia.parseio import MAX_EXPONENT
+
+    real_pow = Polynomial.__pow__
+
+    def guarded(self, n):
+        assert n <= MAX_EXPONENT, f"power {n} computed"
+        return real_pow(self, n)
+
+    monkeypatch.setattr(Polynomial, "__pow__", guarded)

@@ -7,6 +7,8 @@ from pathlib import Path
 from suspensia.cli import main
 from suspensia.parseio import save_json
 
+import helpers
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -313,3 +315,27 @@ def test_deeply_nested_json_is_input_error(tmp_path, capsys):
     assert main(["validate", str(path)]) == 3
     err = capsys.readouterr().err
     assert "input error:" in err and "nested too deeply" in err
+
+
+def test_exp_oversized_parameter_is_input_error(monkeypatch, capsys):
+    # without the parser's limits these ended in tracebacks (a literal past
+    # the interpreter's 4300-digit conversion limit, a 30103-digit power
+    # failing to print) or ran for minutes (2^100000000)
+    helpers.refuse_large_powers(monkeypatch)
+    fixture = str(FIXTURES / "yp3_derivation.json")
+    for t in ("1" * 5000, "2^100000", "2^100000000"):
+        assert main(["exp", fixture, f"--t={t}"]) == 3
+        err = capsys.readouterr().err
+        assert "input error:" in err and "exceeds the limit" in err
+
+
+def test_oversized_json_integer_is_input_error(tmp_path, capsys):
+    path = _write(
+        tmp_path,
+        "huge.json",
+        {"field": "Q", "variables": ["x"], "relations": [], "gradings": {"g": [[0]]}},
+    )
+    text = Path(path).read_text().replace("0", "1" * 5000)
+    Path(path).write_text(text)
+    assert main(["validate", path]) == 3
+    assert "input error:" in capsys.readouterr().err

@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 
 from suspensia import (
     MINUS_INFINITY,
+    AlgebraMorphism,
     Context,
+    Derivation,
     DerivationError,
     InconclusiveError,
+    MorphismError,
     NotWellDefinedError,
     Polynomial,
     QQ,
@@ -35,7 +38,9 @@ from suspensia import (
     parse_expression,
     zero_derivation,
 )
+from suspensia.coeff import root_of_unity
 from suspensia.constructions import yp_weight_row
+from suspensia.derivation import RelationCheck, WellDefinedness
 
 from helpers import nonzero_random_polynomial, random_polynomial
 
@@ -442,6 +447,50 @@ def test_exp_group_law_vandermonde(y3):
         assert exp(derivation, s).compose(exp(derivation, t)).agrees_with(
             exp(derivation, s + t)
         )
+
+
+def test_exp_needs_the_verified_premise(y3):
+    algebra, derivation = y3
+    # y -> 1 does not descend: y*w - 1 goes to w, which is not in the ideal
+    images = dict(derivation.images, y=algebra.element(1))
+    with pytest.raises(DerivationError, match="well-definedness"):
+        exp(Derivation(algebra, images, None), 1)
+    relation = algebra.relations[-1]
+    witness = algebra.variable("w").rep
+    failed = WellDefinedness((RelationCheck(relation, witness, witness),))
+    with pytest.raises(DerivationError, match="well-definedness"):
+        exp(Derivation(algebra, images, failed), 1)
+    # a verified derivation whose orders exceed the cap stays inconclusive
+    with pytest.raises(InconclusiveError):
+        exp(derivation, 1, cap=1)
+
+
+def test_exp_images_pass_the_relation_check(y3):
+    # the relation check that exp relies on the theorem to skip, as an oracle
+    algebra, derivation = y3
+    lifted_algebra = adjoin_root(algebra, "y", "u", 2)
+    lifted = lift_along_root(certify_lnd(derivation), lifted_algebra, "y", "u", 2)
+    for d in (derivation, lifted.derivation):
+        for t in (1, -1, Fraction(1, 2), Fraction(3, 7), root_of_unity(3, 1)):
+            AlgebraMorphism(d.algebra, d.algebra, exp(d, t).images, check=True)
+
+
+def test_user_morphism_breaking_a_relation_is_refused(y3):
+    algebra, _ = y3
+    images = {name: algebra.variable(name) for name in algebra.variables}
+    images["w"] = algebra.element(parse_expression("2*w", algebra.context))
+    with pytest.raises(MorphismError):
+        AlgebraMorphism(algebra, algebra, images)
+
+
+def test_compose_from_one_table_matches_per_image_apply(y3):
+    _, derivation = y3
+    for s, t in [(1, -1), (Fraction(1, 2), Fraction(1, 2)), (Fraction(3, 7), root_of_unity(3, 1))]:
+        outer, inner = exp(derivation, s), exp(derivation, t)
+        composed = outer.compose(inner)
+        assert composed.images == {
+            name: outer.apply(image) for name, image in inner.images.items()
+        }
 
 
 def test_certificate_json_payload(y3):

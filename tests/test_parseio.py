@@ -1,6 +1,7 @@
 """Expression round trips, error locations, and description-file loading."""
 
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -22,13 +23,15 @@ from suspensia import (
 )
 from suspensia.coeff import CyclotomicField, root_of_unity
 from suspensia.parseio import (
+    MAX_DIGITS,
+    MAX_EXPONENT,
     algebra_from_data,
     algebra_to_data,
     dump_canonical,
     save_json,
 )
 
-from helpers import random_polynomial, QXY
+from helpers import random_polynomial, refuse_large_powers, QXY
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -69,6 +72,40 @@ def test_malformed_exponent():
         parse_expression("x^-1", QXY)
     with pytest.raises(ParseError):
         parse_expression("x^2^3", QXY)
+
+
+def test_exponent_limit():
+    assert parse_expression(f"x^{MAX_EXPONENT}", QXY) == Polynomial.monomial(
+        QXY, {"x": MAX_EXPONENT}
+    )
+    with pytest.raises(ParseError, match="exceeds the limit") as info:
+        parse_expression(f"x^{MAX_EXPONENT + 1}", QXY)
+    assert info.value.column == 3
+
+
+def test_literal_digit_limit():
+    assert parse_expression("9" * MAX_DIGITS, QXY) == int("9" * MAX_DIGITS)
+    for text in ("1" * (MAX_DIGITS + 1), "x^" + "1" * 5000):
+        with pytest.raises(ParseError, match="digits exceeds the limit"):
+            parse_expression(text, QXY)
+    with pytest.raises(ParseError, match="digits exceeds the limit"):
+        parse_expression("z@" + "1" * 5000, Context(CyclotomicField(3), ("x",)))
+
+
+def test_limits_trigger_without_allocating(monkeypatch):
+    # 2^100000000 alone would take 12.5 MB and a 5000-digit literal a
+    # conversion; the parser refuses both before either happens
+    refuse_large_powers(monkeypatch)
+    texts = ["2^100000000", "2^100000", "1" * 5000, "(x + y)^" + "9" * 5000]
+    tracemalloc.start()
+    try:
+        for text in texts:
+            with pytest.raises(ParseError, match="exceeds the limit"):
+                parse_expression(text, QXY)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_cyclo_symbol_needs_matching_field():
