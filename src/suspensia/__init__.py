@@ -44,6 +44,7 @@ from .derivation import (
     AlgebraMorphism,
     Derivation,
     DerivationError,
+    Exponential,
     HomogeneousDecomposition,
     InconclusiveError,
     LNDCertificate,

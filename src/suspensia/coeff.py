@@ -131,6 +131,10 @@ class CyclotomicNumber:
         den = self._den
         return tuple(Fraction(n, den) for n in self._num)
 
+    def integers(self) -> tuple:
+        """The integer numerators of the coordinates, then their common denominator."""
+        return (*self._num, self._den)
+
     def _coerce(self, other):
         if isinstance(other, CyclotomicNumber):
             if other.p != self.p:

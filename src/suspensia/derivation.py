@@ -20,8 +20,11 @@ nilpotent derivation D of a Q-algebra, exp(tD) is an algebra automorphism
 with inverse exp(-tD) (Freudenburg, Algebraic Theory of Locally Nilpotent
 Derivations, ch. 1).  So ``exp`` checks its premise, the per-relation
 witnesses and a terminating orbit for every generator, and does not push
-the relations through the images it builds.  An ``AlgebraMorphism`` built
-from user-given images still checks every relation.
+the relations through the images it builds.  The ``Exponential`` it
+returns pushes an element f, in ``apply`` and ``compose``, as its series:
+the sum of t^k D^k(f) / k! over the D-orbit of f, which ends by the bound
+the certified orders give to f.  An ``AlgebraMorphism`` built from
+user-given images still checks every relation and pushes by substitution.
 
 Derivations are immutable after construction; apply/nu/exp are pure.
 """
@@ -457,9 +460,11 @@ class AlgebraMorphism:
     """An algebra map given on generators; relations must map to zero.
 
     With ``check`` (the default) every relation is pushed through the
-    images and its normal form must vanish.  ``exp``, ``compose`` and
+    images and its normal form must vanish.  ``compose`` and
     ``identity_morphism`` pass ``check=False``: their maps are algebra maps
-    by construction.
+    by construction.  A morphism pushes elements by substitution: each
+    generator goes to its image, one table of image powers per call of
+    ``apply`` or ``compose`` (``Exponential`` pushes along D-orbits instead).
     """
 
     __slots__ = ("source", "target", "images")
@@ -472,31 +477,38 @@ class AlgebraMorphism:
             if name not in self.images:
                 raise MorphismError(f"missing image for variable {name!r}")
         if check:
+            substitute = self._substitution()
             for r in source.relations:
-                nf = target.normal_form(self._push(r))
+                nf = target.normal_form(substitute(r))
                 if nf.terms:
                     raise MorphismError(
                         f"relation {r.text()} maps to nonzero {nf.text()}"
                     )
 
-    def _bindings(self) -> dict:
-        return {name: img.rep for name, img in self.images.items()}
+    def _substitution(self) -> Substitution:
+        bindings = {name: img.rep for name, img in self.images.items()}
+        return Substitution(self.source.context, bindings, self.target.context)
 
-    def _push(self, f: Polynomial) -> Polynomial:
-        return f.substitute(self._bindings(), into=self.target.context)
+    def _pusher(self):
+        """The map sending an element of the source to its image in the target."""
+        substitute = self._substitution()
+        return lambda a: self.target.element(substitute(a.rep))
 
     def apply(self, value) -> AlgebraElement:
-        a = self.source.element(value)
-        return self.target.element(self._push(a.rep))
+        return self._pusher()(self.source.element(value))
 
     def compose(self, inner: AlgebraMorphism) -> AlgebraMorphism:
-        """The map sending x first through inner, then through this morphism."""
+        """The map sending x first through inner, then through this morphism.
+
+        Every image of ``inner`` goes through one push map of this morphism:
+        one table of powers for a substitution, the D-orbit series for an
+        ``Exponential``.
+        """
         if not inner.target.same_presentation(self.source):
             raise MorphismError("morphisms do not compose: target/source mismatch")
-        # one table of image powers serves all of inner's images
-        push = Substitution(self.source.context, self._bindings(), self.target.context)
+        push = self._pusher()
         images = {
-            name: self.target.element(push(img.rep)) for name, img in inner.images.items()
+            name: push(self.source.element(img)) for name, img in inner.images.items()
         }
         return AlgebraMorphism(inner.source, self.target, images, check=False)
 
@@ -508,13 +520,73 @@ class AlgebraMorphism:
         return f"AlgebraMorphism({imgs})"
 
 
+class Exponential(AlgebraMorphism):
+    """exp(tD) for a certified derivation D, pushing elements as its series.
+
+    Holds D, t and the nilpotency orders ``exp`` certified, as weights in
+    variable order.  An element f goes to the sum of t^k D^k(f) / k! over
+    k <= U(f), where U(f) is the weighted degree of f's normal form under
+    those orders: nu is a degree function (see the module docstring), so
+    nu(f) <= U(f) and D^(U+1)(f) = 0 is never computed.  The orbit also
+    stops at the first D^k(f) = 0.  Each term is a normal form, so the sum
+    is one and is not reduced again; the cost is linear in the size of the
+    iterates, where a substitution multiplies powers of the images.
+    """
+
+    __slots__ = ("derivation", "t", "orders")
+
+    def __init__(self, derivation: Derivation, t, orders: tuple, images: dict):
+        algebra = derivation.algebra
+        super().__init__(algebra, algebra, images, check=False)
+        self.derivation = derivation
+        self.t = t
+        self.orders = orders
+
+    def _pusher(self):
+        return self._push
+
+    def _push(self, a: AlgebraElement) -> AlgebraElement:
+        bound = a.rep.weighted_degree(self.orders) if a else 0
+        orbit = _orbit(self.derivation, a, bound)
+        return AlgebraElement(self.target, _series(self.target.field, orbit, self.t))
+
+
 def identity_morphism(algebra: PresentedAlgebra) -> AlgebraMorphism:
     return AlgebraMorphism(
         algebra, algebra, {n: algebra.variable(n) for n in algebra.variables}, check=False
     )
 
 
-def exp(derivation: Derivation, t, cap: int = DEFAULT_CAP) -> AlgebraMorphism:
+def _orbit(derivation: Derivation, a: AlgebraElement, bound: int):
+    """a, D a, ..., D^bound a, computed on demand, ending at the first zero."""
+    yield a
+    for _ in range(bound):
+        a = derivation.apply(a)
+        if not a:
+            return
+        yield a
+
+
+def _series(field, orbit, t) -> Polynomial:
+    """The sum of t^k f_k / k! over an orbit f_0, f_1 = D f_0, ... of normal forms.
+
+    For t = 0 no term after f_0 is taken, so an orbit computed on demand is
+    not iterated.  Scalar multiples and sums of normal forms are normal forms.
+    """
+    terms = iter(orbit)
+    total = next(terms).rep
+    if not t:
+        return total
+    scalar = field.one
+    for k, term in enumerate(terms, 1):
+        scalar = scalar * t * Fraction(1, k)
+        total = total + Polynomial._raw(
+            total.context, {m: c * scalar for m, c in term.rep.terms.items()}
+        )
+    return total
+
+
+def exp(derivation: Derivation, t, cap: int = DEFAULT_CAP) -> Exponential:
     """The automorphism sum_j t^j D^j / j!, exact thanks to nilpotency.
 
     The premise is verified, not assumed: D must carry well-definedness
@@ -525,7 +597,9 @@ def exp(derivation: Derivation, t, cap: int = DEFAULT_CAP) -> AlgebraMorphism:
     sum is finite and lands back in the algebra.  For a well-defined
     locally nilpotent D of a Q-algebra, exp(tD) is an algebra automorphism,
     so the relations map to zero by that theorem and are not substituted
-    into the images.
+    into the images.  The returned ``Exponential`` keeps the orders it
+    certified here and pushes every element, in ``apply`` and ``compose``,
+    along its D-orbit up to the bound those orders give.
     """
     witnesses = derivation.well_defined
     if witnesses is None or not witnesses.ok:
@@ -536,22 +610,14 @@ def exp(derivation: Derivation, t, cap: int = DEFAULT_CAP) -> AlgebraMorphism:
     algebra = derivation.algebra
     t = algebra.field.coerce(t)
     series = {}
+    orders = [0] * len(algebra.variables)
     for i, orbit in _orbits(derivation, cap):
         if orbit is None:
             raise InconclusiveError("cannot exponentiate an inconclusive certificate")
-        # scalar multiples and sums of normal forms are normal forms
-        total = orbit[0].rep
-        scalar = algebra.field.one
-        for j, term in enumerate(orbit[1:], 1):
-            scalar = scalar * t * Fraction(1, j)
-            if not scalar:
-                break
-            total = total + Polynomial._raw(
-                total.context, {m: c * scalar for m, c in term.rep.terms.items()}
-            )
-        series[algebra.variables[i]] = AlgebraElement(algebra, total)
+        orders[i] = len(orbit) - 1
+        series[algebra.variables[i]] = AlgebraElement(algebra, _series(algebra.field, orbit, t))
     images = {name: series[name] for name in algebra.variables}
-    return AlgebraMorphism(algebra, algebra, images, check=False)
+    return Exponential(derivation, t, tuple(orders), images)
 
 
 def certificate_json(certificate: LNDCertificate, grading: Grading | None = None) -> dict:

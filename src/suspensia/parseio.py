@@ -24,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .algebra import PresentedAlgebra
-from .coeff import CyclotomicField, field_from_text, root_of_unity
+from .coeff import CyclotomicField, CyclotomicNumber, field_from_text, root_of_unity
 from .derivation import Derivation, new_derivation
 from .poly import Context, ContextError, Polynomial
 
@@ -52,6 +52,14 @@ _OPS = set("+-*/^()")
 #: 4300 digits that Python will convert to and from text.
 MAX_DIGITS = 1000
 
+#: Every integer in a parsed constant, a numerator or a denominator, stays
+#: below 10**MAX_DIGITS.  A sum, product or power that makes one larger is
+#: refused, by comparing sizes, never by converting to text, and as soon as
+#: it is computed, so ``9^1000*9^1000*...`` stops at its second factor and
+#: a value of ``--t`` and its square stay printable.
+_CONSTANT_LIMIT = 10**MAX_DIGITS
+_CONSTANT_LIMIT_BITS = _CONSTANT_LIMIT.bit_length()
+
 #: Largest exponent after '^'.  The largest exponent in the family
 #: artifacts is n(p-1): 84 for p=7, n=14 and 220 for p=11, n=22.  A larger
 #: exponent is refused before any power is computed, so ``2^100000000``
@@ -75,6 +83,21 @@ def _integer(text: str, i: int, j: int, line: int, col: int) -> int:
             f"integer literal of {j - i} digits exceeds the limit of {MAX_DIGITS}", line, col
         )
     return int(text[i:j])
+
+
+def _integers(c) -> tuple:
+    """The integers a coefficient is stored as."""
+    if isinstance(c, CyclotomicNumber):
+        return c.integers()
+    return (c.numerator, c.denominator)
+
+
+def _unit_monomial(poly: Polynomial) -> bool:
+    """poly is a monomial with coefficient 1 or -1, so products and powers keep sizes."""
+    if len(poly.terms) != 1:
+        return False
+    (c,) = poly.terms.values()
+    return c == 1 or c == -1
 
 
 def _lex(text: str):
@@ -174,6 +197,17 @@ class _Parser:
         self.depth -= 1
         return value
 
+    def check_constants(self, value: Polynomial, token: _Token, monomials=None):
+        """Refuse value if a coefficient (at ``monomials``, default all) is too large."""
+        terms = value.terms
+        for mono in terms if monomials is None else monomials:
+            c = terms.get(mono)
+            if c is not None and any(abs(n) >= _CONSTANT_LIMIT for n in _integers(c)):
+                self.refuse_constant(token)
+
+    def refuse_constant(self, token: _Token):
+        self.fail(f"a constant of more than {MAX_DIGITS} digits exceeds the limit", token)
+
     def parse(self) -> Polynomial:
         value = self.expr()
         if self.peek().kind != "end":
@@ -184,8 +218,11 @@ class _Parser:
         value = self.term()
         while self.peek().kind in ("+", "-"):
             op = self.take().kind
+            tok = self.peek()
             rhs = self.term()
             value = value + rhs if op == "+" else value - rhs
+            # only the coefficients at rhs's monomials changed
+            self.check_constants(value, tok, rhs.terms)
         return value
 
     def term(self) -> Polynomial:
@@ -194,11 +231,13 @@ class _Parser:
             kind = self.peek().kind
             if kind == "*":
                 self.take()
-                value = value * self.factor()
-            elif kind in _ATOM_STARTS:
-                value = value * self.factor()
-            else:
+            elif kind not in _ATOM_STARTS:
                 return value
+            tok = self.peek()
+            factor = self.factor()
+            value = value * factor
+            if not _unit_monomial(factor):
+                self.check_constants(value, tok)
 
     def factor(self) -> Polynomial:
         if self.peek().kind == "-":
@@ -215,10 +254,29 @@ class _Parser:
             if tok.value > MAX_EXPONENT:
                 self.fail(f"exponent {tok.value} exceeds the limit {MAX_EXPONENT}", tok)
             self.take()
-            base = base ** tok.value
+            base = self.power_of(base, tok)
             if self.peek().kind == "^":
                 self.fail("malformed exponent: chained '^' is not allowed")
         return base
+
+    def power_of(self, base: Polynomial, tok: _Token) -> Polynomial:
+        """base ** e for the exponent token, with the sizes of its constants checked.
+
+        The lex-first and lex-last terms of base**e have coefficients c**e,
+        and |c**e| >= 2**(e*(bits(c) - 1)), so a rational c there shows a
+        power too large before it is computed; the power is checked after.
+        """
+        e = tok.value
+        if _unit_monomial(base):
+            return base**e
+        for mono in (min(base.terms), max(base.terms)) if base.terms else ():
+            c = base.terms[mono]
+            bits = max(abs(c.numerator), c.denominator).bit_length() if isinstance(c, Fraction) else 0
+            if e * (bits - 1) >= _CONSTANT_LIMIT_BITS:
+                self.refuse_constant(tok)
+        power = base**e
+        self.check_constants(power, tok)
+        return power
 
     def atom(self) -> Polynomial:
         tok = self.peek()

@@ -1,10 +1,13 @@
-"""Shared oracles and random generators for the test suite.
+"""Shared oracles, random generators and a wall-clock budget for the test suite.
 
 The oracles deliberately take different computational routes than the
 library: cyclotomic reduction by long division instead of index folding,
 products by enumerating all cross terms instead of pairwise dict merging.
 """
 
+import signal
+import time
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -87,3 +90,34 @@ def refuse_large_powers(monkeypatch):
         return real_pow(self, n)
 
     monkeypatch.setattr(Polynomial, "__pow__", guarded)
+
+
+class BudgetExceeded(Exception):
+    """Raised into the computation when its wall-clock budget runs out."""
+
+
+@contextmanager
+def wall_clock_budget(seconds):
+    """Fail once ``seconds`` of wall time have passed, rather than hang.
+
+    A timer signal interrupts the computation in the main thread, so a
+    regression that would run for minutes fails at the budget; the elapsed
+    time is asserted too, for platforms without SIGALRM.
+    """
+
+    def expire(signum, frame):
+        raise BudgetExceeded(f"wall-clock budget of {seconds} s exceeded")
+
+    timed = hasattr(signal, "SIGALRM")
+    if timed:
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        if timed:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+    elapsed = time.perf_counter() - start
+    assert elapsed < seconds, f"took {elapsed:.2f} s, budget {seconds} s"

@@ -329,6 +329,34 @@ def test_exp_oversized_parameter_is_input_error(monkeypatch, capsys):
         assert "input error:" in err and "exceeds the limit" in err
 
 
+def test_exp_constant_past_the_digit_limit_is_input_error(capsys):
+    # each literal is within MAX_DIGITS, their product is not; t^2/2 of it
+    # used to end the run in a traceback past the interpreter's 4300-digit
+    # limit for converting integers to text
+    nines = "9" * 999
+    fixture = str(FIXTURES / "yp3_derivation.json")
+    assert main(["exp", fixture, f"--t={nines}*{nines}*{nines}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error:")
+    assert "exceeds the limit" in lines[0]
+
+
+def test_exp_on_the_p5_artifacts_within_budget(tmp_path, capsys):
+    # the group-law check half.compose(half) ran past 300 s here while
+    # composition substituted the 72-term images into each other
+    out = tmp_path / "yp5"
+    assert main(["build-yp", "--p", "5", "--n", "10", "--out", str(out)]) == 0
+    capsys.readouterr()
+    with helpers.wall_clock_budget(20):
+        code = main(["exp", str(out / "derivation.json"), "--t=1/2"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "one-parameter law verified at t/2 + t/2"
+    assert len(lines) == 9  # one image per variable of Yp(5), then the law
+
+
 def test_oversized_json_integer_is_input_error(tmp_path, capsys):
     path = _write(
         tmp_path,

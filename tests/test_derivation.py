@@ -38,6 +38,7 @@ from suspensia import (
     parse_expression,
     zero_derivation,
 )
+from suspensia import poly
 from suspensia.coeff import root_of_unity
 from suspensia.constructions import yp_weight_row
 from suspensia.derivation import RelationCheck, WellDefinedness
@@ -160,14 +161,16 @@ def test_certify_cap_boundary_vandermonde():
 
 
 @st.composite
-def _random_free_derivations(draw):
+def _random_free_derivations(draw, triangular=None):
     """A derivation of Q[x0..x(n-1)], n in {3, 4}, with a cap in 0..8.
 
-    Most draws are triangular (x_i's image only mentions x_j with j < i);
-    the rest may mention any generator, which gives cycles and self-loops.
+    Unless ``triangular`` is given, most draws are triangular (x_i's image
+    only mentions x_j with j < i); the rest may mention any generator, which
+    gives cycles and self-loops.
     """
     n = draw(st.integers(min_value=3, max_value=4))
-    triangular = draw(st.integers(min_value=0, max_value=3)) > 0
+    if triangular is None:
+        triangular = draw(st.integers(min_value=0, max_value=3)) > 0
     names = tuple(f"x{i}" for i in range(n))
     context = Context(QQ, names)
     images = {}
@@ -484,13 +487,133 @@ def test_user_morphism_breaking_a_relation_is_refused(y3):
 
 
 def test_compose_from_one_table_matches_per_image_apply(y3):
-    _, derivation = y3
+    algebra, derivation = y3
     for s, t in [(1, -1), (Fraction(1, 2), Fraction(1, 2)), (Fraction(3, 7), root_of_unity(3, 1))]:
-        outer, inner = exp(derivation, s), exp(derivation, t)
-        composed = outer.compose(inner)
-        assert composed.images == {
-            name: outer.apply(image) for name, image in inner.images.items()
-        }
+        inner = exp(derivation, t)
+        # a user-built morphism pushes through one table of powers per call,
+        # an exponential along D-orbits; both must agree with apply
+        for outer in (
+            AlgebraMorphism(algebra, algebra, exp(derivation, s).images, check=False),
+            exp(derivation, s),
+        ):
+            composed = outer.compose(inner)
+            assert composed.images == {
+                name: outer.apply(image) for name, image in inner.images.items()
+            }
+
+
+# ----------------------------------------------------------------------
+# exponentials against the substitution route
+
+_T_VALUES = (1, -1, Fraction(1, 2), Fraction(3, 7), root_of_unity(3, 1))
+
+
+@pytest.fixture(scope="module")
+def y3_and_lift(y3):
+    """The Vandermonde LND of Yp(3) and its lift along y = u^2."""
+    algebra, derivation = y3
+    lifted_algebra = adjoin_root(algebra, "y", "u", 2)
+    lifted = lift_along_root(certify_lnd(derivation), lifted_algebra, "y", "u", 2)
+    return derivation, lifted.derivation
+
+
+def _substitution_route(derivation, s, t):
+    """exp(sD) o exp(tD) with exp(sD) rebuilt as a user morphism, relations checked."""
+    algebra = derivation.algebra
+    outer = AlgebraMorphism(algebra, algebra, exp(derivation, s).images, check=True)
+    return outer.compose(exp(derivation, t))
+
+
+def test_exp_compose_matches_the_substitution_route(y3_and_lift):
+    for derivation in y3_and_lift:
+        for s, t in zip(_T_VALUES, _T_VALUES[1:] + _T_VALUES[:1]):
+            composed = exp(derivation, s).compose(exp(derivation, t))
+            assert composed.images == _substitution_route(derivation, s, t).images
+
+
+def test_exp_apply_matches_the_substitution_route(y3_and_lift):
+    rng = random.Random(83)
+    for derivation in y3_and_lift:
+        algebra = derivation.algebra
+        for t in _T_VALUES:
+            morphism = exp(derivation, t)
+            generic = AlgebraMorphism(algebra, algebra, morphism.images, check=False)
+            for _ in range(3):
+                f = random_polynomial(rng, algebra.context, max_terms=3, max_exp=1)
+                assert morphism.apply(f) == generic.apply(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    _random_free_derivations(triangular=True),
+    st.sampled_from(_T_VALUES[:4]),
+    st.sampled_from(_T_VALUES[:4]),
+    st.randoms(use_true_random=False),
+)
+def test_exp_on_triangular_derivations_matches_the_substitution_route(case, s, t, rng):
+    derivation, _ = case
+    algebra = derivation.algebra
+    outer = exp(derivation, s)
+    composed = outer.compose(exp(derivation, t))
+    assert composed.images == _substitution_route(derivation, s, t).images
+    assert composed.agrees_with(exp(derivation, s + t))
+    generic = AlgebraMorphism(algebra, algebra, outer.images, check=False)
+    f = random_polynomial(rng, algebra.context, max_terms=3, max_exp=2)
+    assert outer.apply(f) == generic.apply(f)
+
+
+def test_exponentials_push_along_orbits_not_by_substitution(y3_and_lift, monkeypatch):
+    def refuse(self, f):
+        raise AssertionError("an exponential pushed an element by substitution")
+
+    monkeypatch.setattr(poly.Substitution, "__call__", refuse)
+    for derivation in y3_and_lift:
+        algebra = derivation.algebra
+        half = exp(derivation, Fraction(1, 2))
+        assert half.compose(half).agrees_with(exp(derivation, 1))
+        f = algebra.variable("x0") * algebra.variable("z")
+        assert half.apply(half.apply(f)) == exp(derivation, 1).apply(f)
+
+
+def test_exponential_push_stops_at_the_order_bound(y3, monkeypatch):
+    # orders x_j -> 2, z -> 1, y, w -> 0: x0*z has bound U = 3, and
+    # D^4(x0*z) = 0 is never computed
+    algebra, derivation = y3
+    morphism = exp(derivation, Fraction(1, 2))
+    calls = []
+    real_apply = Derivation.apply
+
+    def counted(self, value):
+        calls.append(value)
+        return real_apply(self, value)
+
+    monkeypatch.setattr(Derivation, "apply", counted)
+    for text, bound in (("x0", 2), ("x0*z", 3), ("y*w", 0), ("0", 0)):
+        calls.clear()
+        f = algebra.element(parse_expression(text, algebra.context))
+        image = morphism.apply(f)
+        assert len(calls) == bound, text
+        expected = f
+        term = f
+        for k in range(1, bound + 1):
+            term = real_apply(derivation, term)
+            expected = expected + term * (Fraction(1, 2) ** k / math.factorial(k))
+        assert image == expected, text
+
+
+@pytest.fixture(scope="module")
+def y5():
+    algebra = build_Yp(5)
+    return algebra, build_vandermonde_lnd(5, algebra)
+
+
+def test_exp_inverse_at_p5(y5):
+    # composing the 72-term images by substitution ran past 300 s
+    algebra, derivation = y5
+    for t in (Fraction(1, 2), root_of_unity(5, 1)):
+        with helpers.wall_clock_budget(20):
+            roundtrip = exp(derivation, t).compose(exp(derivation, -t))
+        assert roundtrip.agrees_with(identity_morphism(algebra))
 
 
 def test_certificate_json_payload(y3):

@@ -1,6 +1,7 @@
 """Expression round trips, error locations, and description-file loading."""
 
 import random
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -106,6 +107,51 @@ def test_limits_trigger_without_allocating(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+def test_constant_digit_limit():
+    nines = "9" * MAX_DIGITS
+    assert parse_expression(f"{nines} - 1 + 1", QXY) == int(nines)
+    assert parse_expression("9^1000", QXY) == 9**1000  # 955 digits
+    ctx3 = Context(CyclotomicField(3), ("x",))
+    too_large = [
+        (f"{nines} + 1", QXY),
+        (f"{nines[1:]}*10*10", QXY),
+        (f"1/{nines} + 1/{nines[:-1]}8", QXY),  # coprime denominators
+        ("10^1000", QXY),
+        (f"x*{nines}*z@3*10 + 1", ctx3),
+        (f"({nines[1:]}*z@3)^2", ctx3),
+    ]
+    for text, context in too_large:
+        with pytest.raises(ParseError, match="digits exceeds the limit"):
+            parse_expression(text, context)
+
+
+def test_constant_limit_refuses_powers_before_computing(monkeypatch):
+    # (10^1000 - 1)^1000 alone takes 0.8 s and 415 kB; a rational vertex
+    # coefficient of the base shows the power past the limit beforehand
+    def refuse(self, n):
+        raise AssertionError(f"power {n} computed")
+
+    monkeypatch.setattr(Polynomial, "__pow__", refuse)
+    nines = "9" * MAX_DIGITS
+    for text in (f"({nines})^1000", f"(x + 1/{nines})^2", f"({nines}*x*y + y)^1000"):
+        with pytest.raises(ParseError, match="digits exceeds the limit"):
+            parse_expression(text, QXY)
+
+
+def test_constant_limit_stops_products_and_sums_early():
+    # checked only at the end, the product of 2000 factors 9^1000 (955
+    # digits each) took 31 s to build before it was refused
+    product = "9^1000*" * 2000 + "1"
+    with pytest.raises(ParseError, match="digits exceeds the limit") as info:
+        parse_expression(product, QXY)
+    assert info.value.column == len("9^1000*") + 1
+    sum_of_powers = " + ".join(f"(1/{k})^300" for k in range(2, 2000))
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="digits exceeds the limit"):
+        parse_expression(sum_of_powers, QXY)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_cyclo_symbol_needs_matching_field():
