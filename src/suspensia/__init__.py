@@ -44,7 +44,6 @@ from .derivation import (
     AlgebraMorphism,
     Derivation,
     DerivationError,
-    Exponential,
     HomogeneousDecomposition,
     InconclusiveError,
     LNDCertificate,

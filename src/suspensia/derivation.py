@@ -288,11 +288,7 @@ def _orbits(derivation: Derivation, cap: int):
             # generators outside the image do not occur in it; weight 0
             weights = [found.get(v, 0) for v in range(len(names))]
             limit = min(limit, 1 + image.weighted_degree(weights)) if image.terms else 0
-        orbit = [algebra.variable(names[pick])]
-        while orbit[-1] and len(orbit) <= limit:
-            orbit.append(derivation.apply(orbit[-1]))
-        if not orbit[-1] and len(orbit) > 1:
-            orbit.pop()
+        orbit = list(_orbit(derivation, algebra.variable(names[pick]), limit))
         if len(orbit) <= cap + 1:
             found[pick] = len(orbit) - 1
             yield pick, orbit
@@ -531,6 +527,10 @@ class Exponential(AlgebraMorphism):
     stops at the first D^k(f) = 0.  Each term is a normal form, so the sum
     is one and is not reduced again; the cost is linear in the size of the
     iterates, where a substitution multiplies powers of the images.
+
+    Only ``exp`` builds one, from the orders it has just certified: the
+    constructor trusts them, and orders that are too small would cut the
+    series short.  The class is not exported.
     """
 
     __slots__ = ("derivation", "t", "orders")
@@ -600,6 +600,12 @@ def exp(derivation: Derivation, t, cap: int = DEFAULT_CAP) -> Exponential:
     into the images.  The returned ``Exponential`` keeps the orders it
     certified here and pushes every element, in ``apply`` and ``compose``,
     along its D-orbit up to the bound those orders give.
+
+    Composing two exponentials of the same D therefore checks the series
+    identity exp(sD) exp(tD) = exp((s+t)D) on the orbits of the images,
+    which holds for any linear map whose orbits end where the orders say;
+    it does not check that the images are multiplicative.  That rests on
+    the theorem above, and on the premise checks here.
     """
     witnesses = derivation.well_defined
     if witnesses is None or not witnesses.ok:

@@ -92,14 +92,6 @@ def _integers(c) -> tuple:
     return (c.numerator, c.denominator)
 
 
-def _unit_monomial(poly: Polynomial) -> bool:
-    """poly is a monomial with coefficient 1 or -1, so products and powers keep sizes."""
-    if len(poly.terms) != 1:
-        return False
-    (c,) = poly.terms.values()
-    return c == 1 or c == -1
-
-
 def _lex(text: str):
     tokens = []
     line, col = 1, 1
@@ -234,10 +226,8 @@ class _Parser:
             elif kind not in _ATOM_STARTS:
                 return value
             tok = self.peek()
-            factor = self.factor()
-            value = value * factor
-            if not _unit_monomial(factor):
-                self.check_constants(value, tok)
+            value = value * self.factor()
+            self.check_constants(value, tok)
 
     def factor(self) -> Polynomial:
         if self.peek().kind == "-":
@@ -267,8 +257,6 @@ class _Parser:
         power too large before it is computed; the power is checked after.
         """
         e = tok.value
-        if _unit_monomial(base):
-            return base**e
         for mono in (min(base.terms), max(base.terms)) if base.terms else ():
             c = base.terms[mono]
             bits = max(abs(c.numerator), c.denominator).bit_length() if isinstance(c, Fraction) else 0

@@ -616,6 +616,18 @@ def test_exp_inverse_at_p5(y5):
         assert roundtrip.agrees_with(identity_morphism(algebra))
 
 
+def test_exp_is_multiplicative_at_p5(y5):
+    # composing exponentials checks only the series identity on orbits, so
+    # the product rule is checked here, against products of the images
+    algebra, derivation = y5
+    morphism = exp(derivation, Fraction(1, 2))
+    images = morphism.images
+    with helpers.wall_clock_budget(20):
+        for a, b in (("x0", "x1"), ("x0", "w"), ("x3", "z"), ("y", "w")):
+            product = algebra.variable(a) * algebra.variable(b)
+            assert morphism.apply(product) == images[a] * images[b], (a, b)
+
+
 def test_certificate_json_payload(y3):
     from suspensia.derivation import certificate_json
 
