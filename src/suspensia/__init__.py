@@ -29,14 +29,16 @@ from .coeff import (
 )
 from .constructions import (
     ConstructionError,
+    FormProducts,
     LinearForms,
     YpBundle,
     build_F,
     build_Xp,
     build_Yp,
-    build_fmj_pair,
     build_vandermonde_lnd,
     certify_bundle,
+    certify_family_lnd,
+    form_products,
     linear_forms,
 )
 from .derivation import (

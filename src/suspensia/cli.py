@@ -24,6 +24,7 @@ from .derivation import (
     InconclusiveError,
     MorphismError,
     NotWellDefinedError,
+    SizeLimitError,
     certificate_json,
     certify_lnd,
     decompose,
@@ -306,7 +307,7 @@ def _cmd_exp(args) -> int:
     if not scalar_poly.is_constant():
         raise UsageError(f"--t must be a constant, got {args.t!r}")
     scalar = scalar_poly.constant_value()
-    morphism = exp(derivation, scalar, args.cap)
+    morphism = exp(derivation, scalar, args.cap, max_digits=parseio.MAX_DIGITS)
     for name in algebra.variables:
         print(f"{name} -> {morphism.images[name].rep.text()}")
     half = exp(derivation, algebra.field.coerce(scalar) * Fraction(1, 2), args.cap)
@@ -323,7 +324,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.handler(args)
     except (parseio.ParseError, parseio.SchemaError, UsageError, CoefficientError,
-            constructions.ConstructionError, FileNotFoundError, IsADirectoryError) as exc:
+            SizeLimitError, constructions.ConstructionError, FileNotFoundError,
+            IsADirectoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except InconclusiveError as exc:

@@ -62,6 +62,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def stored_integers(c) -> tuple:
+    """The integers a coefficient is stored as: numerators, then denominator."""
+    if isinstance(c, CyclotomicNumber):
+        return c.integers()
+    return (c.numerator, c.denominator)
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value

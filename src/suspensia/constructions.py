@@ -1,14 +1,45 @@
 """The cyclotomic counterexample family and its certification pipeline.
 
 For an odd prime p, the product of the p twisted linear forms
-``x0 + e_i*x1*y + e_i^2*x2*y^2 + ... + e_i^(p-1)*x_(p-1)*y^(p-1)`` over the
-p-th roots of unity e_1..e_p expands to a polynomial F with rational
-coefficients whose y-exponents are all divisible by p.  Two algebras are
-built from it: one with the defining equations F = z^2 and y*w = 1, and its
-quotient-by-roots partner with G(x, s) = z^2 and s*w^p = 1 where G collapses
-y^p into s.  The first carries a nonzero derivation obtained by solving a
-Vandermonde system over the roots of unity; the pipeline certifies that it
-is well defined and locally nilpotent, and lifts it along y = u^(n/p).
+``L_i = x0 + e_i*x1*y + e_i^2*x2*y^2 + ... + e_i^(p-1)*x_(p-1)*y^(p-1)``
+over the p-th roots of unity e_1..e_p expands to a polynomial F with
+rational coefficients whose y-exponents are all divisible by p.  Two
+algebras are built from it: Yp with the defining equations F = z^2 and
+y*w = 1, and its quotient-by-roots partner Xp with G(x, s) = z^2 and
+s*w^p = 1 where G collapses y^p into s.  Yp carries a nonzero derivation D
+obtained by solving a Vandermonde system over the roots of unity; the
+pipeline certifies that it is well defined and locally nilpotent, and lifts
+it along y = u^(n/p).
+
+The product P = L_2*...*L_p is multiplied out once (``form_products``); F is
+L_1*P and D(z) is y^(p-1)*P.  D is certified from its values on the forms,
+without expanding a Leibniz image of F or iterating D
+(``build_vandermonde_lnd`` checks the premises, ``certify_family_lnd``
+draws the orders).  The premises are computed exactly:
+
+* D(L_1) = 2*z*y^(p-1) and D(L_i) = 0 for i >= 2, as polynomials;
+* the algebra is Yp as ``build_Yp`` presents it: its relations are
+  L_1*P - z^2 and y*w - 1, under the elimination order with block {z};
+* D(y) = D(w) = 0, every D(x_j) = c_j*z*y^(p-1-j) with c_j nonzero, and
+  D(z) is nonzero and already a normal form.
+
+P is a product of elements of ker D, so D(P) = 0 by the Leibniz rule.
+Hence D(L_1*P - z^2) = D(L_1)*P - 2*z*D(z) = 2*z*y^(p-1)*P - 2*z*y^(p-1)*P
+= 0 as a polynomial, which is the witness for the first relation, and
+D(y*w - 1) = 0 since D kills y and w.  For the orders (Freudenburg,
+*Algebraic Theory of Locally Nilpotent Derivations*, ch. 1): y and w are
+units killed by D, so nu(y) = nu(w) = 0.  D(z) = y^(p-1)*P is nonzero and
+D^2(z) = y^(p-1)*D(P) = 0, so nu(z) = 1.  D(x_j) = c_j*z*y^(p-1-j) has
+order at most nu(z) = 1 by the degree-function law nu(fg) <= nu(f) + nu(g),
+so nu(x_j) <= 2; D^2(x_j) = c_j*y^(p-1-j)*D(z) is a unit times the nonzero
+D(z), and a nonzero D^U(x) has order exactly U, so nu(x_j) = 2.  These are
+the laws ``derivation._orbits`` uses; a generator whose order exceeds the
+cap is reported inconclusive, as ``certify_lnd`` reports it.
+
+A derivation loaded from a file takes the generic route instead:
+``new_derivation`` expands the Leibniz image of every relation and
+``certify_lnd`` iterates every generator's orbit.  For the family, that
+route is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +50,14 @@ from fractions import Fraction
 
 from .algebra import Grading, PresentedAlgebra
 from .coeff import CyclotomicField, QQ, is_prime, root_of_unity
-from .derivation import DEFAULT_CAP, Derivation, certify_lnd, new_derivation
+from .derivation import (
+    DEFAULT_CAP,
+    Derivation,
+    DerivationError,
+    LNDCertificate,
+    RelationCheck,
+    WellDefinedness,
+)
 from .groebner import elimination
 from .linalg import solve_linear
 from .poly import Context, Polynomial
@@ -91,22 +129,53 @@ def linear_forms(p: int) -> LinearForms:
     return LinearForms(p, tuple(forms))
 
 
-def build_F(p: int):
-    """Expand the product of the linear forms and collapse its y-powers.
+@dataclass(frozen=True)
+class FormProducts:
+    """P = L_2*...*L_p and L_1*P over Q(z@p), each multiplied out once.
 
-    Returns (F, G) over Q: F in variables x0..x_(p-1), y and G in
-    x0..x_(p-1), s with G(x, y^p) = F.  The two conversions check what the
+    ``form_products`` is the only builder.  ``build_F`` descends ``full`` to
+    Q, and ``build_vandermonde_lnd`` takes ``tail`` to be the product of the
+    forms L_2..L_p and ``full`` to be L_1*tail without multiplying again.
+    """
+
+    forms: LinearForms
+    tail: Polynomial
+    full: Polynomial
+
+
+def form_products(p: int) -> FormProducts:
+    """Multiply the last p-1 linear forms together, then by the first."""
+    forms = linear_forms(p)
+    tail = Polynomial.one(forms.forms[0].context)
+    for form in forms.forms[1:]:
+        tail = tail * form
+    return FormProducts(forms, tail, forms.forms[0] * tail)
+
+
+def _products_for(p: int, products: FormProducts | None) -> FormProducts:
+    if products is None:
+        return form_products(p)
+    if products.forms.prime != p:
+        raise ConstructionError(
+            f"form products of prime {products.forms.prime} given for p={p}"
+        )
+    return products
+
+
+def build_F(p: int, products: FormProducts | None = None):
+    """Descend the product of the linear forms to Q and collapse its y-powers.
+
+    Returns (F, G) over Q: F = L_1*P in variables x0..x_(p-1), y and G in
+    x0..x_(p-1), s with G(x, y^p) = F.  ``products`` shares the expansion
+    with the rest of the pipeline.  The two conversions check what the
     construction relies on: a coefficient that does not descend to Q raises
     ``CoefficientError`` and a y-exponent that p does not divide raises
     ``PowerCollapseError``.  Either would indicate an arithmetic defect, not
     bad input.
     """
-    forms = linear_forms(p)
-    product = Polynomial.one(forms.forms[0].context)
-    for form in forms.forms:
-        product = product * form
+    products = _products_for(p, products)
     f_ctx = Context(QQ, x_names(p) + ("y",))
-    F = product.convert(f_ctx)
+    F = products.full.convert(f_ctx)
     g_ctx = Context(QQ, x_names(p) + ("s",))
     G = F.convert(g_ctx, ("y", "s", Fraction(1, p)))
     return F, G
@@ -171,7 +240,9 @@ def vandermonde_matrix(p: int):
     return [[e ** j for j in range(p)] for e in eps]
 
 
-def build_vandermonde_lnd(p: int, algebra: PresentedAlgebra | None = None) -> Derivation:
+def build_vandermonde_lnd(
+    p: int, algebra: PresentedAlgebra | None = None, products: FormProducts | None = None
+) -> Derivation:
     """Solve for the derivation pinned by its values on the linear forms.
 
     The constraints are: first form maps to 2*z*y^(p-1), the others map to
@@ -179,49 +250,75 @@ def build_vandermonde_lnd(p: int, algebra: PresentedAlgebra | None = None) -> De
     a linear system whose matrix is the Vandermonde matrix of the distinct
     roots of unity, hence uniquely solvable.  The solved image of x_j is a
     constant times z*y^(p-1-j), a polynomial since 0 <= j <= p-1.  The image
-    of z is y^(p-1) times the product of the last p-1 linear forms.
-    """
-    if algebra is None:
-        algebra = build_Yp(p)
-    context = algebra.context
-    field = context.field
-    matrix = vandermonde_matrix(p)
-    rhs = [field.coerce(2 if i == 0 else 0) for i in range(p)]
-    constants = solve_linear(matrix, rhs)
+    of z is y^(p-1) times P, the product of the last p-1 linear forms.
 
+    The well-definedness witnesses come from the proof in the module
+    docstring, whose premises are checked here: ``algebra`` must be Yp(p)
+    as ``build_Yp`` presents it (else ``ConstructionError``), and a premise
+    on the solved images that fails raises ``DerivationError``.
+    """
+    products = _products_for(p, products)
+    if algebra is None:
+        algebra = build_Yp(p, build_F(p, products)[0])
+    context = products.full.context
+    if algebra.context != context:
+        raise ConstructionError(f"algebra is not Yp({p}): its variables or field differ")
+    y, z, w = (Polynomial.variable(context, name) for name in ("y", "z", "w"))
+    relations = (products.full - z * z, y * w - 1)
+    if (algebra.relations, algebra.order) != (relations, elimination("z")):
+        raise ConstructionError(
+            f"algebra is not Yp({p}): relations or order differ from build_Yp's"
+        )
+
+    field = context.field
+    rhs = [field.coerce(2 if i == 0 else 0) for i in range(p)]
+    constants = solve_linear(vandermonde_matrix(p), rhs)
+    if not all(constants):
+        raise DerivationError("a solved constant c_j is zero")
     images = {"y": Polynomial.zero(context), "w": Polynomial.zero(context)}
     for j in range(p):
         images[f"x{j}"] = Polynomial.monomial(context, {"z": 1, "y": p - 1 - j}, constants[j])
-    forms = linear_forms(p).forms
-    z_image = Polynomial.monomial(context, {"y": p - 1})
-    for form in forms[1:]:
-        z_image = z_image * form
-    images["z"] = z_image
-    return new_derivation(algebra, images)
+    images["z"] = Polynomial.monomial(context, {"y": p - 1}) * products.tail
+    resolved = {name: algebra.element(images[name]) for name in algebra.variables}
+    if not images["z"] or any(resolved[n].rep != images[n] for n in algebra.variables):
+        raise DerivationError("an image is zero or not a normal form of Yp")
+
+    derivation = Derivation(algebra, resolved, None)
+    forms = products.forms.forms
+    first_image = Polynomial.monomial(context, {"z": 1, "y": p - 1}, 2)
+    if derivation.leibniz_image(forms[0]) != first_image:
+        raise DerivationError("the first linear form does not map to 2*z*y^(p-1)")
+    if any(derivation.leibniz_image(form) for form in forms[1:]):
+        raise DerivationError("a linear form L_i with i >= 2 does not map to 0")
+
+    zero = Polynomial.zero(context)
+    witnesses = WellDefinedness(tuple(RelationCheck(r, zero, zero) for r in relations))
+    return Derivation(algebra, resolved, witnesses)
 
 
-def build_fmj_pair(k: int):
-    """The even-order pair: a rigid cubic-type hypersurface and its root partner.
+def certify_family_lnd(
+    p: int,
+    algebra: PresentedAlgebra | None = None,
+    cap: int = DEFAULT_CAP,
+    products: FormProducts | None = None,
+) -> LNDCertificate:
+    """The solved derivation of Yp(p) with its nilpotency certificate.
 
-    Returns the algebras of x^2 + y^2*s^3 + z^3 = 0 and of
-    x^2 + y^2*u^(6k) + z^3 = 0.  No certification is attached; the pair is
-    provided as data for the even case of the gcd criterion.
+    ``build_vandermonde_lnd`` checks the premises and refuses what fails
+    them; the orders x_j -> 2, z -> 1, y, w -> 0 then follow from the proof
+    in the module docstring, with no orbit iterated.  A generator whose
+    order exceeds ``cap`` is inconclusive, so the certificate equals what
+    ``certify_lnd(derivation, cap)`` gives.
     """
-    if k < 1:
-        raise ConstructionError(f"need k >= 1, got {k}")
-    x_ctx = Context(QQ, ("x", "y", "s", "z"))
-    x = Polynomial.variable(x_ctx, "x")
-    y = Polynomial.variable(x_ctx, "y")
-    s = Polynomial.variable(x_ctx, "s")
-    z = Polynomial.variable(x_ctx, "z")
-    rigid = PresentedAlgebra(x_ctx, [x ** 2 + y ** 2 * s ** 3 + z ** 3])
-    y_ctx = Context(QQ, ("x", "y", "u", "z"))
-    x = Polynomial.variable(y_ctx, "x")
-    y = Polynomial.variable(y_ctx, "y")
-    u = Polynomial.variable(y_ctx, "u")
-    z = Polynomial.variable(y_ctx, "z")
-    flexible = PresentedAlgebra(y_ctx, [x ** 2 + y ** 2 * u ** (6 * k) + z ** 3])
-    return rigid, flexible
+    derivation = build_vandermonde_lnd(p, algebra, products)
+    orders = {"y": 0, "z": 1, "w": 0, **dict.fromkeys(x_names(p), 2)}
+    names = derivation.algebra.variables
+    return LNDCertificate(
+        derivation,
+        cap,
+        {name: orders[name] for name in names if orders[name] <= cap},
+        tuple(name for name in names if orders[name] > cap),
+    )
 
 
 @dataclass
@@ -244,18 +341,21 @@ class YpBundle:
 def certify_bundle(p: int, n: int, cap: int = DEFAULT_CAP) -> YpBundle:
     """Run the whole family construction for prime p dividing n.
 
-    Builds both algebras, the solved derivation with its certificates, and
-    the lift along y = u^(n/p); emits a JSON-ready report.  Every certificate
+    Builds both algebras, the solved derivation with its certificates (from
+    the linear forms, see the module docstring), and the lift along
+    y = u^(n/p); emits a JSON-ready report.  Every certificate
     must come back certified for the bundle to report ok.
     """
     _check_prime(p)
     if n < p or n % p:
         raise ConstructionError(f"n must be a multiple of p, got n={n}, p={p}")
-    F, G = build_F(p)
+    products = form_products(p)
+    F, G = build_F(p, products)
     Yp = build_Yp(p, F)
     Xp, grading = build_Xp(p, G)
-    derivation = build_vandermonde_lnd(p, Yp)
-    lnd = certify_lnd(derivation, cap)
+    lnd = certify_family_lnd(p, Yp, cap, products)
+    del products  # P is as large as D(z); free it before the lift copies D(z)
+    derivation = lnd.derivation
 
     e = n // p
     lifted_algebra = adjoin_root(Yp, "y", "u", e)

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import AlgebraElement, Grading, PresentedAlgebra
+from .coeff import stored_integers
 from .poly import ContextError, Polynomial, Substitution
 
 #: The order of the zero element (absorbing under addition of orders).
@@ -67,6 +68,10 @@ class InconclusiveError(DerivationError):
 
 class MorphismError(ValueError):
     """Proposed images do not send every relation to zero."""
+
+
+class SizeLimitError(ValueError):
+    """A parameter would make numbers larger than an explicit size limit."""
 
 
 @dataclass(frozen=True)
@@ -167,12 +172,6 @@ class Derivation:
     def apply(self, value) -> AlgebraElement:
         a = self.algebra.element(value)
         return self.algebra.element(self.leibniz_image(a.rep))
-
-    def apply_iter(self, value, n: int) -> AlgebraElement:
-        a = self.algebra.element(value)
-        for _ in range(n):
-            a = self.apply(a)
-        return a
 
     def is_zero(self) -> bool:
         return all(not v for v in self.images.values())
@@ -586,7 +585,31 @@ def _series(field, orbit, t) -> Polynomial:
     return total
 
 
-def exp(derivation: Derivation, t, cap: int = DEFAULT_CAP) -> Exponential:
+def _check_sizes(t, orders: tuple, orbits: list, max_digits: int) -> None:
+    """Refuse t and orbits whose series could hold integers of max_digits digits.
+
+    t^U is not computed: U * b, with b the bit length of the largest
+    integer t is stored as, must stay below the bit length of
+    10**max_digits (for a rational t the integers of t^U, below 2^(U * b),
+    then stay below 10**max_digits).  The orbit coefficients, computed
+    already, are compared with 10**max_digits.
+    """
+    top = max(orders, default=0)
+    bits = max(abs(n) for n in stored_integers(t)).bit_length()
+    if top * bits >= (10**max_digits).bit_length():
+        raise SizeLimitError(f"t^{top} could exceed {max_digits} digits; use a smaller t")
+    limit = 10**max_digits
+    for orbit in orbits:
+        for element in orbit:
+            for c in element.rep.terms.values():
+                if any(abs(n) >= limit for n in stored_integers(c)):
+                    raise SizeLimitError(
+                        f"an iterate D^k(x) has a coefficient of {max_digits} digits or more"
+                    )
+
+
+def exp(derivation: Derivation, t, cap: int = DEFAULT_CAP,
+        max_digits: int | None = None) -> Exponential:
     """The automorphism sum_j t^j D^j / j!, exact thanks to nilpotency.
 
     The premise is verified, not assumed: D must carry well-definedness
@@ -600,6 +623,12 @@ def exp(derivation: Derivation, t, cap: int = DEFAULT_CAP) -> Exponential:
     into the images.  The returned ``Exponential`` keeps the orders it
     certified here and pushes every element, in ``apply`` and ``compose``,
     along its D-orbit up to the bound those orders give.
+
+    With ``max_digits``, ``SizeLimitError`` is raised once the orbits are
+    known and before any series is summed, so before t is raised to any
+    power, when t^U (U the largest certified order) or a coefficient of an
+    orbit could have an integer of ``max_digits`` digits or more (see
+    ``_check_sizes``).
 
     Composing two exponentials of the same D therefore checks the series
     identity exp(sD) exp(tD) = exp((s+t)D) on the orbits of the images,
@@ -615,15 +644,19 @@ def exp(derivation: Derivation, t, cap: int = DEFAULT_CAP) -> Exponential:
         )
     algebra = derivation.algebra
     t = algebra.field.coerce(t)
-    series = {}
-    orders = [0] * len(algebra.variables)
+    orbits = [None] * len(algebra.variables)
     for i, orbit in _orbits(derivation, cap):
         if orbit is None:
             raise InconclusiveError("cannot exponentiate an inconclusive certificate")
-        orders[i] = len(orbit) - 1
-        series[algebra.variables[i]] = AlgebraElement(algebra, _series(algebra.field, orbit, t))
-    images = {name: series[name] for name in algebra.variables}
-    return Exponential(derivation, t, tuple(orders), images)
+        orbits[i] = orbit
+    orders = tuple(len(orbit) - 1 for orbit in orbits)
+    if max_digits is not None:
+        _check_sizes(t, orders, orbits, max_digits)
+    images = {
+        name: AlgebraElement(algebra, _series(algebra.field, orbit, t))
+        for name, orbit in zip(algebra.variables, orbits)
+    }
+    return Exponential(derivation, t, orders, images)
 
 
 def certificate_json(certificate: LNDCertificate, grading: Grading | None = None) -> dict:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .algebra import PresentedAlgebra
-from .coeff import CyclotomicField, CyclotomicNumber, field_from_text, root_of_unity
+from .coeff import CyclotomicField, field_from_text, root_of_unity, stored_integers
 from .derivation import Derivation, new_derivation
 from .poly import Context, ContextError, Polynomial
 
@@ -83,13 +83,6 @@ def _integer(text: str, i: int, j: int, line: int, col: int) -> int:
             f"integer literal of {j - i} digits exceeds the limit of {MAX_DIGITS}", line, col
         )
     return int(text[i:j])
-
-
-def _integers(c) -> tuple:
-    """The integers a coefficient is stored as."""
-    if isinstance(c, CyclotomicNumber):
-        return c.integers()
-    return (c.numerator, c.denominator)
 
 
 def _lex(text: str):
@@ -194,7 +187,7 @@ class _Parser:
         terms = value.terms
         for mono in terms if monomials is None else monomials:
             c = terms.get(mono)
-            if c is not None and any(abs(n) >= _CONSTANT_LIMIT for n in _integers(c)):
+            if c is not None and any(abs(n) >= _CONSTANT_LIMIT for n in stored_integers(c)):
                 self.refuse_constant(token)
 
     def refuse_constant(self, token: _Token):

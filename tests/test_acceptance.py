@@ -121,9 +121,12 @@ def test_vandermonde_certificates():
         assert all(c.identically_zero for c in derivation.well_defined.checks)
         unit_relation = algebra.relations[1]
         assert not derivation.leibniz_image(unit_relation).terms
-        assert not derivation.apply_iter(algebra.variable("z"), 2)
+        assert not derivation.apply(derivation.apply(algebra.variable("z")))
         for j in range(p):
-            assert not derivation.apply_iter(algebra.variable(f"x{j}"), 3)
+            image = algebra.variable(f"x{j}")
+            for _ in range(3):
+                image = derivation.apply(image)
+            assert not image
         certificate = certify_lnd(derivation, 8)
         assert certificate.certified
         expected = {f"x{j}": 2 for j in range(p)}

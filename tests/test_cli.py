@@ -367,3 +367,48 @@ def test_oversized_json_integer_is_input_error(tmp_path, capsys):
     Path(path).write_text(text)
     assert main(["validate", path]) == 3
     assert "input error:" in capsys.readouterr().err
+
+
+def _chain_file(tmp_path, scale="1"):
+    # Q[x0..x5] with D(x_i) = scale*x_(i-1): x5 has order 5
+    names = [f"x{i}" for i in range(6)]
+    images = {"x0": "0", **{f"x{i}": f"{scale}*x{i - 1}" for i in range(1, 6)}}
+    return _write(
+        tmp_path,
+        "chain.json",
+        {"field": "Q", "variables": names, "relations": [], "derivations": {"chain": images}},
+    )
+
+
+def test_exp_power_of_t_past_the_digit_limit_is_input_error(tmp_path, monkeypatch, capsys):
+    # t has 999 digits, within the parser's limits, but exp would build
+    # t^5/120, whose 4995 digits the interpreter refuses to print; the run
+    # ended in a traceback with exit 1.  The limit triggers once the orders
+    # are known, before any series is summed, so t is never raised to a power.
+    from suspensia import derivation
+
+    def refuse(*args):
+        raise AssertionError("a series was summed")
+
+    path = _chain_file(tmp_path)
+    with monkeypatch.context() as patch:
+        patch.setattr(derivation, "_series", refuse)
+        assert main(["exp", path, "--t=" + "9" * 999]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error:") and "t^5" in lines[0]
+    # 5 * bits(t) stays below bits(10^1000) for a 199-digit t: t^5/120 prints
+    assert main(["exp", path, "--t=" + "9" * 199]) == 0
+    assert "one-parameter law verified" in capsys.readouterr().out
+
+
+def test_exp_orbit_coefficient_past_the_digit_limit_is_input_error(tmp_path, capsys):
+    # D^5(x5) = c^5*x0 has 4995 digits for a 999-digit c, however small t is
+    path = _chain_file(tmp_path, scale="9" * 999)
+    assert main(["exp", path, "--t=1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error:")
+    assert "coefficient" in lines[0]

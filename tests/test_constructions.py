@@ -8,20 +8,29 @@ import pytest
 from suspensia import (
     CoefficientError,
     ConstructionError,
+    Derivation,
+    DerivationError,
+    FormProducts,
+    InconclusiveError,
     Polynomial,
     PowerCollapseError,
+    PresentedAlgebra,
     QQ,
     build_F,
-    build_fmj_pair,
     build_vandermonde_lnd,
     build_Xp,
     build_Yp,
     certify_bundle,
+    certify_family_lnd,
     certify_lnd,
+    elimination,
+    form_products,
     linear_forms,
+    new_derivation,
     parse_expression,
     root_of_unity,
 )
+from suspensia.cli import main
 from suspensia import constructions
 from suspensia.constructions import LinearForms, vandermonde_matrix, yp_context
 from suspensia.linalg import SingularMatrixError, solve_linear
@@ -195,20 +204,6 @@ def test_yp_grading_homogeneous_with_homogeneous_derivation():
     assert certify_lnd(extreme, 8).certified
 
 
-def test_fmj_pair():
-    rigid, flexible = build_fmj_pair(1)
-    assert rigid.relations[0] == parse_expression(
-        "x^2 + y^2*s^3 + z^3", rigid.context
-    )
-    assert flexible.relations[0] == parse_expression(
-        "x^2 + y^2*u^6 + z^3", flexible.context
-    )
-    _, flexible2 = build_fmj_pair(2)
-    assert flexible2.relations[0].degree_in("u") == 12
-    with pytest.raises(ConstructionError):
-        build_fmj_pair(0)
-
-
 def test_build_F_conversions_catch_a_defective_expansion(monkeypatch):
     # the conversions to Q are what stops a defective product of forms
     forms = linear_forms(3)
@@ -275,3 +270,138 @@ def test_certify_bundle_5_10_within_budget():
     assert bundle.report["ok"]
     assert elapsed < 90.0, f"took {elapsed:.1f}s"
     assert bundle.lifted_algebra.relations[1].degree_in("u") == 2
+
+
+def _generic_route(algebra, p, cap):
+    """The family's derivation certified the way a loaded file is: the oracle.
+
+    The images come from the closed form c_j = (2/p)*e_1^(-j) and from
+    multiplying the forms here; ``new_derivation`` expands the Leibniz image
+    of every relation and ``certify_lnd`` iterates every orbit.
+    """
+    context = algebra.context
+    eps1 = root_of_unity(p, 1)
+    images = {"y": 0, "w": 0}
+    for j in range(p):
+        images[f"x{j}"] = Polynomial.monomial(
+            context, {"z": 1, "y": p - 1 - j}, eps1 ** (-j) * Fraction(2, p)
+        )
+    z_image = Polynomial.monomial(context, {"y": p - 1})
+    for form in linear_forms(p).forms[1:]:
+        z_image = z_image * form
+    images["z"] = z_image
+    return certify_lnd(new_derivation(algebra, images), cap)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_family_certificate_matches_generic_route(p):
+    products = form_products(p)
+    algebra = build_Yp(p, build_F(p, products)[0])
+    for cap in range(4):
+        oracle = _generic_route(algebra, p, cap)
+        # the products are shared in the pipeline and rebuilt without them
+        shared = products if cap != 2 else None
+        certificate = certify_family_lnd(p, algebra, cap, shared)
+        assert certificate.to_json() == oracle.to_json()
+        assert (
+            certificate.derivation.well_defined.to_json()
+            == oracle.derivation.well_defined.to_json()
+        )
+        assert certificate.derivation == oracle.derivation
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_certify_bundle_matches_generic_route(p, monkeypatch):
+    def outcomes():
+        found = []
+        for cap in range(4):
+            try:
+                found.append(certify_bundle(p, 2 * p, cap).report)
+            except InconclusiveError as exc:
+                found.append(str(exc))
+        return found
+
+    proven = outcomes()
+    assert [isinstance(o, dict) for o in proven] == [False, False, True, True]
+    monkeypatch.setattr(
+        constructions,
+        "certify_family_lnd",
+        lambda p, algebra, cap, products: _generic_route(algebra, p, cap),
+    )
+    assert outcomes() == proven
+
+
+def test_family_certificate_iterates_no_orbit(monkeypatch):
+    # the orders are proven from the linear forms; D is never applied
+    def refuse(*args, **kwargs):
+        raise AssertionError("Derivation.apply was called")
+
+    monkeypatch.setattr(Derivation, "apply", refuse)
+    bundle = certify_bundle(5, 10)
+    assert bundle.report["ok"]
+    assert bundle.report["lnd"]["orders"] == {
+        **{f"x{j}": 2 for j in range(5)}, "y": 0, "z": 1, "w": 0
+    }
+
+
+@pytest.mark.parametrize(
+    "perturb",
+    [
+        lambda c, e: [c[0], 2 * c[1], *c[2:]],
+        lambda c, e: [c[0], 0 * c[1], *c[2:]],
+        # keeps D(L_1) = 2*z*y^2, since 1*e - e*1 = 0, and breaks D(L_2)
+        lambda c, e: [c[0] + e, c[1] - 1, *c[2:]],
+        # keeps D(L_i) = 0 for i >= 2 and breaks D(L_1)
+        lambda c, e: [2 * x for x in c],
+    ],
+)
+def test_perturbed_constant_is_refused(perturb, monkeypatch, tmp_path):
+    # a wrong c_j breaks a premise; no witness or certificate is issued
+    def perturbed(matrix, rhs):
+        return perturb(solve_linear(matrix, rhs), root_of_unity(3, 1))
+
+    monkeypatch.setattr(constructions, "solve_linear", perturbed)
+    with pytest.raises(DerivationError):
+        build_vandermonde_lnd(3)
+    with pytest.raises(DerivationError):
+        certify_family_lnd(3, cap=8)
+    with pytest.raises(DerivationError):
+        certify_bundle(3, 6)
+    out = tmp_path / "yp3"
+    assert main(["build-yp", "--p", "3", "--n", "6", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_tail_that_is_not_a_nonzero_normal_form_is_refused():
+    # D(z) = y^2*tail must be a nonzero normal form of Yp; the proof takes
+    # tail from form_products, and the check still holds against others
+    products = form_products(3)
+    Y3 = build_Yp(3, build_F(3, products)[0])
+    z = Polynomial.variable(Y3.context, "z")
+    for tail in (Polynomial.zero(Y3.context), products.tail + z * z):
+        forged = FormProducts(products.forms, tail, products.full)
+        with pytest.raises(DerivationError):
+            certify_family_lnd(3, Y3, products=forged)
+
+
+def test_algebra_other_than_yp_is_refused():
+    products = form_products(3)
+    Y3 = build_Yp(3, build_F(3, products)[0])
+    z = Polynomial.variable(Y3.context, "z")
+    others = [
+        PresentedAlgebra(Y3.context, Y3.relations),  # grevlex
+        PresentedAlgebra(
+            Y3.context, [Y3.relations[0] - z, Y3.relations[1]], order=elimination("z")
+        ),
+        PresentedAlgebra(Y3.context, Y3.relations[:1], order=elimination("z")),
+        build_Yp(5),
+    ]
+    for algebra in others:
+        with pytest.raises(ConstructionError):
+            certify_family_lnd(3, algebra, products=products)
+        with pytest.raises(ConstructionError):
+            build_vandermonde_lnd(3, algebra)
+    with pytest.raises(ConstructionError):
+        build_vandermonde_lnd(5, build_Yp(5), products)
+    with pytest.raises(ConstructionError):
+        build_F(5, products)
