@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks passed / certificates certified; 1 a check failed
 (the witness is printed); 2 a certification was inconclusive (cap reached);
-3 malformed input (parse or schema error, with location when available).
+3 malformed input (parse or schema error, with location when available)
+or a file path that cannot be read or written.
 
 Artifacts are canonical JSON (sorted keys, LF endings, no timestamps), so
 identical inputs produce byte-identical files.
@@ -263,12 +264,12 @@ def _cmd_torus(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    algebra, derivation = _load_algebra_and_derivation(args)
+    _, derivation = _load_algebra_and_derivation(args)
     source = certify_lnd(derivation, args.cap)
-    lifted_algebra = suspension.adjoin_root(algebra, args.var, args.new_var, args.power)
     certificate = suspension.lift_along_root(
-        source, lifted_algebra, args.var, args.new_var, args.power, cap=args.cap
+        source, args.var, args.new_var, args.power, cap=args.cap
     )
+    lifted_algebra = certificate.derivation.algebra
     print(f"lifted along {args.var} = {args.new_var}^{args.power}: {certificate.status}")
     for name in lifted_algebra.variables:
         print(f"order({name}) = {certificate.orders.get(name, 'inconclusive')}")
@@ -324,8 +325,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.handler(args)
     except (parseio.ParseError, parseio.SchemaError, UsageError, CoefficientError,
-            SizeLimitError, constructions.ConstructionError, FileNotFoundError,
-            IsADirectoryError) as exc:
+            SizeLimitError, constructions.ConstructionError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except InconclusiveError as exc:

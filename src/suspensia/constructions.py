@@ -7,21 +7,25 @@ rational coefficients whose y-exponents are all divisible by p.  Two
 algebras are built from it: Yp with the defining equations F = z^2 and
 y*w = 1, and its quotient-by-roots partner Xp with G(x, s) = z^2 and
 s*w^p = 1 where G collapses y^p into s.  Yp carries a nonzero derivation D
-obtained by solving a Vandermonde system over the roots of unity; the
-pipeline certifies that it is well defined and locally nilpotent, and lifts
-it along y = u^(n/p).
+fixed by its values on the forms (a Vandermonde system over the roots of
+unity, solved in closed form); the pipeline certifies that it is well
+defined and locally nilpotent, and lifts it along y = u^(n/p).
 
 The product P = L_2*...*L_p is multiplied out once (``form_products``); F is
 L_1*P and D(z) is y^(p-1)*P.  D is certified from its values on the forms,
-without expanding a Leibniz image of F or iterating D
-(``build_vandermonde_lnd`` checks the premises, ``certify_family_lnd``
-draws the orders).  The premises are computed exactly:
+without expanding a Leibniz image of F or iterating D.
+``build_vandermonde_lnd(p)`` builds the forms, P, L_1*P and Yp itself, so Yp
+is by construction the algebra with relations L_1*P - z^2 and y*w - 1
+(under the elimination order with block {z}), and P is the product of
+L_2..L_p.  It checks the remaining premises exactly:
 
 * D(L_1) = 2*z*y^(p-1) and D(L_i) = 0 for i >= 2, as polynomials;
-* the algebra is Yp as ``build_Yp`` presents it: its relations are
-  L_1*P - z^2 and y*w - 1, under the elimination order with block {z};
 * D(y) = D(w) = 0, every D(x_j) = c_j*z*y^(p-1-j) with c_j nonzero, and
   D(z) is nonzero and already a normal form.
+
+The constants are c_j = (2/p)*e_1^(-j), the inverse discrete Fourier
+transform of (2, 0, ..., 0): the sum over j of c_j*e_i^j is 2 for i = 1 and
+0 otherwise, which is what the first premise checks.
 
 P is a product of elements of ker D, so D(P) = 0 by the Leibniz rule.
 Hence D(L_1*P - z^2) = D(L_1)*P - 2*z*D(z) = 2*z*y^(p-1)*P - 2*z*y^(p-1)*P
@@ -33,8 +37,9 @@ D^2(z) = y^(p-1)*D(P) = 0, so nu(z) = 1.  D(x_j) = c_j*z*y^(p-1-j) has
 order at most nu(z) = 1 by the degree-function law nu(fg) <= nu(f) + nu(g),
 so nu(x_j) <= 2; D^2(x_j) = c_j*y^(p-1-j)*D(z) is a unit times the nonzero
 D(z), and a nonzero D^U(x) has order exactly U, so nu(x_j) = 2.  These are
-the laws ``derivation._orbits`` uses; a generator whose order exceeds the
-cap is reported inconclusive, as ``certify_lnd`` reports it.
+the laws ``derivation._orbits`` uses; ``certify_family_lnd(p, cap)``
+reports a generator whose order exceeds the cap inconclusive, as
+``certify_lnd`` reports it.
 
 A derivation loaded from a file takes the generic route instead:
 ``new_derivation`` expands the Leibniz image of every relation and
@@ -59,9 +64,8 @@ from .derivation import (
     WellDefinedness,
 )
 from .groebner import elimination
-from .linalg import solve_linear
 from .poly import Context, Polynomial
-from .suspension import adjoin_root, lift_along_root
+from .suspension import lift_along_root
 
 DEFAULT_MAX_PRIME = 7
 
@@ -134,8 +138,8 @@ class FormProducts:
     """P = L_2*...*L_p and L_1*P over Q(z@p), each multiplied out once.
 
     ``form_products`` is the only builder.  ``build_F`` descends ``full`` to
-    Q, and ``build_vandermonde_lnd`` takes ``tail`` to be the product of the
-    forms L_2..L_p and ``full`` to be L_1*tail without multiplying again.
+    Q; ``build_vandermonde_lnd`` presents Yp from ``full`` and takes D(z)
+    from ``tail``.
     """
 
     forms: LinearForms
@@ -152,32 +156,23 @@ def form_products(p: int) -> FormProducts:
     return FormProducts(forms, tail, forms.forms[0] * tail)
 
 
-def _products_for(p: int, products: FormProducts | None) -> FormProducts:
-    if products is None:
-        return form_products(p)
-    if products.forms.prime != p:
-        raise ConstructionError(
-            f"form products of prime {products.forms.prime} given for p={p}"
-        )
-    return products
-
-
-def build_F(p: int, products: FormProducts | None = None):
+def build_F(p: int):
     """Descend the product of the linear forms to Q and collapse its y-powers.
 
     Returns (F, G) over Q: F = L_1*P in variables x0..x_(p-1), y and G in
-    x0..x_(p-1), s with G(x, y^p) = F.  ``products`` shares the expansion
-    with the rest of the pipeline.  The two conversions check what the
+    x0..x_(p-1), s with G(x, y^p) = F.  The two conversions check what the
     construction relies on: a coefficient that does not descend to Q raises
     ``CoefficientError`` and a y-exponent that p does not divide raises
     ``PowerCollapseError``.  Either would indicate an arithmetic defect, not
     bad input.
     """
-    products = _products_for(p, products)
-    f_ctx = Context(QQ, x_names(p) + ("y",))
-    F = products.full.convert(f_ctx)
-    g_ctx = Context(QQ, x_names(p) + ("s",))
-    G = F.convert(g_ctx, ("y", "s", Fraction(1, p)))
+    return _descend(p, form_products(p).full)
+
+
+def _descend(p: int, product: Polynomial):
+    """The two conversions of ``build_F``, applied to L_1*P over Q(z@p)."""
+    F = product.convert(Context(QQ, x_names(p) + ("y",)))
+    G = F.convert(Context(QQ, x_names(p) + ("s",)), ("y", "s", Fraction(1, p)))
     return F, G
 
 
@@ -234,47 +229,32 @@ def yp_weight_row(p: int) -> tuple:
     return tuple(weights[name] for name in yp_context(p).variables)
 
 
-def vandermonde_matrix(p: int):
-    """Rows (1, e_i, e_i^2, ..., e_i^(p-1)) over the p-th roots of unity."""
-    eps = [root_of_unity(p, i) for i in range(1, p + 1)]
-    return [[e ** j for j in range(p)] for e in eps]
+def _constants(p: int) -> list:
+    """c_j = (2/p)*e_1^(-j): the inverse DFT of (2, 0, ..., 0) over Q(z@p)."""
+    eps = root_of_unity(p, 1)
+    return [eps ** -j * Fraction(2, p) for j in range(p)]
 
 
-def build_vandermonde_lnd(
-    p: int, algebra: PresentedAlgebra | None = None, products: FormProducts | None = None
-) -> Derivation:
-    """Solve for the derivation pinned by its values on the linear forms.
+def build_vandermonde_lnd(p: int) -> Derivation:
+    """The derivation of Yp(p) pinned by its values on the linear forms.
 
     The constraints are: first form maps to 2*z*y^(p-1), the others map to
     zero, and y, w map to zero.  Written on the unknowns d(x_j)*y^j this is
     a linear system whose matrix is the Vandermonde matrix of the distinct
-    roots of unity, hence uniquely solvable.  The solved image of x_j is a
-    constant times z*y^(p-1-j), a polynomial since 0 <= j <= p-1.  The image
-    of z is y^(p-1) times P, the product of the last p-1 linear forms.
+    roots of unity; its solution is d(x_j) = c_j*z*y^(p-1-j) with the
+    closed-form ``_constants``.  The image of z is y^(p-1) times P, the
+    product of the last p-1 linear forms.
 
-    The well-definedness witnesses come from the proof in the module
-    docstring, whose premises are checked here: ``algebra`` must be Yp(p)
-    as ``build_Yp`` presents it (else ``ConstructionError``), and a premise
-    on the solved images that fails raises ``DerivationError``.
+    The forms, their products and Yp are built here, and the
+    well-definedness witnesses come from the proof in the module docstring.
+    A premise on the images that fails raises ``DerivationError``.
     """
-    products = _products_for(p, products)
-    if algebra is None:
-        algebra = build_Yp(p, build_F(p, products)[0])
-    context = products.full.context
-    if algebra.context != context:
-        raise ConstructionError(f"algebra is not Yp({p}): its variables or field differ")
-    y, z, w = (Polynomial.variable(context, name) for name in ("y", "z", "w"))
-    relations = (products.full - z * z, y * w - 1)
-    if (algebra.relations, algebra.order) != (relations, elimination("z")):
-        raise ConstructionError(
-            f"algebra is not Yp({p}): relations or order differ from build_Yp's"
-        )
-
-    field = context.field
-    rhs = [field.coerce(2 if i == 0 else 0) for i in range(p)]
-    constants = solve_linear(vandermonde_matrix(p), rhs)
+    products = form_products(p)
+    algebra = build_Yp(p, products.full)
+    context = algebra.context
+    constants = _constants(p)
     if not all(constants):
-        raise DerivationError("a solved constant c_j is zero")
+        raise DerivationError("a constant c_j is zero")
     images = {"y": Polynomial.zero(context), "w": Polynomial.zero(context)}
     for j in range(p):
         images[f"x{j}"] = Polynomial.monomial(context, {"z": 1, "y": p - 1 - j}, constants[j])
@@ -292,33 +272,24 @@ def build_vandermonde_lnd(
         raise DerivationError("a linear form L_i with i >= 2 does not map to 0")
 
     zero = Polynomial.zero(context)
-    witnesses = WellDefinedness(tuple(RelationCheck(r, zero, zero) for r in relations))
+    witnesses = WellDefinedness(
+        tuple(RelationCheck(r, zero, zero) for r in algebra.relations)
+    )
     return Derivation(algebra, resolved, witnesses)
 
 
-def certify_family_lnd(
-    p: int,
-    algebra: PresentedAlgebra | None = None,
-    cap: int = DEFAULT_CAP,
-    products: FormProducts | None = None,
-) -> LNDCertificate:
+def certify_family_lnd(p: int, cap: int = DEFAULT_CAP) -> LNDCertificate:
     """The solved derivation of Yp(p) with its nilpotency certificate.
 
-    ``build_vandermonde_lnd`` checks the premises and refuses what fails
-    them; the orders x_j -> 2, z -> 1, y, w -> 0 then follow from the proof
-    in the module docstring, with no orbit iterated.  A generator whose
-    order exceeds ``cap`` is inconclusive, so the certificate equals what
-    ``certify_lnd(derivation, cap)`` gives.
+    ``build_vandermonde_lnd`` builds Yp and D and refuses what fails a
+    premise; the orders x_j -> 2, z -> 1, y, w -> 0 then follow from the
+    proof in the module docstring, with no orbit iterated.  A generator
+    whose order exceeds ``cap`` is inconclusive, so the certificate equals
+    what ``certify_lnd(derivation, cap)`` gives.
     """
-    derivation = build_vandermonde_lnd(p, algebra, products)
+    derivation = build_vandermonde_lnd(p)
     orders = {"y": 0, "z": 1, "w": 0, **dict.fromkeys(x_names(p), 2)}
-    names = derivation.algebra.variables
-    return LNDCertificate(
-        derivation,
-        cap,
-        {name: orders[name] for name in names if orders[name] <= cap},
-        tuple(name for name in names if orders[name] > cap),
-    )
+    return LNDCertificate.from_orders(derivation, cap, orders)
 
 
 @dataclass
@@ -341,25 +312,23 @@ class YpBundle:
 def certify_bundle(p: int, n: int, cap: int = DEFAULT_CAP) -> YpBundle:
     """Run the whole family construction for prime p dividing n.
 
-    Builds both algebras, the solved derivation with its certificates (from
-    the linear forms, see the module docstring), and the lift along
-    y = u^(n/p); emits a JSON-ready report.  Every certificate
-    must come back certified for the bundle to report ok.
+    Certifies the solved derivation of Yp (from the linear forms, see the
+    module docstring), takes F and G from the certified Yp's first relation,
+    builds Xp from G, and lifts the derivation along y = u^(n/p); emits a
+    JSON-ready report.  Every certificate must come back certified for the
+    bundle to report ok.
     """
     _check_prime(p)
     if n < p or n % p:
         raise ConstructionError(f"n must be a multiple of p, got n={n}, p={p}")
-    products = form_products(p)
-    F, G = build_F(p, products)
-    Yp = build_Yp(p, F)
-    Xp, grading = build_Xp(p, G)
-    lnd = certify_family_lnd(p, Yp, cap, products)
-    del products  # P is as large as D(z); free it before the lift copies D(z)
+    lnd = certify_family_lnd(p, cap)
     derivation = lnd.derivation
+    Yp = derivation.algebra
+    F, G = _descend(p, Yp.relations[0] + Polynomial.monomial(Yp.context, {"z": 2}))
+    Xp, grading = build_Xp(p, G)
 
     e = n // p
-    lifted_algebra = adjoin_root(Yp, "y", "u", e)
-    lifted_lnd = lift_along_root(lnd, lifted_algebra, "y", "u", e, cap=cap)
+    lifted_lnd = lift_along_root(lnd, "y", "u", e, cap=cap)
     lifted = lifted_lnd.derivation
 
     shared = [name for name in Yp.variables if name != "y"]
@@ -397,5 +366,5 @@ def certify_bundle(p: int, n: int, cap: int = DEFAULT_CAP) -> YpBundle:
         "ok": lnd.certified and lifted_lnd.certified and orders_match,
     }
     return YpBundle(
-        p, n, F, G, Yp, Xp, grading, derivation, lifted_algebra, lifted, report
+        p, n, F, G, Yp, Xp, grading, derivation, lifted.algebra, lifted, report
     )

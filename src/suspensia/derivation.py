@@ -124,6 +124,21 @@ class LNDCertificate:
     inconclusive: tuple
     justification: str = _JUSTIFICATION
 
+    @classmethod
+    def from_orders(cls, derivation: Derivation, cap: int, orders: dict) -> LNDCertificate:
+        """The certificate for proven ``orders``, one per generator.
+
+        A generator whose order exceeds ``cap`` is inconclusive, as
+        ``certify_lnd`` with that cap would leave it.
+        """
+        names = derivation.algebra.variables
+        return cls(
+            derivation,
+            cap,
+            {name: orders[name] for name in names if orders[name] <= cap},
+            tuple(name for name in names if orders[name] > cap),
+        )
+
     @property
     def certified(self) -> bool:
         return not self.inconclusive
@@ -234,14 +249,11 @@ def nu(derivation: Derivation, value, cap: int = DEFAULT_CAP):
     Returns MINUS_INFINITY for the zero element and None when the cap was
     exhausted without reaching zero (inconclusive).
     """
-    current = derivation.algebra.element(value)
-    if not current:
+    element = derivation.algebra.element(value)
+    if not element:
         return MINUS_INFINITY
-    for count in range(cap + 1):
-        current = derivation.apply(current)
-        if not current:
-            return count
-    return None
+    length = sum(1 for _ in _orbit(derivation, element, cap + 1))
+    return length - 1 if length <= cap + 1 else None
 
 
 def _orbits(derivation: Derivation, cap: int):

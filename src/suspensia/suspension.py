@@ -22,11 +22,13 @@ D'^n(phi x) = phi(D^n x), and by injectivity every source generator keeps
 its order, while each new variable has order 0.  This is the restriction
 principle for locally nilpotent derivations (Freudenburg, *Algebraic Theory
 of Locally Nilpotent Derivations*, ch. 1).  The argument rests on three
-premises, and each is verified exactly, without a Groebner basis: D kills y
-or f, the source is certified, and the target algebra is the extension that
-the root data or the suspension data describe (same context, relations and,
-for a root, order).  Well-definedness of the lift is still checked relation
-by relation, as an independent check.
+premises: D kills y or f, the source is certified, and the target algebra
+is the extension that the root data or the suspension data describe.  The
+first two are verified exactly, without a Groebner basis.  For a root, the
+lift builds the target itself with ``adjoin_root``; for a suspension, the
+target ``suspend`` built is compared with the one the suspension data
+describe (same context and relations).  Well-definedness of the lift is
+still checked relation by relation, as an independent check.
 """
 
 from __future__ import annotations
@@ -212,13 +214,7 @@ def _transported_lift(certificate: LNDCertificate, algebra: PresentedAlgebra,
     so the result is exactly what ``certify_lnd`` would give.
     """
     cap = certificate.cap if cap is None else cap
-    names = algebra.variables
-    lifted = LNDCertificate(
-        new_derivation(algebra, images),
-        cap,
-        {name: orders[name] for name in names if orders[name] <= cap},
-        tuple(name for name in names if orders[name] > cap),
-    )
+    lifted = LNDCertificate.from_orders(new_derivation(algebra, images), cap, orders)
     if not lifted.certified:
         raise InconclusiveError("lifted derivation did not certify within the cap")
     return lifted
@@ -322,7 +318,6 @@ def collapse_root(
 
 def lift_along_root(
     certificate: LNDCertificate,
-    lifted_algebra: PresentedAlgebra,
     var: str,
     new_var: str,
     power: int,
@@ -331,11 +326,10 @@ def lift_along_root(
     """Transport a certified derivation along the substitution var = new_var^power.
 
     Takes the certificate of the source derivation and returns that of the
-    lift.  Requires the derivation to kill var (otherwise the substitution
-    does not commute with it), and ``lifted_algebra`` to be
-    ``adjoin_root(source, var, new_var, power)``: same context, relations
-    and order, else ``SuspensionError``.  Images are rewritten through the
-    substitution.
+    lift, whose algebra is ``adjoin_root(source, var, new_var, power)``,
+    built here once the derivation is known to kill var (otherwise the
+    substitution does not commute with it, ``SuspensionError``) and to be
+    certified.  Images are rewritten through the substitution.
 
     The source A embeds in A[new_var]/(new_var^power - var), a free A-module
     with basis 1, new_var, ..., new_var^(power-1), and the lift commutes with
@@ -347,11 +341,6 @@ def lift_along_root(
     derivation = certificate.derivation
     source = derivation.algebra
     _check_root(source.context, var, new_var, power)
-    presentation = (lifted_algebra.context, lifted_algebra.relations, lifted_algebra.order)
-    if presentation != _root_presentation(source, var, new_var, power):
-        raise SuspensionError(
-            f"lifted algebra is not the source with {var} = {new_var}^{power} adjoined"
-        )
     dvar = derivation.images[var]
     if dvar:
         raise SuspensionError(
@@ -360,6 +349,7 @@ def lift_along_root(
         )
     if not certificate.certified:
         raise InconclusiveError("cannot lift: source derivation is not certified")
+    lifted_algebra = adjoin_root(source, var, new_var, power)
     root = (var, new_var, power)
     images = {}
     orders = {}

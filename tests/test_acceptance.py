@@ -22,7 +22,6 @@ from suspensia import (
     build_F,
     build_vandermonde_lnd,
     build_Xp,
-    build_Yp,
     certify_lnd,
     coarsen_grading,
     decompose,
@@ -39,7 +38,6 @@ from suspensia import (
     root_of_unity,
     suspend,
     torus_action,
-    adjoin_root,
     zero_derivation,
 )
 from suspensia.cli import main
@@ -116,8 +114,8 @@ def test_vandermonde_certificates():
     budgets = {3: 5.0, 5: 90.0}
     for p, budget in budgets.items():
         start = time.perf_counter()
-        algebra = build_Yp(p)
-        derivation = build_vandermonde_lnd(p, algebra)
+        derivation = build_vandermonde_lnd(p)
+        algebra = derivation.algebra
         assert all(c.identically_zero for c in derivation.well_defined.checks)
         unit_relation = algebra.relations[1]
         assert not derivation.leibniz_image(unit_relation).terms
@@ -163,9 +161,9 @@ def test_decomposition_suite():
         g2 = attach_grading(a2, [(1, 0), (0, 1)])
         a3 = algebra_from_strings(QQ, ["y", "w"], ["y*w - 1"])
         g3 = attach_grading(a3, [(1, -1)])
-        a4 = build_Yp(3)
+        vdm = build_vandermonde_lnd(3)
+        a4 = vdm.algebra
         g4 = attach_grading(a4, [(0, -1, -2, 1, 0, -1)])
-        vdm = build_vandermonde_lnd(3, a4)
         mixed_scale = a4.one() + a4.variable("y")
         mixed = new_derivation(
             a4, {n: (mixed_scale * vdm.images[n]).rep for n in a4.variables}
@@ -239,8 +237,8 @@ def test_degree_function_laws():
         if f + g:
             assert nu(ddx, f + g, 32) <= max(nf, ng)
 
-    y3 = build_Yp(3)
-    vdm = build_vandermonde_lnd(3, y3)
+    vdm = build_vandermonde_lnd(3)
+    y3 = vdm.algebra
     pool = [y3.variable(n) for n in ("x0", "x1", "x2", "z")] + [y3.one()]
     checked = 0
     while checked < 200:
@@ -340,11 +338,8 @@ def test_suspension_mechanics():
 @criterion(10, "lift along y = u^2 re-certifies with unchanged generator orders")
 def test_lift_preserves_orders():
     start = time.perf_counter()
-    algebra = build_Yp(3)
-    derivation = build_vandermonde_lnd(3, algebra)
-    source = certify_lnd(derivation, 8)
-    lifted_algebra = adjoin_root(algebra, "y", "u", 2)
-    certificate = lift_along_root(source, lifted_algebra, "y", "u", 2, cap=8)
+    source = certify_lnd(build_vandermonde_lnd(3), 8)
+    certificate = lift_along_root(source, "y", "u", 2, cap=8)
     assert certificate.certified
     for name in ("x0", "x1", "x2", "z", "w"):
         assert certificate.orders[name] == source.orders[name]
@@ -364,8 +359,8 @@ def test_exponential_group_law():
             "y": parse_expression("x", triangular_algebra.context),
         },
     )
-    y3 = build_Yp(3)
-    vdm = build_vandermonde_lnd(3, y3)
+    vdm = build_vandermonde_lnd(3)
+    y3 = vdm.algebra
     for derivation in (triangular, vdm):
         for _ in range(20):
             s = random_fraction(rng, span=4)

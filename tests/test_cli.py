@@ -1,8 +1,15 @@
 """Command-line behavior: exit codes, artifacts, determinism."""
 
+import contextlib
+import io
 import json
+import tempfile
 import time
 from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from suspensia.cli import main
 from suspensia.parseio import save_json
@@ -412,3 +419,103 @@ def test_exp_orbit_coefficient_past_the_digit_limit_is_input_error(tmp_path, cap
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("input error:")
     assert "coefficient" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["build-yp", "--p", "3", "--n", "6", "--out", "{file}"],
+        ["suspend", str(FIXTURES / "yp3.json"), "--f", "x0", "--k", "2", "--out", "{file}"],
+        ["certify-derivation", str(FIXTURES / "yp3_derivation.json"), "--out", "{file}/x.json"],
+        ["lift", str(FIXTURES / "yp3_derivation.json"), "--var", "y", "--new", "u",
+         "--power", "2", "--out", "{file}/x"],
+    ],
+    ids=["build-yp", "suspend", "certify-derivation", "lift"],
+)
+def test_output_path_under_an_existing_file_is_input_error(command, tmp_path, capsys):
+    # an --out directory that is a file, or a file under a file; these ended
+    # in a FileExistsError or NotADirectoryError traceback with exit 1
+    existing = tmp_path / "existing"
+    existing.write_text("kept\n")
+    argv = [arg.replace("{file}", str(existing)) for arg in command]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("input error:")
+    assert existing.read_text() == "kept\n"
+
+
+# ----------------------------------------------------------------------
+# fuzzing: whatever the input, main returns an exit code and raises nothing
+
+EXIT_CODES = {0, 1, 2, 3}
+
+
+def _run_quietly(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=40, deadline=2000)
+@given(st.binary(max_size=200), st.sampled_from(["validate", "groebner"]))
+@example(b'{"field": "Q", "variables": ["x"], "relations": ["x^1001"]}', "validate")
+@example(b'{"field": "Q(z@1000000000000000003)", "variables": [], "relations": []}', "groebner")
+@example(b"[" * 100_000, "validate")
+def test_fuzz_file_bytes(data, command):
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "input.json"
+        path.write_bytes(data)
+        assert _run_quietly([command, str(path)]) in EXIT_CODES
+
+
+# One variable besides the field constant: a power of a sum of several
+# variables expands into many terms, which is not what this probes.
+_T_TEXT = st.text(alphabet="0123456789+-*/^()z@.x ", max_size=10)
+
+
+@settings(max_examples=40, deadline=2000)
+@given(_T_TEXT)
+@example("10^1000")  # the constant limit
+@example("2^1001")  # the exponent limit
+@example("9" * 999)  # t^U past the digit limit, refused before any power
+@example("1/0")
+def test_fuzz_exp_parameter(text):
+    argv = ["exp", str(FIXTURES / "yp3_derivation.json"), "--t=" + text]
+    assert _run_quietly(argv) in EXIT_CODES
+
+
+@st.composite
+def _suspension_function(draw):
+    """Short expression text over yp3.json's variables, perhaps made malformed.
+
+    Powers stay at most 3 and products at most 3 factors.  Buchberger has
+    no work budget, and a high power of w (w^99 with k = 1) does not finish
+    in minutes, so the drawn degrees stay where every basis is quick.  One
+    inserted character that is not a digit breaks the text in most draws
+    without raising a degree.
+    """
+    atoms = st.sampled_from(["x0", "x1", "x2", "y", "z", "w", "z@3", "1", "2", "3/2"])
+
+    def power():
+        base = draw(atoms)
+        e = draw(st.integers(min_value=0, max_value=3))
+        return base if e == 1 else f"{base}^{e}"
+
+    def term():
+        return "*".join(power() for _ in range(draw(st.integers(min_value=1, max_value=3))))
+
+    text = term()
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        text += draw(st.sampled_from(["+", "-"])) + term()
+    if draw(st.booleans()):
+        at = draw(st.integers(min_value=0, max_value=len(text)))
+        text = text[:at] + draw(st.sampled_from(list("()+-*/^,@ x"))) + text[at:]
+    return text
+
+
+@settings(max_examples=40, deadline=5000)
+@given(_suspension_function(), st.text(alphabet="0123456789,- x", max_size=6))
+@example("x0^1001", "2")  # the exponent limit
+@example("x0", "0,2")
+@example("7", "1,1")  # a constant function
+def test_fuzz_suspend_function_and_exponents(function, exponents):
+    argv = ["suspend", str(FIXTURES / "yp3.json"), "--f", function, "--k", exponents]
+    assert _run_quietly(argv) in EXIT_CODES

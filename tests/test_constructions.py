@@ -12,9 +12,9 @@ from suspensia import (
     DerivationError,
     FormProducts,
     InconclusiveError,
+    NotWellDefinedError,
     Polynomial,
     PowerCollapseError,
-    PresentedAlgebra,
     QQ,
     build_F,
     build_vandermonde_lnd,
@@ -23,7 +23,6 @@ from suspensia import (
     certify_bundle,
     certify_family_lnd,
     certify_lnd,
-    elimination,
     form_products,
     linear_forms,
     new_derivation,
@@ -32,7 +31,7 @@ from suspensia import (
 )
 from suspensia.cli import main
 from suspensia import constructions
-from suspensia.constructions import LinearForms, vandermonde_matrix, yp_context
+from suspensia.constructions import LinearForms, yp_context
 from suspensia.linalg import SingularMatrixError, solve_linear
 
 from helpers import brute_force_product
@@ -107,8 +106,8 @@ def test_vandermonde_images_closed_form():
     # independent oracle: the inverse of the root-of-unity Vandermonde matrix
     # gives d(x_j) = (2/p) * e_1^(-j) * z * y^(p-1-j)
     for p in (3, 5):
-        Yp = build_Yp(p)
-        d = build_vandermonde_lnd(p, Yp)
+        d = build_vandermonde_lnd(p)
+        Yp = d.algebra
         eps1 = root_of_unity(p, 1)
         for j in range(p):
             expected = Polynomial.monomial(
@@ -125,8 +124,8 @@ def test_vandermonde_constraints_hold():
     # the defining constraints themselves: first form maps to 2*z*y^(p-1),
     # the others map to zero
     p = 3
-    Yp = build_Yp(p)
-    d = build_vandermonde_lnd(p, Yp)
+    d = build_vandermonde_lnd(p)
+    Yp = d.algebra
     forms = linear_forms(p).forms
     target = Polynomial.monomial(Yp.context, {"z": 1, "y": p - 1}, 2)
     assert d.leibniz_image(forms[0]) == target
@@ -135,14 +134,17 @@ def test_vandermonde_constraints_hold():
 
 
 def test_solve_linear_against_closed_form():
-    p = 5
-    matrix = vandermonde_matrix(p)
-    field = yp_context(p).field
-    rhs = [field.coerce(2 if i == 0 else 0) for i in range(p)]
-    solution = solve_linear(matrix, rhs)
-    eps1 = root_of_unity(p, 1)
-    for j in range(p):
-        assert solution[j] == eps1 ** (-j) * Fraction(2, p)
+    # the Vandermonde system of the roots of unity, solved by elimination,
+    # against the closed-form constants the family uses
+    for p in (3, 5, 7):
+        matrix = [[root_of_unity(p, i) ** j for j in range(p)] for i in range(1, p + 1)]
+        field = yp_context(p).field
+        rhs = [field.coerce(2 if i == 0 else 0) for i in range(p)]
+        solution = solve_linear(matrix, rhs)
+        assert solution == constructions._constants(p)
+        eps1 = root_of_unity(p, 1)
+        for j in range(p):
+            assert solution[j] == eps1 ** (-j) * Fraction(2, p)
 
 
 def test_solve_linear_rejects_singular():
@@ -152,15 +154,13 @@ def test_solve_linear_rejects_singular():
 
 
 def test_second_power_of_z_vanishes_in_free_ring():
-    Yp = build_Yp(3)
-    d = build_vandermonde_lnd(3, Yp)
-    z = Polynomial.variable(Yp.context, "z")
+    d = build_vandermonde_lnd(3)
+    z = Polynomial.variable(d.algebra.context, "z")
     assert not d.leibniz_image(d.leibniz_image(z)).terms
 
 
 def test_third_power_of_first_form_vanishes_in_free_ring():
-    Yp = build_Yp(3)
-    d = build_vandermonde_lnd(3, Yp)
+    d = build_vandermonde_lnd(3)
     form = linear_forms(3).forms[0]
     image = form
     for _ in range(3):
@@ -170,8 +170,7 @@ def test_third_power_of_first_form_vanishes_in_free_ring():
 
 def test_relation_images_identically_zero():
     for p in (3, 5):
-        Yp = build_Yp(p)
-        d = build_vandermonde_lnd(p, Yp)
+        d = build_vandermonde_lnd(p)
         assert all(c.identically_zero for c in d.well_defined.checks)
 
 
@@ -194,10 +193,9 @@ def test_yp_grading_homogeneous_with_homogeneous_derivation():
     from suspensia import attach_grading, decompose
     from suspensia.constructions import yp_weight_row
 
-    Yp = build_Yp(3)
-    d = build_vandermonde_lnd(3, Yp)
+    d = build_vandermonde_lnd(3)
     certify_lnd(d, 8)
-    grading = attach_grading(Yp, [yp_weight_row(3)])
+    grading = attach_grading(d.algebra, [yp_weight_row(3)])
     pieces = decompose(d, grading)
     assert list(pieces.components) == [1]
     extreme = pieces.components[pieces.upper]
@@ -219,6 +217,9 @@ def test_build_F_conversions_catch_a_defective_expansion(monkeypatch):
 def test_certify_bundle_3_6():
     bundle = certify_bundle(3, 6)
     assert bundle.report["ok"]
+    # F and G are read off the certified Yp; they equal the standalone build
+    assert (bundle.F, bundle.G) == build_F(3)
+    assert bundle.Yp is bundle.derivation.algebra
     assert bundle.report["lnd"]["status"] == "certified"
     assert bundle.report["lift"]["lnd"]["status"] == "certified"
     assert bundle.report["lift"]["ordersMatchSource"]
@@ -295,13 +296,12 @@ def _generic_route(algebra, p, cap):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_family_certificate_matches_generic_route(p):
-    products = form_products(p)
-    algebra = build_Yp(p, build_F(p, products)[0])
+    yp = build_Yp(p)
     for cap in range(4):
+        certificate = certify_family_lnd(p, cap)
+        algebra = certificate.derivation.algebra
+        assert algebra.same_presentation(yp) and algebra.order == yp.order
         oracle = _generic_route(algebra, p, cap)
-        # the products are shared in the pipeline and rebuilt without them
-        shared = products if cap != 2 else None
-        certificate = certify_family_lnd(p, algebra, cap, shared)
         assert certificate.to_json() == oracle.to_json()
         assert (
             certificate.derivation.well_defined.to_json()
@@ -326,7 +326,7 @@ def test_certify_bundle_matches_generic_route(p, monkeypatch):
     monkeypatch.setattr(
         constructions,
         "certify_family_lnd",
-        lambda p, algebra, cap, products: _generic_route(algebra, p, cap),
+        lambda p, cap: _generic_route(build_Yp(p), p, cap),
     )
     assert outcomes() == proven
 
@@ -357,10 +357,10 @@ def test_family_certificate_iterates_no_orbit(monkeypatch):
 )
 def test_perturbed_constant_is_refused(perturb, monkeypatch, tmp_path):
     # a wrong c_j breaks a premise; no witness or certificate is issued
-    def perturbed(matrix, rhs):
-        return perturb(solve_linear(matrix, rhs), root_of_unity(3, 1))
-
-    monkeypatch.setattr(constructions, "solve_linear", perturbed)
+    constants = constructions._constants
+    monkeypatch.setattr(
+        constructions, "_constants", lambda p: perturb(constants(p), root_of_unity(3, 1))
+    )
     with pytest.raises(DerivationError):
         build_vandermonde_lnd(3)
     with pytest.raises(DerivationError):
@@ -372,36 +372,39 @@ def test_perturbed_constant_is_refused(perturb, monkeypatch, tmp_path):
     assert not out.exists()
 
 
-def test_tail_that_is_not_a_nonzero_normal_form_is_refused():
+def test_tail_that_is_not_a_nonzero_normal_form_is_refused(monkeypatch):
     # D(z) = y^2*tail must be a nonzero normal form of Yp; the proof takes
     # tail from form_products, and the check still holds against others
     products = form_products(3)
-    Y3 = build_Yp(3, build_F(3, products)[0])
-    z = Polynomial.variable(Y3.context, "z")
-    for tail in (Polynomial.zero(Y3.context), products.tail + z * z):
+    z = Polynomial.variable(products.full.context, "z")
+    for tail in (Polynomial.zero(z.context), products.tail + z * z):
         forged = FormProducts(products.forms, tail, products.full)
+        monkeypatch.setattr(constructions, "form_products", lambda p, forged=forged: forged)
         with pytest.raises(DerivationError):
-            certify_family_lnd(3, Y3, products=forged)
+            certify_family_lnd(3)
 
 
-def test_algebra_other_than_yp_is_refused():
+def test_certifiers_take_no_caller_built_algebra_or_products():
+    # a caller's products with tail L_2*L_3 + x0 would pass every premise on
+    # the images, though D(F - z^2) then has normal form -2*x0*y^2*z
     products = form_products(3)
-    Y3 = build_Yp(3, build_F(3, products)[0])
-    z = Polynomial.variable(Y3.context, "z")
-    others = [
-        PresentedAlgebra(Y3.context, Y3.relations),  # grevlex
-        PresentedAlgebra(
-            Y3.context, [Y3.relations[0] - z, Y3.relations[1]], order=elimination("z")
-        ),
-        PresentedAlgebra(Y3.context, Y3.relations[:1], order=elimination("z")),
-        build_Yp(5),
+    Y3 = build_Yp(3, products.full)
+    x0 = Polynomial.variable(Y3.context, "x0")
+    forged = FormProducts(products.forms, products.tail + x0, products.full)
+    calls = [
+        lambda: certify_family_lnd(3, Y3, 64, forged),
+        lambda: certify_family_lnd(3, algebra=Y3),
+        lambda: certify_family_lnd(3, products=forged),
+        lambda: build_vandermonde_lnd(3, Y3),
+        lambda: build_vandermonde_lnd(3, Y3, forged),
+        lambda: build_vandermonde_lnd(3, products=forged),
     ]
-    for algebra in others:
-        with pytest.raises(ConstructionError):
-            certify_family_lnd(3, algebra, products=products)
-        with pytest.raises(ConstructionError):
-            build_vandermonde_lnd(3, algebra)
-    with pytest.raises(ConstructionError):
-        build_vandermonde_lnd(5, build_Yp(5), products)
-    with pytest.raises(ConstructionError):
-        build_F(5, products)
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+    # the forged images are not a derivation of Yp at all
+    d = build_vandermonde_lnd(3)
+    images = {name: d.images[name].rep for name in Y3.variables}
+    images["z"] = Polynomial.monomial(Y3.context, {"y": 2}) * forged.tail
+    with pytest.raises(NotWellDefinedError):
+        new_derivation(Y3, images)

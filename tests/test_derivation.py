@@ -19,11 +19,9 @@ from suspensia import (
     NotWellDefinedError,
     Polynomial,
     QQ,
-    adjoin_root,
     algebra_from_strings,
     attach_grading,
     build_vandermonde_lnd,
-    build_Yp,
     certify_lnd,
     decompose,
     exp,
@@ -66,9 +64,8 @@ def D(algebra, **images):
 
 @pytest.fixture(scope="module")
 def y3():
-    algebra = build_Yp(3)
-    derivation = build_vandermonde_lnd(3, algebra)
-    return algebra, derivation
+    derivation = build_vandermonde_lnd(3)
+    return derivation.algebra, derivation
 
 
 def test_partial_derivative_derivation():
@@ -149,7 +146,7 @@ def test_certify_vandermonde(y3):
 def test_certify_cap_boundary_vandermonde():
     # orders are z -> 1 and x_j -> 2; the bound 1 + o(z) = 2 proves x_j's
     # order, yet at cap 1 the x_j must stay inconclusive
-    derivation = build_vandermonde_lnd(3, build_Yp(3))
+    derivation = build_vandermonde_lnd(3)
     low = certify_lnd(derivation, 1)
     assert low.inconclusive == ("x0", "x1", "x2")
     assert low.orders == {"y": 0, "z": 1, "w": 0}
@@ -471,8 +468,7 @@ def test_exp_needs_the_verified_premise(y3):
 def test_exp_images_pass_the_relation_check(y3):
     # the relation check that exp relies on the theorem to skip, as an oracle
     algebra, derivation = y3
-    lifted_algebra = adjoin_root(algebra, "y", "u", 2)
-    lifted = lift_along_root(certify_lnd(derivation), lifted_algebra, "y", "u", 2)
+    lifted = lift_along_root(certify_lnd(derivation), "y", "u", 2)
     for d in (derivation, lifted.derivation):
         for t in (1, -1, Fraction(1, 2), Fraction(3, 7), root_of_unity(3, 1)):
             AlgebraMorphism(d.algebra, d.algebra, exp(d, t).images, check=True)
@@ -512,8 +508,7 @@ _T_VALUES = (1, -1, Fraction(1, 2), Fraction(3, 7), root_of_unity(3, 1))
 def y3_and_lift(y3):
     """The Vandermonde LND of Yp(3) and its lift along y = u^2."""
     algebra, derivation = y3
-    lifted_algebra = adjoin_root(algebra, "y", "u", 2)
-    lifted = lift_along_root(certify_lnd(derivation), lifted_algebra, "y", "u", 2)
+    lifted = lift_along_root(certify_lnd(derivation), "y", "u", 2)
     return derivation, lifted.derivation
 
 
@@ -603,8 +598,8 @@ def test_exponential_push_stops_at_the_order_bound(y3, monkeypatch):
 
 @pytest.fixture(scope="module")
 def y5():
-    algebra = build_Yp(5)
-    return algebra, build_vandermonde_lnd(5, algebra)
+    derivation = build_vandermonde_lnd(5)
+    return derivation.algebra, derivation
 
 
 def test_exp_inverse_at_p5(y5):
@@ -676,15 +671,15 @@ def _assert_same_state(before, after):
 
 
 def test_certification_writes_nothing():
-    algebra = build_Yp(3)
-    derivation = build_vandermonde_lnd(3, algebra)
+    derivation = build_vandermonde_lnd(3)
+    algebra = derivation.algebra
     grading = attach_grading(algebra, [yp_weight_row(3)])
     watched = (derivation, algebra)
     before = [_state(obj) for obj in watched]
     certificate = certify_lnd(derivation, 8)
     exp(derivation, 1)
     homogenize_lnd(derivation, grading, 8)
-    lifted = lift_along_root(certificate, adjoin_root(algebra, "y", "u", 2), "y", "u", 2)
+    lifted = lift_along_root(certificate, "y", "u", 2)
     assert lifted.certified
     for obj, state in zip(watched, before):
         _assert_same_state(state, _state(obj))
