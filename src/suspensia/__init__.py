@@ -82,7 +82,6 @@ from .parseio import (
     load_algebra,
     load_derivation,
     parse_expression,
-    print_expression,
 )
 from .poly import (
     Context,

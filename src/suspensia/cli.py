@@ -139,13 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_algebra_and_derivation(args):
-    derivation = parseio.load_derivation(
-        args.file, None, getattr(args, "derivation", None)
-    )
-    return derivation.algebra, derivation
-
-
 def _cmd_validate(args) -> int:
     data = parseio.read_json(args.file)
     algebra = parseio.algebra_from_data(data)
@@ -169,9 +162,9 @@ def _cmd_groebner(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    algebra, derivation = _load_algebra_and_derivation(args)
+    derivation = parseio.load_derivation(args.file, args.derivation)
     certificate = certify_lnd(derivation, args.cap)
-    for name in algebra.variables:
+    for name in derivation.algebra.variables:
         order = certificate.orders.get(name)
         shown = order if order is not None else "inconclusive"
         print(f"order({name}) = {shown}")
@@ -189,7 +182,8 @@ def _pick_grading(algebra, name):
 
 
 def _cmd_decompose(args) -> int:
-    algebra, derivation = _load_algebra_and_derivation(args)
+    derivation = parseio.load_derivation(args.file, args.derivation)
+    algebra = derivation.algebra
     grading = _pick_grading(algebra, args.grading)
     if not 0 <= args.row < grading.nrows:
         raise UsageError(f"row {args.row} out of range for {grading.nrows} rows")
@@ -207,7 +201,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_homogenize(args) -> int:
-    algebra, derivation = _load_algebra_and_derivation(args)
+    derivation = parseio.load_derivation(args.file, args.derivation)
+    algebra = derivation.algebra
     grading = _pick_grading(algebra, args.grading)
     result, degree = homogenize_lnd(derivation, grading, args.cap)
     print(f"homogeneous degree: {list(degree)}")
@@ -264,7 +259,7 @@ def _cmd_torus(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    _, derivation = _load_algebra_and_derivation(args)
+    derivation = parseio.load_derivation(args.file, args.derivation)
     source = certify_lnd(derivation, args.cap)
     certificate = suspension.lift_along_root(
         source, args.var, args.new_var, args.power, cap=args.cap
@@ -303,7 +298,8 @@ def _cmd_build_yp(args) -> int:
 
 
 def _cmd_exp(args) -> int:
-    algebra, derivation = _load_algebra_and_derivation(args)
+    derivation = parseio.load_derivation(args.file, args.derivation)
+    algebra = derivation.algebra
     scalar_poly = parseio.parse_expression(args.t, algebra.context)
     if not scalar_poly.is_constant():
         raise UsageError(f"--t must be a constant, got {args.t!r}")

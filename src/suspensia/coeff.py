@@ -35,7 +35,7 @@ from operator import add, floordiv, mul, sub
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-_FIELD_TEXT_RE = re.compile(r"Q\(z@(\d+)\)\Z")
+_FIELD_TEXT_RE = re.compile(r"Q\(z@([0-9]+)\)\Z")
 
 #: The largest order p a field descriptor "Q(z@p)" may name.  A Q(z@p)
 #: coefficient holds p-1 integers and its inverse is a product of p-2

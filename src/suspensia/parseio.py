@@ -8,8 +8,12 @@ Grammar (standard precedence, unary minus binding looser than powers):
     power  := atom ('^' INTEGER)?
     atom   := INTEGER ('/' INTEGER)? | IDENT | 'z@p' | '(' expr ')'
 
-Identifiers are ring variables; ``z@p`` is the field constant of Q(z@p) and
-is rejected as a ring variable name.  Errors carry 1-based line/column.
+INTEGER is ASCII digits ``0-9`` and IDENT is ``[A-Za-z_][A-Za-z0-9_]*``
+(``poly.NAME_PATTERN``, the pattern variable names obey).  Identifiers are
+ring variables; ``z@p`` is the field constant of Q(z@p) and is rejected as a
+ring variable name.  Whitespace separates tokens; any other character, a
+Unicode digit such as '²' included, is an error.  Errors carry 1-based
+line/column.
 
 Description files are JSON objects with keys ``field``, ``variables``,
 ``relations`` and optional ``gradings`` (name -> weight matrix) and
@@ -20,13 +24,14 @@ byte-stable: sorted keys, two-space indent, LF endings.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
 from .algebra import PresentedAlgebra
 from .coeff import CyclotomicField, field_from_text, root_of_unity, stored_integers
 from .derivation import Derivation, new_derivation
-from .poly import Context, ContextError, Polynomial
+from .poly import NAME_PATTERN, Context, ContextError, Polynomial
 
 
 class ParseError(ValueError):
@@ -44,8 +49,6 @@ class SchemaError(ValueError):
 
 # ----------------------------------------------------------------------
 # lexer
-
-_OPS = set("+-*/^()")
 
 #: Longest integer literal, in digits.  Longer literals are refused before
 #: they are converted, which keeps every literal, and its square, under the
@@ -77,68 +80,51 @@ class _Token:
         self.column = column
 
 
-def _integer(text: str, i: int, j: int, line: int, col: int) -> int:
-    if j - i > MAX_DIGITS:
+#: One alternative per token class, tried in order.  The search skips
+#: whitespace other than '\n', which starts a new line; any other character
+#: that no token class takes is an error.
+_TOKEN_RE = re.compile(
+    r"(?P<newline>\n)|(?P<int>[0-9]+)"
+    rf"|(?P<cyclo>{NAME_PATTERN}@[0-9]*)|(?P<ident>{NAME_PATTERN})"
+    r"|(?P<op>[-+*/^()])|(?P<other>\S)"
+)
+
+
+def _integer(digits: str, line: int, column: int) -> int:
+    if len(digits) > MAX_DIGITS:
         raise ParseError(
-            f"integer literal of {j - i} digits exceeds the limit of {MAX_DIGITS}", line, col
+            f"integer literal of {len(digits)} digits exceeds the limit of {MAX_DIGITS}",
+            line,
+            column,
         )
-    return int(text[i:j])
+    return int(digits)
 
 
 def _lex(text: str):
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", _integer(text, i, j, line, start_col), line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            name = text[i:j]
-            col += j - i
-            i = j
-            if i < n and text[i] == "@":
-                if name != "z":
-                    raise ParseError(f"unexpected '@' after {name!r}", line, col)
-                j = i + 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                if j == i + 1:
-                    raise ParseError("expected a prime after 'z@'", line, col + 1)
-                prime = _integer(text, i + 1, j, line, col + 1)
-                tokens.append(_Token("cyclo", prime, line, start_col))
-                col += j - i
-                i = j
-            else:
-                tokens.append(_Token("ident", name, line, start_col))
-            continue
-        if ch in _OPS:
-            tokens.append(_Token(ch, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(_Token("end", None, line, col))
+    line, line_start = 1, 0
+    for match in _TOKEN_RE.finditer(text):
+        kind, value = match.lastgroup, match.group()
+        column = match.start() - line_start + 1
+        if kind == "op":
+            tokens.append(_Token(value, value, line, column))
+        elif kind == "ident":
+            tokens.append(_Token("ident", value, line, column))
+        elif kind == "int":
+            tokens.append(_Token("int", _integer(value, line, column), line, column))
+        elif kind == "newline":
+            line, line_start = line + 1, match.end()
+        elif kind == "cyclo":
+            name, _, digits = value.partition("@")
+            at = column + len(name)
+            if name != "z":
+                raise ParseError(f"unexpected '@' after {name!r}", line, at)
+            if not digits:
+                raise ParseError("expected a prime after 'z@'", line, at + 1)
+            tokens.append(_Token("cyclo", _integer(digits, line, at + 1), line, column))
+        else:
+            raise ParseError(f"unexpected character {value!r}", line, column)
+    tokens.append(_Token("end", None, line, len(text) - line_start + 1))
     return tokens
 
 
@@ -303,11 +289,6 @@ def parse_expression(text: str, context: Context) -> Polynomial:
     return _Parser(_lex(text), context).parse()
 
 
-def print_expression(poly: Polynomial) -> str:
-    """The canonical text form; parse_expression inverts it exactly."""
-    return poly.text()
-
-
 # ----------------------------------------------------------------------
 # description files
 
@@ -411,8 +392,7 @@ def load_algebra(path) -> PresentedAlgebra:
     return algebra_from_data(read_json(path))
 
 
-def load_derivation(path, algebra: PresentedAlgebra | None = None,
-                    name: str | None = None) -> Derivation:
+def load_derivation(path, name: str | None = None) -> Derivation:
     """Load a derivation, either standalone ('images' + algebra reference)
     or embedded under 'derivations' in an algebra file."""
     data = read_json(path)
@@ -420,16 +400,14 @@ def load_derivation(path, algebra: PresentedAlgebra | None = None,
     if "images" in data:
         unknown = set(data) - _DERIVATION_KEYS
         _expect(not unknown, f"unknown keys {sorted(unknown)}")
-        if algebra is None:
-            _expect(
-                isinstance(data.get("algebra"), str),
-                "standalone derivation files need an 'algebra' path",
-            )
-            algebra = load_algebra(Path(path).parent / data["algebra"])
+        _expect(
+            isinstance(data.get("algebra"), str),
+            "standalone derivation files need an 'algebra' path",
+        )
+        algebra = load_algebra(Path(path).parent / data["algebra"])
         return derivation_from_data(data["images"], algebra)
     if "derivations" in data:
-        if algebra is None:
-            algebra = algebra_from_data(data)
+        algebra = algebra_from_data(data)
         table = data["derivations"]
         _expect(isinstance(table, dict) and table, "no derivations in file")
         if name is None:

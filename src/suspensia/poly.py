@@ -23,7 +23,10 @@ Monomial = tuple
 # An integer weight per context variable; one row of a grading matrix.
 WeightVector = tuple
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+#: A variable name, and an identifier in expression text: ASCII letters,
+#: digits and '_', not starting with a digit.
+NAME_PATTERN = r"[A-Za-z_][A-Za-z0-9_]*"
+_IDENT_RE = re.compile(NAME_PATTERN)
 
 
 class ContextError(ValueError):
@@ -49,7 +52,7 @@ class Context:
         object.__setattr__(self, "variables", tuple(self.variables))
         seen = set()
         for name in self.variables:
-            if not isinstance(name, str) or not _IDENT_RE.match(name):
+            if not isinstance(name, str) or not _IDENT_RE.fullmatch(name):
                 raise ContextError(f"invalid variable name {name!r}")
             if name in seen:
                 raise ContextError(f"duplicate variable name {name!r}")

@@ -249,6 +249,29 @@ def test_validate_non_utf8_file_is_input_error(tmp_path, capsys):
     assert "input error:" in err and "line 2, column 17" in err
 
 
+_X_SQUARED = '{"field": "Q", "variables": ["x"], "relations": ["x^²"]}'.encode()
+
+
+@pytest.mark.parametrize(
+    "command, file_bytes",
+    [
+        (["exp", str(FIXTURES / "yp3_derivation.json"), "--t=2^²"], None),
+        (["suspend", str(FIXTURES / "yp3.json"), "--f", "x0^²", "--k", "2"], None),
+        (["validate", "{file}"], _X_SQUARED),
+        (["validate", "{file}"], '{"field": "Q(z@٣)", "variables": [], "relations": []}'.encode()),
+    ],
+    ids=["exp-t", "suspend-f", "validate-relation", "validate-field"],
+)
+def test_non_ascii_digits_are_input_errors(command, file_bytes, tmp_path, capsys):
+    # '²' and '٣' are Unicode digits but not ASCII 0-9; '²' ended in a
+    # ValueError traceback with exit 1, and "Q(z@٣)" loaded as Q(z@3)
+    path = tmp_path / "input.json"
+    if file_bytes is not None:
+        path.write_bytes(file_bytes)
+    assert main([arg.replace("{file}", str(path)) for arg in command]) == 3
+    assert capsys.readouterr().err.startswith("input error:")
+
+
 def test_certify_cap_below_order_is_inconclusive(capsys):
     code = main(["--cap", "1", "certify-derivation", str(FIXTURES / "yp3_derivation.json")])
     assert code == 2
@@ -459,6 +482,7 @@ def _run_quietly(argv) -> int:
 @example(b'{"field": "Q", "variables": ["x"], "relations": ["x^1001"]}', "validate")
 @example(b'{"field": "Q(z@1000000000000000003)", "variables": [], "relations": []}', "groebner")
 @example(b"[" * 100_000, "validate")
+@example(_X_SQUARED, "validate")  # a Unicode digit that is not 0-9
 def test_fuzz_file_bytes(data, command):
     with tempfile.TemporaryDirectory() as folder:
         path = Path(folder) / "input.json"
@@ -466,9 +490,13 @@ def test_fuzz_file_bytes(data, command):
         assert _run_quietly([command, str(path)]) in EXIT_CODES
 
 
+# Characters outside the grammar's ASCII that str.isdigit, str.isalpha or
+# str.isspace accept: each is an input error, or a space between tokens.
+_NON_ASCII = ["²", "١", "é", "\u00a0"]
+
 # One variable besides the field constant: a power of a sum of several
 # variables expands into many terms, which is not what this probes.
-_T_TEXT = st.text(alphabet="0123456789+-*/^()z@.x ", max_size=10)
+_T_TEXT = st.text(alphabet=list("0123456789+-*/^()z@.x ") + _NON_ASCII, max_size=10)
 
 
 @settings(max_examples=40, deadline=2000)
@@ -507,7 +535,7 @@ def _suspension_function(draw):
         text += draw(st.sampled_from(["+", "-"])) + term()
     if draw(st.booleans()):
         at = draw(st.integers(min_value=0, max_value=len(text)))
-        text = text[:at] + draw(st.sampled_from(list("()+-*/^,@ x"))) + text[at:]
+        text = text[:at] + draw(st.sampled_from(list("()+-*/^,@ x") + _NON_ASCII)) + text[at:]
     return text
 
 

@@ -20,7 +20,6 @@ from suspensia import (
     load_algebra,
     load_derivation,
     parse_expression,
-    print_expression,
 )
 from suspensia.coeff import CyclotomicField, root_of_unity
 from suspensia.parseio import (
@@ -73,6 +72,25 @@ def test_malformed_exponent():
         parse_expression("x^-1", QXY)
     with pytest.raises(ParseError):
         parse_expression("x^2^3", QXY)
+
+
+@pytest.mark.parametrize(
+    "text, message, column",
+    [
+        ("x^²", "unexpected character '²'", 3),
+        ("١٢", "unexpected character '١'", 1),
+        ("x é", "unexpected character 'é'", 3),
+        ("x +\u00a0y*z@٣", "expected a prime after 'z@'", 9),
+    ],
+    ids=["superscript-two", "arabic-indic-digits", "latin-letter", "no-break-space"],
+)
+def test_non_ascii_characters_are_located(text, message, column):
+    # digits are ASCII 0-9 and names ASCII letters, digits and '_', while any
+    # Unicode space separates tokens; '²' once reached int() and raised a
+    # bare ValueError, and '١٢' parsed as 12
+    with pytest.raises(ParseError, match=message) as info:
+        parse_expression(text, Context(CyclotomicField(3), ("x", "y")))
+    assert (info.value.line, info.value.column) == (1, column)
 
 
 def test_exponent_limit():
@@ -183,7 +201,7 @@ def test_roundtrip_random():
     for ctx in contexts:
         for _ in range(200):
             f = random_polynomial(rng, ctx, max_terms=5, max_exp=4)
-            assert parse_expression(print_expression(f), ctx) == f
+            assert parse_expression(f.text(), ctx) == f
 
 
 def test_load_algebra_torus_line(tmp_path):
