@@ -2,8 +2,9 @@
 
 Exit codes: 0 all checks passed / certificates certified; 1 a check failed
 (the witness is printed); 2 a certification was inconclusive (cap reached);
-3 malformed input (parse or schema error, with location when available)
-or a file path that cannot be read or written.
+3 malformed input (parse or schema error, with location when available,
+or a variable name that is unknown, invalid or already taken) or a file
+path that cannot be read or written.
 
 Artifacts are canonical JSON (sorted keys, LF endings, no timestamps), so
 identical inputs produce byte-identical files.
@@ -261,9 +262,7 @@ def _cmd_torus(args) -> int:
 def _cmd_lift(args) -> int:
     derivation = parseio.load_derivation(args.file, args.derivation)
     source = certify_lnd(derivation, args.cap)
-    certificate = suspension.lift_along_root(
-        source, args.var, args.new_var, args.power, cap=args.cap
-    )
+    certificate = suspension.lift_along_root(source, args.var, args.new_var, args.power)
     lifted_algebra = certificate.derivation.algebra
     print(f"lifted along {args.var} = {args.new_var}^{args.power}: {certificate.status}")
     for name in lifted_algebra.variables:
@@ -321,7 +320,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.handler(args)
     except (parseio.ParseError, parseio.SchemaError, UsageError, CoefficientError,
-            SizeLimitError, constructions.ConstructionError, OSError) as exc:
+            SizeLimitError, constructions.ConstructionError, ContextError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except InconclusiveError as exc:
@@ -329,7 +328,7 @@ def main(argv=None) -> int:
         return EXIT_INCONCLUSIVE
     except (NotWellDefinedError, DerivationError,
             GradingError, PresentationError, MorphismError, PowerCollapseError,
-            suspension.SuspensionError, ContextError) as exc:
+            suspension.SuspensionError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 

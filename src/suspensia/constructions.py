@@ -289,7 +289,13 @@ def certify_family_lnd(p: int, cap: int = DEFAULT_CAP) -> LNDCertificate:
     """
     derivation = build_vandermonde_lnd(p)
     orders = {"y": 0, "z": 1, "w": 0, **dict.fromkeys(x_names(p), 2)}
-    return LNDCertificate.from_orders(derivation, cap, orders)
+    names = derivation.algebra.variables
+    return LNDCertificate(
+        derivation,
+        cap,
+        {name: orders[name] for name in names if orders[name] <= cap},
+        tuple(name for name in names if orders[name] > cap),
+    )
 
 
 @dataclass
@@ -328,7 +334,7 @@ def certify_bundle(p: int, n: int, cap: int = DEFAULT_CAP) -> YpBundle:
     Xp, grading = build_Xp(p, G)
 
     e = n // p
-    lifted_lnd = lift_along_root(lnd, "y", "u", e, cap=cap)
+    lifted_lnd = lift_along_root(lnd, "y", "u", e)
     lifted = lifted_lnd.derivation
 
     shared = [name for name in Yp.variables if name != "y"]

@@ -124,21 +124,6 @@ class LNDCertificate:
     inconclusive: tuple
     justification: str = _JUSTIFICATION
 
-    @classmethod
-    def from_orders(cls, derivation: Derivation, cap: int, orders: dict) -> LNDCertificate:
-        """The certificate for proven ``orders``, one per generator.
-
-        A generator whose order exceeds ``cap`` is inconclusive, as
-        ``certify_lnd`` with that cap would leave it.
-        """
-        names = derivation.algebra.variables
-        return cls(
-            derivation,
-            cap,
-            {name: orders[name] for name in names if orders[name] <= cap},
-            tuple(name for name in names if orders[name] > cap),
-        )
-
     @property
     def certified(self) -> bool:
         return not self.inconclusive

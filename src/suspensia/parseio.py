@@ -24,6 +24,7 @@ byte-stable: sorted keys, two-space indent, LF endings.
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -68,6 +69,14 @@ _CONSTANT_LIMIT_BITS = _CONSTANT_LIMIT.bit_length()
 #: exponent is refused before any power is computed, so ``2^100000000``
 #: costs no time and no memory.
 MAX_EXPONENT = 1000
+
+#: Most terms a parsed product or power may have, refused before it is
+#: computed: ``(x0+x1+x2+y+z+w)^1000`` would have about 8*10^12.  A
+#: product a*b is bounded by its term pairs and a power of t > 1 terms by
+#: the C(t+e-1, e) monomials of degree e in t variables.  Sums are not
+#: bounded: the text bounds them.  Every family artifact relation is a sum
+#: of products of one-term factors.
+MAX_TERMS = 10_000
 
 
 class _Token:
@@ -179,6 +188,12 @@ class _Parser:
     def refuse_constant(self, token: _Token):
         self.fail(f"a constant of more than {MAX_DIGITS} digits exceeds the limit", token)
 
+    def refuse_terms(self, token: _Token):
+        self.fail(
+            f"a product or power that could have more than {MAX_TERMS} terms exceeds the limit",
+            token,
+        )
+
     def parse(self) -> Polynomial:
         value = self.expr()
         if self.peek().kind != "end":
@@ -205,7 +220,10 @@ class _Parser:
             elif kind not in _ATOM_STARTS:
                 return value
             tok = self.peek()
-            value = value * self.factor()
+            rhs = self.factor()
+            if len(value.terms) * len(rhs.terms) > MAX_TERMS:
+                self.refuse_terms(tok)
+            value = value * rhs
             self.check_constants(value, tok)
 
     def factor(self) -> Polynomial:
@@ -234,8 +252,13 @@ class _Parser:
         The lex-first and lex-last terms of base**e have coefficients c**e,
         and |c**e| >= 2**(e*(bits(c) - 1)), so a rational c there shows a
         power too large before it is computed; the power is checked after.
+        A base of t > 1 terms is refused first if its power could have more
+        than ``MAX_TERMS`` terms.
         """
         e = tok.value
+        t = len(base.terms)
+        if t > 1 and math.comb(t + e - 1, e) > MAX_TERMS:
+            self.refuse_terms(tok)
         for mono in (min(base.terms), max(base.terms)) if base.terms else ():
             c = base.terms[mono]
             bits = max(abs(c.numerator), c.denominator).bit_length() if isinstance(c, Fraction) else 0
@@ -400,6 +423,9 @@ def load_derivation(path, name: str | None = None) -> Derivation:
     if "images" in data:
         unknown = set(data) - _DERIVATION_KEYS
         _expect(not unknown, f"unknown keys {sorted(unknown)}")
+        _expect(
+            name is None, f"no derivation named {name!r}: the file holds one unnamed derivation"
+        )
         _expect(
             isinstance(data.get("algebra"), str),
             "standalone derivation files need an 'algebra' path",

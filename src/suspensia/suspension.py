@@ -24,11 +24,10 @@ principle for locally nilpotent derivations (Freudenburg, *Algebraic Theory
 of Locally Nilpotent Derivations*, ch. 1).  The argument rests on three
 premises: D kills y or f, the source is certified, and the target algebra
 is the extension that the root data or the suspension data describe.  The
-first two are verified exactly, without a Groebner basis.  For a root, the
-lift builds the target itself with ``adjoin_root``; for a suspension, the
-target ``suspend`` built is compared with the one the suspension data
-describe (same context and relations).  Well-definedness of the lift is
-still checked relation by relation, as an independent check.
+first two are verified exactly, without a Groebner basis; the third holds by
+construction, since each lift builds its target from those data.
+Well-definedness of the lift is still checked relation by relation, as an
+independent check.
 """
 
 from __future__ import annotations
@@ -41,11 +40,11 @@ from functools import reduce
 
 from .algebra import AlgebraElement, PresentedAlgebra
 from .derivation import InconclusiveError, LNDCertificate, new_derivation
-from .poly import Context, Polynomial
+from .poly import Context, ContextError, Polynomial
 
 
 class SuspensionError(ValueError):
-    """Invalid suspension data: constant function, name collision, bad lift."""
+    """Invalid suspension data: constant function, bad exponents, bad lift."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,8 +122,8 @@ def suspend(base: PresentedAlgebra, function, exponents, names=None):
     """Adjoin y1..ym with y1^k1*...*ym^km = f over the base algebra.
 
     Returns the extended algebra together with the suspension data.  The
-    function must be non-constant in the quotient and the fresh names must
-    not collide with base variables.
+    function must be non-constant in the quotient; a fresh name that is a
+    base variable, repeated or invalid raises ``ContextError``.
     """
     ks = _exponents(exponents)
     f = base.element(function)
@@ -138,24 +137,14 @@ def suspend(base: PresentedAlgebra, function, exponents, names=None):
         names = tuple(names)
     if len(names) != len(ks):
         raise SuspensionError("need exactly one fresh variable per exponent")
-    collisions = [n for n in names if n in base.variables]
-    if collisions or len(set(names)) != len(names):
-        raise SuspensionError(f"suspension variable name collision: {collisions or names}")
 
-    spec = SuspensionSpec(base, f, ks, names)
-    return PresentedAlgebra(*_suspension_presentation(spec)), spec
-
-
-def _suspension_presentation(spec: SuspensionSpec) -> tuple:
-    """The context and relations of the suspension that ``spec`` describes."""
-    base = spec.base
-    context = Context(base.field, base.variables + spec.suspension_variables)
+    context = Context(base.field, base.variables + names)
     product = Polynomial.one(context)
-    for name, k in zip(spec.suspension_variables, spec.exponents):
+    for name, k in zip(names, ks):
         product = product * Polynomial.variable(context, name) ** k
     relations = [r.convert(context) for r in base.relations]
-    relations.append(product - spec.function.rep.convert(context))
-    return context, tuple(relations)
+    relations.append(product - f.rep.convert(context))
+    return PresentedAlgebra(context, relations), SuspensionSpec(base, f, ks, names)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,57 +193,39 @@ def torus_action(extended: PresentedAlgebra, spec: SuspensionSpec) -> TorusActio
 
 
 def _transported_lift(certificate: LNDCertificate, algebra: PresentedAlgebra,
-                      images: dict, orders: dict, cap: int | None) -> LNDCertificate:
-    """Build the lifted derivation and give it the source's orders.
+                      images: dict, orders: dict) -> LNDCertificate:
+    """The lifted derivation, checked well defined, with the inherited orders.
 
     ``orders`` maps each generator of ``algebra`` to the order it inherits
-    (see the module docstring).  Well-definedness is checked afresh by
-    ``new_derivation``; nilpotency is not iterated again.  The cap defaults
-    to the source's, and a generator whose order exceeds it is unresolved,
-    so the result is exactly what ``certify_lnd`` would give.
+    (see the module docstring), none above the certified source's cap.
     """
-    cap = certificate.cap if cap is None else cap
-    lifted = LNDCertificate.from_orders(new_derivation(algebra, images), cap, orders)
-    if not lifted.certified:
-        raise InconclusiveError("lifted derivation did not certify within the cap")
-    return lifted
+    return LNDCertificate(new_derivation(algebra, images), certificate.cap, orders, ())
 
 
-def lift_lnd(
-    certificate: LNDCertificate,
-    extended: PresentedAlgebra,
-    spec: SuspensionSpec,
-    cap: int | None = None,
-) -> LNDCertificate:
-    """Lift a certified nilpotent derivation of the base to the suspension.
+def lift_lnd(certificate: LNDCertificate, function, exponents, names=None) -> LNDCertificate:
+    """Lift a certified nilpotent derivation D of the base A to a suspension.
 
-    Takes the certificate of the base derivation and returns that of the
-    lift, which keeps all base images and sends every suspension variable
-    to zero.  Needs the derivation to kill the suspension function f, and
-    ``extended`` to be the suspension ``spec`` describes (same context and
-    relations as ``suspend`` builds), else ``SuspensionError``.
-
-    The base A embeds in A[y1..ym]/(y1^k1*...*ym^km - f), a free A-module
-    because the relation is monic in the y's, and the lift commutes with the
-    embedding because D(f) = 0.  So each base generator keeps its order and
-    each y_i has order 0; these orders are copied from the certificate, not
-    recomputed.  Well-definedness of the lift is checked afresh.
+    Returns the certificate of the lift to ``suspend(A, function, exponents,
+    names)``, built here once D is known to be certified and to kill f
+    (else ``SuspensionError``).  The lift keeps the base images and sends
+    each suspension variable to zero.  A embeds in the free A-module
+    A[y1..ym]/(y1^k1*...*ym^km - f), and the lift commutes with the
+    embedding because D(f) = 0, so each base generator keeps its order and
+    each y_i has order 0 (module docstring).
     """
     derivation = certificate.derivation
     base = derivation.algebra
-    if not base.same_presentation(spec.base):
-        raise SuspensionError("derivation does not live on the suspension base")
-    context, relations = _suspension_presentation(spec)
-    if extended.context != context or extended.relations != relations:
-        raise SuspensionError("extended algebra is not the suspension its data describe")
     if not certificate.certified:
         raise InconclusiveError("cannot lift: source derivation is not certified")
-    df = base.normal_form(derivation.leibniz_image(spec.function.rep))
+    f = base.element(function)
+    df = base.normal_form(derivation.leibniz_image(f.rep))
     if df:
         raise SuspensionError(
             f"derivation does not kill the suspension function: image has "
             f"normal form {df.text()}"
         )
+    extended, spec = suspend(base, f, exponents, names)
+    context = extended.context
     images = {
         name: derivation.images[name].rep.convert(context) for name in base.variables
     }
@@ -262,16 +233,16 @@ def lift_lnd(
     for name in spec.suspension_variables:
         images[name] = Polynomial.zero(context)
         orders[name] = 0
-    return _transported_lift(certificate, extended, images, orders, cap)
+    return _transported_lift(certificate, extended, images, orders)
 
 
 def _check_root(context: Context, var: str, new_var: str, power: int) -> None:
-    """Reject a power below 1, a var the source lacks and a new_var it has."""
+    """Reject a power below 1, a var the source lacks and new_var = var."""
     if not isinstance(power, int) or power < 1:
         raise SuspensionError("root power must be a positive integer")
     context.index(var)
-    if new_var in context.variables:
-        raise SuspensionError(f"variable {new_var!r} already exists in the algebra")
+    if new_var == var:
+        raise ContextError(f"variable {new_var!r} is not fresh")
 
 
 def _root_presentation(algebra: PresentedAlgebra, var: str, new_var: str, scale) -> tuple:
@@ -317,26 +288,17 @@ def collapse_root(
 
 
 def lift_along_root(
-    certificate: LNDCertificate,
-    var: str,
-    new_var: str,
-    power: int,
-    cap: int | None = None,
+    certificate: LNDCertificate, var: str, new_var: str, power: int
 ) -> LNDCertificate:
-    """Transport a certified derivation along the substitution var = new_var^power.
+    """Transport a certified derivation D along the substitution var = new_var^power.
 
-    Takes the certificate of the source derivation and returns that of the
-    lift, whose algebra is ``adjoin_root(source, var, new_var, power)``,
-    built here once the derivation is known to kill var (otherwise the
+    Returns the certificate of the lift, whose algebra is ``adjoin_root(source,
+    var, new_var, power)``, built here once D is known to kill var (else the
     substitution does not commute with it, ``SuspensionError``) and to be
-    certified.  Images are rewritten through the substitution.
-
-    The source A embeds in A[new_var]/(new_var^power - var), a free A-module
-    with basis 1, new_var, ..., new_var^(power-1), and the lift commutes with
-    the embedding because D(var) = 0.  So each generator keeps its order and
-    new_var takes var's, which is 0; these orders are copied from the
-    certificate, not recomputed.  Well-definedness of the lift is checked
-    afresh.
+    certified.  Images are rewritten through the substitution.  The source A
+    embeds in the free A-module A[new_var]/(new_var^power - var), and the
+    lift commutes with the embedding because D(var) = 0, so each generator
+    keeps its order and new_var takes var's, 0 (module docstring).
     """
     derivation = certificate.derivation
     source = derivation.algebra
@@ -349,7 +311,7 @@ def lift_along_root(
         )
     if not certificate.certified:
         raise InconclusiveError("cannot lift: source derivation is not certified")
-    lifted_algebra = adjoin_root(source, var, new_var, power)
+    lifted_algebra = PresentedAlgebra(*_root_presentation(source, var, new_var, power))
     root = (var, new_var, power)
     images = {}
     orders = {}
@@ -359,4 +321,4 @@ def lift_along_root(
             lifted_algebra.context, root
         )
         orders[target_name] = certificate.orders[name]
-    return _transported_lift(certificate, lifted_algebra, images, orders, cap)
+    return _transported_lift(certificate, lifted_algebra, images, orders)

@@ -5,6 +5,7 @@ library: cyclotomic reduction by long division instead of index folding,
 products by enumerating all cross terms instead of pairwise dict merging.
 """
 
+import math
 import signal
 import time
 from contextlib import contextmanager
@@ -80,13 +81,19 @@ QXY = Context(QQ, ("x", "y"))
 
 
 def refuse_large_powers(monkeypatch):
-    """Fail the test if any polynomial power above the parser's limit is computed."""
-    from suspensia.parseio import MAX_EXPONENT
+    """Fail the test if a polynomial power past the parser's limits is computed.
+
+    The limits are the exponent (``MAX_EXPONENT``) and, for a base of t > 1
+    terms, the C(t+n-1, n) terms its n-th power can have (``MAX_TERMS``).
+    """
+    from suspensia.parseio import MAX_EXPONENT, MAX_TERMS
 
     real_pow = Polynomial.__pow__
 
     def guarded(self, n):
         assert n <= MAX_EXPONENT, f"power {n} computed"
+        t = len(self.terms)
+        assert t < 2 or math.comb(t + n - 1, n) <= MAX_TERMS, f"power {n} of {t} terms computed"
         return real_pow(self, n)
 
     monkeypatch.setattr(Polynomial, "__pow__", guarded)

@@ -339,7 +339,7 @@ def test_suspension_mechanics():
 def test_lift_preserves_orders():
     start = time.perf_counter()
     source = certify_lnd(build_vandermonde_lnd(3), 8)
-    certificate = lift_along_root(source, "y", "u", 2, cap=8)
+    certificate = lift_along_root(source, "y", "u", 2)
     assert certificate.certified
     for name in ("x0", "x1", "x2", "z", "w"):
         assert certificate.orders[name] == source.orders[name]

@@ -466,6 +466,44 @@ def test_output_path_under_an_existing_file_is_input_error(command, tmp_path, ca
     assert existing.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["lift", str(FIXTURES / "yp3_derivation.json"), "--var", "q", "--new", "u",
+          "--power", "2"], "unknown variable 'q'"),
+        (["lift", str(FIXTURES / "yp3_derivation.json"), "--var", "y", "--new", "x0",
+          "--power", "2"], "duplicate variable name 'x0'"),
+        (["suspend", str(FIXTURES / "yp3.json"), "--f", "x0", "--k", "2,3",
+          "--names", "x0,y2"], "duplicate variable name 'x0'"),
+        (["suspend", str(FIXTURES / "yp3.json"), "--f", "x0", "--k", "2,3",
+          "--names", "9a,b"], "invalid variable name '9a'"),
+    ],
+    ids=["lift-var", "lift-new", "suspend-taken", "suspend-invalid"],
+)
+def test_bad_variable_name_is_input_error(command, message, capsys):
+    # each exited 1 ("check failed") although the name is malformed input
+    assert main(command) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and message in err
+
+
+def test_derivation_name_on_a_standalone_file_is_input_error(capsys):
+    # a standalone file holds one unnamed derivation; the name was ignored
+    argv = ["exp", str(FIXTURES / "yp3_derivation.json"), "--derivation", "nope"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and "'nope'" in captured.err
+
+
+def test_exp_power_past_the_term_limit_is_input_error(monkeypatch, capsys):
+    helpers.refuse_large_powers(monkeypatch)
+    argv = ["exp", str(FIXTURES / "yp3_derivation.json"), "--t=(x0+x1+x2+y+z+w)^1000"]
+    with helpers.wall_clock_budget(1):
+        assert main(argv) == 3
+    assert "terms exceeds the limit" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # fuzzing: whatever the input, main returns an exit code and raises nothing
 
@@ -494,9 +532,9 @@ def test_fuzz_file_bytes(data, command):
 # str.isspace accept: each is an input error, or a space between tokens.
 _NON_ASCII = ["²", "١", "é", "\u00a0"]
 
-# One variable besides the field constant: a power of a sum of several
-# variables expands into many terms, which is not what this probes.
-_T_TEXT = st.text(alphabet=list("0123456789+-*/^()z@.x ") + _NON_ASCII, max_size=10)
+# The letters of the p=3 names x0, x1, x2, y, z, w and of the field
+# constant z@3; a product or power past parseio.MAX_TERMS is an input error.
+_T_TEXT = st.text(alphabet=list("0123456789+-*/^()xyzw@. ") + _NON_ASCII, max_size=10)
 
 
 @settings(max_examples=40, deadline=2000)
@@ -505,6 +543,7 @@ _T_TEXT = st.text(alphabet=list("0123456789+-*/^()z@.x ") + _NON_ASCII, max_size
 @example("2^1001")  # the exponent limit
 @example("9" * 999)  # t^U past the digit limit, refused before any power
 @example("1/0")
+@example("(x0+x1+x2+y+z+w)^1000")  # the term limit
 def test_fuzz_exp_parameter(text):
     argv = ["exp", str(FIXTURES / "yp3_derivation.json"), "--t=" + text]
     assert _run_quietly(argv) in EXIT_CODES

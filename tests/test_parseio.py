@@ -25,13 +25,14 @@ from suspensia.coeff import CyclotomicField, root_of_unity
 from suspensia.parseio import (
     MAX_DIGITS,
     MAX_EXPONENT,
+    MAX_TERMS,
     algebra_from_data,
     algebra_to_data,
     dump_canonical,
     save_json,
 )
 
-from helpers import random_polynomial, refuse_large_powers, QXY
+from helpers import random_polynomial, refuse_large_powers, wall_clock_budget, QXY
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -172,6 +173,23 @@ def test_constant_limit_stops_products_and_sums_early():
     assert time.perf_counter() - start < 1.0
 
 
+def test_term_limit_refuses_products_and_powers_before_computing(monkeypatch):
+    # (x0+x1+x2+y+z+w)^15 took 6.5 s to make 15,504 terms; ^1000 would
+    # have about 8*10^12 and passed every other limit
+    refuse_large_powers(monkeypatch)
+    context = Context(CyclotomicField(3), ("x0", "x1", "x2", "y", "z", "w"))
+    with wall_clock_budget(1):
+        with pytest.raises(ParseError, match=f"more than {MAX_TERMS} terms") as info:
+            parse_expression("(x0+x1+x2+y+z+w)^1000", context)
+    assert info.value.column == 18
+    assert len(parse_expression("(x0+x1+x2+y+z+w)^10", context).terms) == 3003
+    # a product is bounded by its term pairs: 100*100 is at the limit
+    assert len(parse_expression("(x+y)^99*(x-y)^99", QXY).terms) == 100
+    with pytest.raises(ParseError, match=f"more than {MAX_TERMS} terms") as info:
+        parse_expression("(x+y)^99*(x-y)^100", QXY)
+    assert info.value.column == 10
+
+
 def test_cyclo_symbol_needs_matching_field():
     with pytest.raises(ParseError):
         parse_expression("z@3", QXY)
@@ -289,6 +307,13 @@ def test_derivation_loading_by_name(tmp_path):
         load_derivation(path)  # ambiguous without a name
     with pytest.raises(SchemaError):
         load_derivation(path, name="absent")
+
+
+def test_standalone_derivation_file_has_no_names():
+    standalone = FIXTURES / "yp3_derivation.json"
+    assert load_derivation(standalone, name=None).well_defined.ok
+    with pytest.raises(SchemaError, match="no derivation named 'main'"):
+        load_derivation(standalone, name="main")
 
 
 def test_grading_attached_on_load(tmp_path):

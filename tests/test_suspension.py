@@ -25,6 +25,7 @@ from suspensia import (
     build_Yp,
     buchberger,
     certify_bundle,
+    certify_family_lnd,
     certify_lnd,
     collapse_root,
     eliminate,
@@ -41,7 +42,6 @@ from suspensia import (
 )
 from suspensia import derivation as derivation_module
 from suspensia import suspension as suspension_module
-from suspensia.derivation import LNDCertificate
 
 
 def test_classical_plane_suspension():
@@ -87,8 +87,12 @@ def test_constant_function_rejected():
 
 def test_name_collision_rejected():
     X = algebra_from_strings(QQ, ["y1"], [])
-    with pytest.raises(SuspensionError):
+    with pytest.raises(ContextError, match="duplicate variable name 'y1'"):
         suspend(X, parse_expression("y1", X.context), (1, 1))
+    with pytest.raises(ContextError, match="duplicate variable name 'u'"):
+        suspend(X, parse_expression("y1", X.context), (1, 1), names=("u", "u"))
+    with pytest.raises(ContextError, match="invalid variable name '9a'"):
+        suspend(X, parse_expression("y1", X.context), (1, 1), names=("9a", "u"))
     X2 = algebra_from_strings(QQ, ["x"], [])
     Y, _ = suspend(X2, parse_expression("x", X2.context), (1, 1), names=("u", "v"))
     assert Y.variables == ("x", "u", "v")
@@ -174,11 +178,13 @@ def test_torus_requires_two_variables():
 
 def test_lift_zero_derivation():
     X = algebra_from_strings(QQ, ["x"], [])
-    Y, spec = suspend(X, parse_expression("x", X.context), (2, 2))
-    lifted = lift_lnd(certify_lnd(zero_derivation(X), 4), Y, spec)
+    x = parse_expression("x", X.context)
+    Y, _ = suspend(X, x, (2, 2))
+    lifted = lift_lnd(certify_lnd(zero_derivation(X), 4), x, (2, 2))
     assert lifted.certified
     assert lifted.derivation.is_zero()
-    assert lifted.derivation.algebra is Y
+    assert lifted.derivation.algebra.same_presentation(Y)
+    assert lifted.derivation.algebra.context == Y.context
 
 
 def test_lift_requires_killing_the_function():
@@ -189,43 +195,18 @@ def test_lift_requires_killing_the_function():
     d = new_derivation(
         X, {"x": parse_expression("0", X.context), "t": parse_expression("x", X.context)}
     )
-    Y, spec = suspend(X, parse_expression("x + t", X.context), (2, 2))
     with pytest.raises(SuspensionError) as info:
-        lift_lnd(certify_lnd(d, 4), Y, spec)
+        lift_lnd(certify_lnd(d, 4), parse_expression("x + t", X.context), (2, 2))
     assert "x" in str(info.value)
 
 
-def _transported(lift, *args, **kwargs):
-    """Run a lift; return its result (None if inconclusive) and the certificate it built.
-
-    The certificate is caught as it is constructed, so it is seen even when
-    the lift raises InconclusiveError because the cap is below some order.
-    """
-    made = []
-    build = LNDCertificate.from_orders
-
-    def recording(*cert_args, **cert_kwargs):
-        made.append(build(*cert_args, **cert_kwargs))
-        return made[-1]
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(LNDCertificate, "from_orders", recording)
-        try:
-            result = lift(*args, **kwargs)
-        except InconclusiveError:
-            result = None
-    (certificate,) = made
-    assert result is None or result is certificate
-    return result, certificate
-
-
-def _assert_matches_oracle(result, transported, oracle):
-    assert transported.cap == oracle.cap
-    assert transported.orders == oracle.orders
-    assert list(transported.orders) == list(oracle.orders)
-    assert transported.inconclusive == oracle.inconclusive
-    assert transported.to_json() == oracle.to_json()
-    assert (result is None) == (not oracle.certified)
+def _assert_matches_oracle(lifted, oracle):
+    assert lifted.derivation == oracle.derivation
+    assert lifted.cap == oracle.cap
+    assert lifted.orders == oracle.orders
+    assert list(lifted.orders) == list(oracle.orders)
+    assert lifted.inconclusive == oracle.inconclusive == ()
+    assert lifted.to_json() == oracle.to_json()
 
 
 def test_lift_lnd_over_suspension_of_y3():
@@ -233,32 +214,44 @@ def test_lift_lnd_over_suspension_of_y3():
     d = build_vandermonde_lnd(3)
     Y3 = d.algebra
     source_cert = certify_lnd(d, 8)
-    Y, spec = suspend(Y3, Y3.variable("y"), (2, 3), names=("u1", "u2"))
-    cert = lift_lnd(source_cert, Y, spec)
-    assert cert.certified
+    cert = lift_lnd(source_cert, Y3.variable("y"), (2, 3), names=("u1", "u2"))
+    assert cert.certified and cert.cap == 8
     for name in Y3.variables:
         assert cert.orders[name] == source_cert.orders[name]
     assert cert.orders["u1"] == 0 and cert.orders["u2"] == 0
-    # the oracle iterates the lifted derivation; caps below 2 cut the x_j
+    # the oracle iterates the lifted derivation on the algebra suspend builds
+    Y, _ = suspend(Y3, Y3.variable("y"), (2, 3), names=("u1", "u2"))
+    assert cert.derivation.algebra.same_presentation(Y)
     images = {name: d.images[name].rep.convert(Y.context) for name in Y3.variables}
     images.update(u1=Polynomial.zero(Y.context), u2=Polynomial.zero(Y.context))
-    oracle_derivation = new_derivation(Y, images)
-    assert cert.derivation == oracle_derivation
-    for cap in (None, 0, 1, 2, 8):
-        result, transported = _transported(lift_lnd, source_cert, Y, spec, cap=cap)
-        oracle = certify_lnd(oracle_derivation, 8 if cap is None else cap)
-        _assert_matches_oracle(result, transported, oracle)
+    oracle = certify_lnd(new_derivation(Y, images), source_cert.cap)
+    _assert_matches_oracle(cert, oracle)
+
+
+def test_lifts_keep_the_lowest_cap_that_certifies_the_source():
+    # Yp(3)'s x_j have order 2, so cap 2 is the least that certifies it
+    source = certify_family_lnd(3, 2)
+    assert source.certified and max(source.orders.values()) == 2
+    Y3 = source.derivation.algebra
+    by_root = lift_along_root(source, "y", "u", 3)
+    by_suspension = lift_lnd(source, Y3.variable("y"), (2, 3))
+    for lifted in (by_root, by_suspension):
+        assert lifted.certified and lifted.cap == 2
+        assert lifted.to_json() == certify_lnd(lifted.derivation, 2).to_json()
+    with pytest.raises(InconclusiveError, match="source derivation is not certified"):
+        lift_lnd(certify_family_lnd(3, 1), Y3.variable("y"), (2, 3))
 
 
 @st.composite
 def _root_lift_cases(draw):
-    """A derivation over Q that kills y, with a root power in 1..3 and a lift cap.
+    """A derivation over Q that kills y, with a root power in 1..3 and a cap.
 
     The algebra is Q[t0..t(n-1), y, c], n in 1..3, perhaps modulo one
     nonconstant relation in y and c.  D kills y and c, so it kills every
     such relation, and D(t_i) mentions only t_j (j < i), y and c, so D is
-    locally nilpotent.  The cap is None (the source's) or 0..8, which is
-    below some orders (they reach 7) in many draws.
+    locally nilpotent.  The cap, at which the source is certified, is the
+    default or 1..8; orders reach 7, so a drawn cap can leave the source
+    uncertified, and then the lift must refuse it.
     """
     n = draw(st.integers(min_value=1, max_value=3))
     names = tuple(f"t{i}" for i in range(n)) + ("y", "c")
@@ -283,7 +276,7 @@ def _root_lift_cases(draw):
             relations.append(relation)
     derivation = new_derivation(PresentedAlgebra(context, relations), images)
     power = draw(st.integers(min_value=1, max_value=3))
-    cap = draw(st.none() | st.integers(min_value=0, max_value=8))
+    cap = draw(st.none() | st.integers(min_value=1, max_value=8))
     return derivation, power, cap
 
 
@@ -291,10 +284,14 @@ def _root_lift_cases(draw):
 @given(_root_lift_cases())
 def test_lift_along_root_matches_certify_oracle(case):
     derivation, power, cap = case
-    source = certify_lnd(derivation)
-    assert source.certified
+    source = certify_lnd(derivation) if cap is None else certify_lnd(derivation, cap)
+    if not source.certified:
+        with pytest.raises(InconclusiveError, match="source derivation is not certified"):
+            lift_along_root(source, "y", "u", power)
+        return
     lifted = adjoin_root(derivation.algebra, "y", "u", power)
-    result, transported = _transported(lift_along_root, source, "y", "u", power, cap=cap)
+    result = lift_along_root(source, "y", "u", power)
+    assert result.derivation.algebra.same_presentation(lifted)
     # images through evaluation, not through the exponent rewrite
     bindings = {"y": Polynomial.variable(lifted.context, "u") ** power}
     images = {
@@ -303,9 +300,8 @@ def test_lift_along_root_matches_certify_oracle(case):
         )
         for name in derivation.algebra.variables
     }
-    oracle = certify_lnd(new_derivation(lifted, images), source.cap if cap is None else cap)
-    assert transported.derivation == oracle.derivation
-    _assert_matches_oracle(result, transported, oracle)
+    oracle = certify_lnd(new_derivation(lifted, images), source.cap)
+    _assert_matches_oracle(result, oracle)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -320,7 +316,6 @@ def test_bundle_lift_matches_certify_oracle(p):
 def test_lifts_never_iterate_the_derivation(monkeypatch):
     source = certify_lnd(build_vandermonde_lnd(3), 8)
     Y3 = source.derivation.algebra
-    Y, spec = suspend(Y3, Y3.variable("y"), (2, 3), names=("u1", "u2"))
 
     def refuse(*args, **kwargs):
         raise AssertionError("a lift iterated the derivation")
@@ -330,26 +325,10 @@ def test_lifts_never_iterate_the_derivation(monkeypatch):
     monkeypatch.setattr(suspension_module, "certify_lnd", refuse, raising=False)
     monkeypatch.setattr(Derivation, "apply", refuse)
     by_root = lift_along_root(source, "y", "u", 2)
-    by_suspension = lift_lnd(source, Y, spec)
+    by_suspension = lift_lnd(source, Y3.variable("y"), (2, 3), names=("u1", "u2"))
     assert by_root.certified and by_suspension.certified
     assert by_root.orders["u"] == 0 and by_suspension.orders["u1"] == 0
     assert by_root.orders["x0"] == by_suspension.orders["x0"] == source.orders["x0"]
-
-
-def test_lift_lnd_rejects_an_extension_other_than_the_spec():
-    # D kills t, so its lift is well defined on every suspension with f = t
-    # and only the premise check can tell the spec's target from another
-    X = algebra_from_strings(QQ, ["x", "t"], [])
-    source = certify_lnd(
-        new_derivation(X, {"x": parse_expression("t", X.context), "t": 0}), 4
-    )
-    t = parse_expression("t", X.context)
-    _, spec = suspend(X, t, (2, 3))
-    other_exponents, _ = suspend(X, t, (2, 2))
-    other_function, _ = suspend(X, parse_expression("t^2", X.context), (2, 3))
-    for other in (other_exponents, other_function):
-        with pytest.raises(SuspensionError, match="not the suspension"):
-            lift_lnd(source, other, spec)
 
 
 def test_adjoin_root_forward():
@@ -417,8 +396,10 @@ def test_lift_along_root_rejects_existing_new_variable():
     d = new_derivation(
         X, {"x": parse_expression("y^2", X.context), "y": parse_expression("0", X.context)}
     )
-    with pytest.raises(SuspensionError, match="already exists"):
+    with pytest.raises(ContextError, match="duplicate variable name 'x'"):
         lift_along_root(certify_lnd(d, 4), "y", "x", 2)
+    with pytest.raises(ContextError, match="not fresh"):
+        lift_along_root(certify_lnd(d, 4), "y", "y", 2)
 
 
 def test_lift_along_root_checks_power_first():
