@@ -4,7 +4,7 @@ An algebra is K[variables]/I for an ideal I given by relation polynomials.
 Coset equality is decided through normal forms against a reduced Groebner
 basis, computed once at construction.  A grading is an integer weight matrix
 (one row per Z-factor) under which every relation, and every reduced basis
-element, must be homogeneous.
+element, must be homogeneous; a ``Grading`` checks that when it is built.
 
 The monomial order is part of an algebra's presentation: it fixes the basis
 and so the normal-form representative of each coset.  The ideal, and hence
@@ -48,8 +48,8 @@ class PresentedAlgebra:
     kept as ``algebra.order``.  It decides which representative each coset
     gets, never which cosets are equal; an order whose lead monomials
     follow the relations' structure saves Buchberger work.  ``gradings``
-    maps names to weight matrices; each is validated by ``attach_grading``
-    and kept, as a Grading, under the same name.
+    maps names to weight matrices; each is validated as a ``Grading`` and
+    kept under the same name.
     """
 
     def __init__(self, context: Context, relations, order: MonomialOrder | None = None,
@@ -67,7 +67,7 @@ class PresentedAlgebra:
                 "inconsistent presentation: 1 lies in the relation ideal"
             )
         self.gradings = {
-            name: attach_grading(self, matrix) for name, matrix in (gradings or {}).items()
+            name: Grading(self, matrix) for name, matrix in (gradings or {}).items()
         }
 
     @property
@@ -202,10 +202,44 @@ class AlgebraElement:
 
 @dataclass(frozen=True, eq=False)
 class Grading:
-    """An accepted integer grading: one weight row per Z-factor."""
+    """An integer grading, one weight row per Z-factor, validated when built.
+
+    Every relation and reduced-basis element must be homogeneous under every
+    row (``GradingError`` otherwise); the basis guards against term orders
+    mixing degrees behind the relations' backs.
+    """
 
     algebra: PresentedAlgebra
     matrix: tuple
+
+    def __post_init__(self):
+        algebra = self.algebra
+        rows = tuple(tuple(int(w) for w in row) for row in self.matrix)
+        object.__setattr__(self, "matrix", rows)
+        nv = algebra.context.nvars
+        for row in rows:
+            if len(row) != nv:
+                raise GradingError(
+                    f"weight row length {len(row)} does not match {nv} variables"
+                )
+        for r, weights in enumerate(rows):
+            for poly, origin in [(p, "relation") for p in algebra.relations] + [
+                (p, "basis element") for p in algebra.basis.generators
+            ]:
+                comps = poly.weighted_components(weights)
+                if len(comps) > 1:
+                    degs = sorted(comps)
+                    m1 = next(iter(comps[degs[0]].terms))
+                    m2 = next(iter(comps[degs[-1]].terms))
+                    witness = (
+                        f"{monomial_text(algebra.context, m1) or '1'} (weight {degs[0]}) vs "
+                        f"{monomial_text(algebra.context, m2) or '1'} (weight {degs[-1]})"
+                    )
+                    raise GradingError(
+                        f"{origin} {poly.text()} is not homogeneous under row {r}: {witness}",
+                        row=r,
+                        witness=witness,
+                    )
 
     @property
     def nrows(self) -> int:
@@ -236,38 +270,8 @@ class Grading:
 
 
 def attach_grading(algebra: PresentedAlgebra, matrix) -> Grading:
-    """Validate and attach a weight matrix.
-
-    Every relation and every reduced-basis element must be homogeneous under
-    every row; checking the basis as well guards against term orders mixing
-    degrees behind the relations' backs.
-    """
-    rows = tuple(tuple(int(w) for w in row) for row in matrix)
-    nv = algebra.context.nvars
-    for row in rows:
-        if len(row) != nv:
-            raise GradingError(
-                f"weight row length {len(row)} does not match {nv} variables"
-            )
-    for r, weights in enumerate(rows):
-        for poly, origin in [(p, "relation") for p in algebra.relations] + [
-            (p, "basis element") for p in algebra.basis.generators
-        ]:
-            comps = poly.weighted_components(weights)
-            if len(comps) > 1:
-                degs = sorted(comps)
-                m1 = next(iter(comps[degs[0]].terms))
-                m2 = next(iter(comps[degs[-1]].terms))
-                witness = (
-                    f"{monomial_text(algebra.context, m1) or '1'} (weight {degs[0]}) vs "
-                    f"{monomial_text(algebra.context, m2) or '1'} (weight {degs[-1]})"
-                )
-                raise GradingError(
-                    f"{origin} {poly.text()} is not homogeneous under row {r}: {witness}",
-                    row=r,
-                    witness=witness,
-                )
-    return Grading(algebra, rows)
+    """Validate a weight matrix for ``algebra``: the same as ``Grading(algebra, matrix)``."""
+    return Grading(algebra, matrix)
 
 
 def coarsen_grading(grading: Grading, projection) -> Grading:
@@ -279,6 +283,4 @@ def coarsen_grading(grading: Grading, projection) -> Grading:
         )
     if len(pi) > grading.nrows or rank(pi) != len(pi):
         raise GradingError("projection matrix must have full row rank")
-    new_matrix = tuple(tuple(row) for row in matmul(pi, grading.matrix))
-    # homogeneity is inherited: each relation's single multidegree projects
-    return Grading(grading.algebra, new_matrix)
+    return Grading(grading.algebra, matmul(pi, grading.matrix))

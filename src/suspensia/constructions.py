@@ -88,13 +88,14 @@ def prime_ceiling() -> int:
 
 
 def _check_prime(p: int):
-    if not is_prime(p) or p < 3:
-        raise ConstructionError(f"need an odd prime, got {p}")
+    # compare with the ceiling first, so a huge p is never trial-divided
     ceiling = prime_ceiling()
     if p > ceiling:
         raise ConstructionError(
-            f"prime {p} exceeds the ceiling {ceiling} (set {ENV_MAX_PRIME} to raise it)"
+            f"p = {p} exceeds the ceiling {ceiling} (set {ENV_MAX_PRIME} to raise it)"
         )
+    if not is_prime(p) or p < 3:
+        raise ConstructionError(f"need an odd prime, got {p}")
 
 
 def x_names(p: int) -> tuple:
@@ -263,19 +264,18 @@ def build_vandermonde_lnd(p: int) -> Derivation:
     if not images["z"] or any(resolved[n].rep != images[n] for n in algebra.variables):
         raise DerivationError("an image is zero or not a normal form of Yp")
 
-    derivation = Derivation(algebra, resolved, None)
+    zero = Polynomial.zero(context)
+    witnesses = WellDefinedness(
+        tuple(RelationCheck(r, zero, zero) for r in algebra.relations)
+    )
+    derivation = Derivation._proved(algebra, resolved, witnesses)
     forms = products.forms.forms
     first_image = Polynomial.monomial(context, {"z": 1, "y": p - 1}, 2)
     if derivation.leibniz_image(forms[0]) != first_image:
         raise DerivationError("the first linear form does not map to 2*z*y^(p-1)")
     if any(derivation.leibniz_image(form) for form in forms[1:]):
         raise DerivationError("a linear form L_i with i >= 2 does not map to 0")
-
-    zero = Polynomial.zero(context)
-    witnesses = WellDefinedness(
-        tuple(RelationCheck(r, zero, zero) for r in algebra.relations)
-    )
-    return Derivation(algebra, resolved, witnesses)
+    return derivation
 
 
 def certify_family_lnd(p: int, cap: int = DEFAULT_CAP) -> LNDCertificate:

@@ -18,13 +18,17 @@ Inconclusive (cap reached), never "not locally nilpotent".
 Exponentials rest on those two certificates.  For a well-defined locally
 nilpotent derivation D of a Q-algebra, exp(tD) is an algebra automorphism
 with inverse exp(-tD) (Freudenburg, Algebraic Theory of Locally Nilpotent
-Derivations, ch. 1).  So ``exp`` checks its premise, the per-relation
-witnesses and a terminating orbit for every generator, and does not push
-the relations through the images it builds.  The ``Exponential`` it
-returns pushes an element f, in ``apply`` and ``compose``, as its series:
-the sum of t^k D^k(f) / k! over the D-orbit of f, which ends by the bound
-the certified orders give to f.  An ``AlgebraMorphism`` built from
-user-given images still checks every relation and pushes by substitution.
+Derivations, ch. 1).  ``Derivation(algebra, images)`` certifies
+well-definedness itself, so ``exp`` checks a terminating orbit for every
+generator and does not push the relations through the images it builds.
+The ``Exponential`` it returns pushes an element f, in ``apply`` and
+``compose``, as its series: the sum of t^k D^k(f) / k! over the D-orbit of
+f, which ends by the bound the certified orders give to f.
+``AlgebraMorphism(source, target, images)`` checks every relation and
+pushes by substitution.  The unchecked builders are private:
+``Derivation._proved`` for the family derivation, whose witnesses come from
+a proof, and ``AlgebraMorphism._trusted`` for composites, identities and
+exponentials.
 
 Derivations are immutable after construction; apply/nu/exp are pure.
 """
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import ClassVar
 
 from .algebra import AlgebraElement, Grading, PresentedAlgebra
 from .coeff import stored_integers
@@ -42,11 +47,6 @@ from .poly import ContextError, Polynomial, Substitution
 MINUS_INFINITY = float("-inf")
 
 DEFAULT_CAP = 64
-
-_JUSTIFICATION = (
-    "finite nilpotency order on every generator extends to the whole algebra "
-    "because the induced order function is a degree function"
-)
 
 
 class DerivationError(ValueError):
@@ -122,7 +122,10 @@ class LNDCertificate:
     cap: int
     orders: dict
     inconclusive: tuple
-    justification: str = _JUSTIFICATION
+    justification: ClassVar[str] = (
+        "finite nilpotency order on every generator extends to the whole algebra "
+        "because the induced order function is a degree function"
+    )
 
     @property
     def certified(self) -> bool:
@@ -145,18 +148,43 @@ class LNDCertificate:
 class Derivation:
     """A derivation of a presented algebra, fixed by its generator images.
 
-    ``well_defined`` holds the per-relation witnesses that ``new_derivation``
-    computes.  A hand-built ``Derivation(algebra, images, None)`` is an
-    unverified map: its ``apply`` need not be a map on the quotient, and
-    ``exp`` refuses it.
+    Construction needs one image per variable and applies the Leibniz
+    extension to every relation: a nonzero normal form raises
+    ``NotWellDefinedError`` with that witness, and the checks that pass are
+    kept as ``well_defined``.
     """
 
     __slots__ = ("algebra", "images", "well_defined")
 
-    def __init__(self, algebra, images, well_defined):
+    def __init__(self, algebra: PresentedAlgebra, images: dict):
+        resolved = {}
+        for name in algebra.variables:
+            if name not in images:
+                raise DerivationError(f"missing image for variable {name!r}")
+            resolved[name] = algebra.element(images[name])
+        for name in images:
+            if name not in resolved:
+                raise DerivationError(f"image given for unknown variable {name!r}")
         self.algebra = algebra
-        self.images = images
-        self.well_defined = well_defined
+        self.images = resolved
+        checks = []
+        for r in algebra.relations:
+            raw = self.leibniz_image(r)
+            nf = algebra.normal_form(raw)
+            if nf.terms:
+                raise NotWellDefinedError(
+                    f"image of relation {r.text()} is not in the ideal (normal form: {nf.text()})",
+                    r, nf,
+                )
+            checks.append(RelationCheck(r, raw, nf))
+        self.well_defined = WellDefinedness(tuple(checks))
+
+    @classmethod
+    def _proved(cls, algebra: PresentedAlgebra, images: dict, witnesses: WellDefinedness):
+        """Unchecked: for ``build_vandermonde_lnd``, whose witnesses come from a proof."""
+        derivation = object.__new__(cls)
+        derivation.algebra, derivation.images, derivation.well_defined = algebra, images, witnesses
+        return derivation
 
     def leibniz_image(self, f: Polynomial) -> Polynomial:
         """Image of a plain polynomial under the Leibniz extension (no reduction)."""
@@ -190,38 +218,8 @@ class Derivation:
 
 
 def new_derivation(algebra: PresentedAlgebra, images: dict) -> Derivation:
-    """Build a derivation from generator images, certifying well-definedness.
-
-    Every variable needs exactly one image.  For each relation r the Leibniz
-    extension is applied to r and reduced; a nonzero normal form means the
-    map does not descend to the quotient and construction fails with that
-    witness.
-    """
-    resolved = {}
-    for name in algebra.variables:
-        if name not in images:
-            raise DerivationError(f"missing image for variable {name!r}")
-        resolved[name] = algebra.element(images[name])
-    for name in images:
-        if name not in resolved:
-            raise DerivationError(f"image given for unknown variable {name!r}")
-
-    candidate = Derivation(algebra, resolved, None)
-    checks = []
-    for r in algebra.relations:
-        raw = candidate.leibniz_image(r)
-        nf = algebra.normal_form(raw)
-        checks.append(RelationCheck(r, raw, nf))
-    certificate = WellDefinedness(tuple(checks))
-    if not certificate.ok:
-        bad = next(c for c in checks if not c.ok)
-        raise NotWellDefinedError(
-            f"image of relation {bad.relation.text()} is not in the ideal "
-            f"(normal form: {bad.normal_form.text()})",
-            bad.relation,
-            bad.normal_form,
-        )
-    return Derivation(algebra, resolved, certificate)
+    """Build a derivation from generator images: ``Derivation(algebra, images)``."""
+    return Derivation(algebra, images)
 
 
 def zero_derivation(algebra: PresentedAlgebra) -> Derivation:
@@ -451,31 +449,36 @@ def is_diagonal_semisimple(derivation: Derivation):
 class AlgebraMorphism:
     """An algebra map given on generators; relations must map to zero.
 
-    With ``check`` (the default) every relation is pushed through the
-    images and its normal form must vanish.  ``compose`` and
-    ``identity_morphism`` pass ``check=False``: their maps are algebra maps
-    by construction.  A morphism pushes elements by substitution: each
+    ``AlgebraMorphism(source, target, images)`` pushes every relation
+    through the images, and its normal form must vanish (``MorphismError``
+    otherwise).  ``compose``, ``identity_morphism`` and ``exp`` build
+    through ``_trusted`` instead: their maps are algebra maps by
+    construction.  A morphism pushes elements by substitution: each
     generator goes to its image, one table of image powers per call of
     ``apply`` or ``compose`` (``Exponential`` pushes along D-orbits instead).
     """
 
     __slots__ = ("source", "target", "images")
 
-    def __init__(self, source, target, images: dict, check: bool = True):
+    def __init__(self, source, target, images: dict):
         self.source = source
         self.target = target
         self.images = {name: target.element(v) for name, v in images.items()}
         for name in source.variables:
             if name not in self.images:
                 raise MorphismError(f"missing image for variable {name!r}")
-        if check:
-            substitute = self._substitution()
-            for r in source.relations:
-                nf = target.normal_form(substitute(r))
-                if nf.terms:
-                    raise MorphismError(
-                        f"relation {r.text()} maps to nonzero {nf.text()}"
-                    )
+        substitute = self._substitution()
+        for r in source.relations:
+            nf = target.normal_form(substitute(r))
+            if nf.terms:
+                raise MorphismError(f"relation {r.text()} maps to nonzero {nf.text()}")
+
+    @classmethod
+    def _trusted(cls, source, target, images: dict):
+        """Unchecked: for maps that are algebra maps by construction, images in ``target``."""
+        morphism = object.__new__(cls)
+        morphism.source, morphism.target, morphism.images = source, target, images
+        return morphism
 
     def _substitution(self) -> Substitution:
         bindings = {name: img.rep for name, img in self.images.items()}
@@ -502,7 +505,7 @@ class AlgebraMorphism:
         images = {
             name: push(self.source.element(img)) for name, img in inner.images.items()
         }
-        return AlgebraMorphism(inner.source, self.target, images, check=False)
+        return AlgebraMorphism._trusted(inner.source, self.target, images)
 
     def agrees_with(self, other: AlgebraMorphism) -> bool:
         return all(self.images[n] == other.images[n] for n in self.images)
@@ -524,19 +527,12 @@ class Exponential(AlgebraMorphism):
     is one and is not reduced again; the cost is linear in the size of the
     iterates, where a substitution multiplies powers of the images.
 
-    Only ``exp`` builds one, from the orders it has just certified: the
-    constructor trusts them, and orders that are too small would cut the
-    series short.  The class is not exported.
+    Only ``exp`` builds one, through ``_trusted``, with the orders it has
+    just certified: they are trusted, and orders that are too small would
+    cut the series short.  The class is not exported.
     """
 
     __slots__ = ("derivation", "t", "orders")
-
-    def __init__(self, derivation: Derivation, t, orders: tuple, images: dict):
-        algebra = derivation.algebra
-        super().__init__(algebra, algebra, images, check=False)
-        self.derivation = derivation
-        self.t = t
-        self.orders = orders
 
     def _pusher(self):
         return self._push
@@ -548,8 +544,8 @@ class Exponential(AlgebraMorphism):
 
 
 def identity_morphism(algebra: PresentedAlgebra) -> AlgebraMorphism:
-    return AlgebraMorphism(
-        algebra, algebra, {n: algebra.variable(n) for n in algebra.variables}, check=False
+    return AlgebraMorphism._trusted(
+        algebra, algebra, {n: algebra.variable(n) for n in algebra.variables}
     )
 
 
@@ -609,10 +605,9 @@ def exp(derivation: Derivation, t, cap: int = DEFAULT_CAP,
         max_digits: int | None = None) -> Exponential:
     """The automorphism sum_j t^j D^j / j!, exact thanks to nilpotency.
 
-    The premise is verified, not assumed: D must carry well-definedness
-    witnesses that hold (``new_derivation`` builds them; a hand-built
-    ``Derivation`` with none raises DerivationError), and every generator's
-    orbit x, D x, ..., D^order x must end within ``cap`` (InconclusiveError
+    The premise is verified, not assumed: every ``Derivation`` carries
+    well-definedness witnesses that hold, and every generator's orbit
+    x, D x, ..., D^order x must end within ``cap`` (InconclusiveError
     otherwise).  Each generator's series is summed over that orbit, so the
     sum is finite and lands back in the algebra.  For a well-defined
     locally nilpotent D of a Q-algebra, exp(tD) is an algebra automorphism,
@@ -633,12 +628,6 @@ def exp(derivation: Derivation, t, cap: int = DEFAULT_CAP,
     it does not check that the images are multiplicative.  That rests on
     the theorem above, and on the premise checks here.
     """
-    witnesses = derivation.well_defined
-    if witnesses is None or not witnesses.ok:
-        raise DerivationError(
-            "cannot exponentiate a derivation without well-definedness witnesses; "
-            "build it with new_derivation"
-        )
     algebra = derivation.algebra
     t = algebra.field.coerce(t)
     orbits = [None] * len(algebra.variables)
@@ -653,7 +642,9 @@ def exp(derivation: Derivation, t, cap: int = DEFAULT_CAP,
         name: AlgebraElement(algebra, _series(algebra.field, orbit, t))
         for name, orbit in zip(algebra.variables, orbits)
     }
-    return Exponential(derivation, t, orders, images)
+    exponential = Exponential._trusted(algebra, algebra, images)
+    exponential.derivation, exponential.t, exponential.orders = derivation, t, orders
+    return exponential
 
 
 def certificate_json(certificate: LNDCertificate, grading: Grading | None = None) -> dict:

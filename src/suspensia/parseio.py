@@ -356,9 +356,9 @@ def algebra_from_data(data: dict) -> PresentedAlgebra:
     for name, matrix in gradings.items():
         _expect(
             isinstance(matrix, list)
-            and all(isinstance(row, list) for row in matrix)
+            and all(isinstance(row, list) and len(row) == len(variables) for row in matrix)
             and all(isinstance(w, int) for row in matrix for w in row),
-            f"grading {name!r} must be a list of integer rows",
+            f"grading {name!r} must be a list of integer rows of length {len(variables)}",
         )
     algebra = PresentedAlgebra(context, parsed, gradings=gradings)
     derivations = data.get("derivations", {})

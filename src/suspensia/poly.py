@@ -11,6 +11,7 @@ Polynomials are immutable by convention; all operations return new values.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -397,9 +398,12 @@ class Polynomial:
         if not self.terms:
             return "0"
         rendered = []
-        for mono, coeff in self.sorted_terms():
-            mono_s = monomial_text(self.context, mono)
-            rendered.append(_term_text(coeff, mono_s))
+        try:
+            for mono, coeff in self.sorted_terms():
+                rendered.append(_term_text(coeff, monomial_text(self.context, mono)))
+        except ValueError:  # str() of an integer past sys.get_int_max_str_digits()
+            limit = sys.get_int_max_str_digits()
+            raise CoefficientError(f"a number has too many digits to print (limit {limit})") from None
         sign, body = rendered[0]
         out = body if sign > 0 else "-" + body
         for sign, body in rendered[1:]:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from suspensia import (
     Context,
+    Grading,
     GradingError,
     Polynomial,
     PresentationError,
@@ -156,6 +157,17 @@ def test_attach_grading_rejects_bad_weights():
     weights = (2, 2, 2, 0, 2, 0)
     comps = algebra.relations[0].weighted_components(weights)
     assert len(comps) > 1
+
+
+def test_grading_validates_when_built():
+    # x - y^2 is homogeneous under (2, 1) only; the constructor refuses
+    # (1, 1) as attach_grading does, so no unchecked Grading exists
+    algebra = algebra_from_strings(QQ, ["x", "y"], ["x - y^2"])
+    for build in (Grading, attach_grading):
+        with pytest.raises(GradingError) as info:
+            build(algebra, ((1, 1),))
+        assert info.value.row == 0
+    assert Grading(algebra, [[2, 1]]).matrix == ((2, 1),)
 
 
 def test_zero_matrix_is_trivial_grading():

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -115,6 +116,47 @@ def test_validate_field_order_over_limit_exits_3_at_once(tmp_path, capsys):
     assert main(["validate", path]) == 3
     assert time.perf_counter() - start < 1.0
     assert "exceeds the limit" in capsys.readouterr().err
+
+
+def test_build_yp_past_the_prime_ceiling_exits_3_at_once(tmp_path, capsys):
+    # p was trial-divided before it was compared with the ceiling: this run
+    # did not finish in 20 s
+    big = "1000000000000000003"
+    out = tmp_path / "out"
+    with helpers.wall_clock_budget(1):
+        assert main(["build-yp", "--p", big, "--n", big, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "ceiling" in err and "prime" not in err
+    assert not out.exists()
+
+
+def test_grading_row_of_the_wrong_length_is_input_error(tmp_path, capsys):
+    # a malformed grading exited 1 ("check failed") from the grading check
+    data = {"field": "Q", "variables": ["x", "y"], "relations": ["x*y"],
+            "gradings": {"g": [[1, 2, 3]]}}
+    assert main(["validate", _write(tmp_path, "rows.json", data)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "rows of length 2" in err
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no integer text limit")
+def test_groebner_basis_past_the_digit_limit_is_input_error(tmp_path, capsys):
+    # x_i - N*x_(i+1) with a 999-digit N: every input limit accepts the file,
+    # but the reduced basis holds x0 - N^k*x_k, past the interpreter's limit
+    # on the digits of an integer's text; groebner ended in a traceback
+    links = sys.get_int_max_str_digits() // 999 + 1
+    nines = "9" * 999
+    data = {
+        "field": "Q",
+        "variables": [f"x{i}" for i in range(links + 1)],
+        "relations": [f"x{i} - {nines}*x{i + 1}" for i in range(links)],
+    }
+    path = _write(tmp_path, "chain.json", data)
+    assert main(["validate", path]) == 0
+    capsys.readouterr()
+    assert main(["groebner", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "too many digits" in err
 
 
 def test_groebner_prints_reduced_basis(tmp_path, capsys):

@@ -39,7 +39,6 @@ from suspensia import (
 from suspensia import poly
 from suspensia.coeff import root_of_unity
 from suspensia.constructions import yp_weight_row
-from suspensia.derivation import RelationCheck, WellDefinedness
 
 from helpers import nonzero_random_polynomial, random_polynomial
 
@@ -83,6 +82,12 @@ def test_ill_defined_rejected_with_witness():
     with pytest.raises(NotWellDefinedError) as info:
         D(torus_line(), y="1", w="0")
     assert info.value.witness.text() == "w"
+    # the constructor is the builder: D(xy) = y is not in (xy), so neither a
+    # certificate nor an exponential can be issued for x -> 1, y -> 0
+    algebra = algebra_from_strings(QQ, ["x", "y"], ["x*y"])
+    with pytest.raises(NotWellDefinedError) as info:
+        Derivation(algebra, {"x": 1, "y": 0})
+    assert info.value.witness.text() == "y"
 
 
 def test_missing_image_rejected():
@@ -451,15 +456,13 @@ def test_exp_group_law_vandermonde(y3):
 
 def test_exp_needs_the_verified_premise(y3):
     algebra, derivation = y3
-    # y -> 1 does not descend: y*w - 1 goes to w, which is not in the ideal
+    # y -> 1 does not descend, so no derivation with these images exists to
+    # exponentiate, and none can be handed witnesses it did not earn
     images = dict(derivation.images, y=algebra.element(1))
-    with pytest.raises(DerivationError, match="well-definedness"):
-        exp(Derivation(algebra, images, None), 1)
-    relation = algebra.relations[-1]
-    witness = algebra.variable("w").rep
-    failed = WellDefinedness((RelationCheck(relation, witness, witness),))
-    with pytest.raises(DerivationError, match="well-definedness"):
-        exp(Derivation(algebra, images, failed), 1)
+    with pytest.raises(NotWellDefinedError):
+        Derivation(algebra, images)
+    with pytest.raises(TypeError):
+        Derivation(algebra, images, None)
     # a verified derivation whose orders exceed the cap stays inconclusive
     with pytest.raises(InconclusiveError):
         exp(derivation, 1, cap=1)
@@ -471,7 +474,7 @@ def test_exp_images_pass_the_relation_check(y3):
     lifted = lift_along_root(certify_lnd(derivation), "y", "u", 2)
     for d in (derivation, lifted.derivation):
         for t in (1, -1, Fraction(1, 2), Fraction(3, 7), root_of_unity(3, 1)):
-            AlgebraMorphism(d.algebra, d.algebra, exp(d, t).images, check=True)
+            AlgebraMorphism(d.algebra, d.algebra, exp(d, t).images)
 
 
 def test_user_morphism_breaking_a_relation_is_refused(y3):
@@ -480,6 +483,13 @@ def test_user_morphism_breaking_a_relation_is_refused(y3):
     images["w"] = algebra.element(parse_expression("2*w", algebra.context))
     with pytest.raises(MorphismError):
         AlgebraMorphism(algebra, algebra, images)
+    # x -> x + 1 sends x - y^2 to 1; no option skips the check
+    parabola = algebra_from_strings(QQ, ["x", "y"], ["x - y^2"])
+    shifted = {"x": parse_expression("x + 1", parabola.context), "y": parabola.variable("y")}
+    with pytest.raises(MorphismError):
+        AlgebraMorphism(parabola, parabola, shifted)
+    with pytest.raises(TypeError):
+        AlgebraMorphism(parabola, parabola, shifted, check=False)
 
 
 def test_compose_from_one_table_matches_per_image_apply(y3):
@@ -489,7 +499,7 @@ def test_compose_from_one_table_matches_per_image_apply(y3):
         # a user-built morphism pushes through one table of powers per call,
         # an exponential along D-orbits; both must agree with apply
         for outer in (
-            AlgebraMorphism(algebra, algebra, exp(derivation, s).images, check=False),
+            AlgebraMorphism(algebra, algebra, exp(derivation, s).images),
             exp(derivation, s),
         ):
             composed = outer.compose(inner)
@@ -515,7 +525,7 @@ def y3_and_lift(y3):
 def _substitution_route(derivation, s, t):
     """exp(sD) o exp(tD) with exp(sD) rebuilt as a user morphism, relations checked."""
     algebra = derivation.algebra
-    outer = AlgebraMorphism(algebra, algebra, exp(derivation, s).images, check=True)
+    outer = AlgebraMorphism(algebra, algebra, exp(derivation, s).images)
     return outer.compose(exp(derivation, t))
 
 
@@ -532,7 +542,7 @@ def test_exp_apply_matches_the_substitution_route(y3_and_lift):
         algebra = derivation.algebra
         for t in _T_VALUES:
             morphism = exp(derivation, t)
-            generic = AlgebraMorphism(algebra, algebra, morphism.images, check=False)
+            generic = AlgebraMorphism(algebra, algebra, morphism.images)
             for _ in range(3):
                 f = random_polynomial(rng, algebra.context, max_terms=3, max_exp=1)
                 assert morphism.apply(f) == generic.apply(f)
@@ -552,7 +562,7 @@ def test_exp_on_triangular_derivations_matches_the_substitution_route(case, s, t
     composed = outer.compose(exp(derivation, t))
     assert composed.images == _substitution_route(derivation, s, t).images
     assert composed.agrees_with(exp(derivation, s + t))
-    generic = AlgebraMorphism(algebra, algebra, outer.images, check=False)
+    generic = AlgebraMorphism(algebra, algebra, outer.images)
     f = random_polynomial(rng, algebra.context, max_terms=3, max_exp=2)
     assert outer.apply(f) == generic.apply(f)
 
