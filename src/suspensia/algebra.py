@@ -14,18 +14,47 @@ entering an algebra under another order is reduced again on the way in
 (:meth:`PresentedAlgebra.element`), so representatives are only ever
 compared under one order.
 
-Algebras are immutable after construction and safe to share.
+Algebras and their elements refuse attribute writes (``_Frozen``), and
+gradings sit in a read-only mapping, so both are safe to share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .coeff import CyclotomicNumber
 from .groebner import MonomialOrder, buchberger, grevlex
 from .linalg import matmul, rank
 from .poly import Context, ContextError, Polynomial, monomial_text
+
+
+class _Frozen:
+    """Refuses attribute writes and deletes; its builders fill each slot once (``_fill``)."""
+
+    __slots__ = ()
+
+    def _fill(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def _integers(values) -> tuple | None:
+    """``values`` as a tuple of ints when each equals its int(), else None."""
+    try:
+        raw = tuple(values)
+        ints = tuple(int(v) for v in raw)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return ints if ints == raw else None
 
 
 class PresentationError(ValueError):
@@ -41,7 +70,7 @@ class GradingError(ValueError):
         self.witness = witness
 
 
-class PresentedAlgebra:
+class PresentedAlgebra(_Frozen):
     """K[variables]/(relations), with computable equality via normal forms.
 
     ``order`` is the monomial order of the basis (grevlex by default) and is
@@ -49,8 +78,10 @@ class PresentedAlgebra:
     gets, never which cosets are equal; an order whose lead monomials
     follow the relations' structure saves Buchberger work.  ``gradings``
     maps names to weight matrices; each is validated as a ``Grading`` and
-    kept under the same name.
+    kept under the same name, in a read-only mapping.
     """
+
+    __slots__ = ("context", "relations", "order", "basis", "gradings")
 
     def __init__(self, context: Context, relations, order: MonomialOrder | None = None,
                  gradings: dict | None = None):
@@ -58,17 +89,16 @@ class PresentedAlgebra:
         for r in relations:
             if not isinstance(r, Polynomial) or r.context != context:
                 raise ContextError("every relation must be a polynomial in the algebra context")
-        self.context = context
-        self.relations = relations
-        self.order = order if order is not None else grevlex()
-        self.basis = buchberger(relations, self.order, context)
-        if self.basis.is_unit_ideal():
+        order = order if order is not None else grevlex()
+        basis = buchberger(relations, order, context)
+        if basis.is_unit_ideal():
             raise PresentationError(
                 "inconsistent presentation: 1 lies in the relation ideal"
             )
-        self.gradings = {
+        self._fill(context=context, relations=relations, order=order, basis=basis)
+        self._fill(gradings=MappingProxyType({
             name: Grading(self, matrix) for name, matrix in (gradings or {}).items()
-        }
+        }))
 
     @property
     def variables(self) -> tuple:
@@ -125,14 +155,15 @@ def new_algebra(field, variables, relations) -> PresentedAlgebra:
     return PresentedAlgebra(Context(field, tuple(variables)), relations)
 
 
-class AlgebraElement:
+class AlgebraElement(_Frozen):
     """A coset, stored through its unique normal-form representative."""
 
     __slots__ = ("algebra", "rep")
 
     def __init__(self, algebra: PresentedAlgebra, rep: Polynomial):
-        self.algebra = algebra
-        self.rep = rep
+        # the slots' own setters: elements are built on every operation
+        _set_algebra(self, algebra)
+        _set_rep(self, rep)
 
     def _operand(self, other):
         if isinstance(other, (AlgebraElement, int, Fraction, CyclotomicNumber, Polynomial)):
@@ -200,12 +231,17 @@ class AlgebraElement:
         return f"AlgebraElement({self.rep.text()!r})"
 
 
+_set_algebra = AlgebraElement.algebra.__set__
+_set_rep = AlgebraElement.rep.__set__
+
+
 @dataclass(frozen=True, eq=False)
 class Grading:
     """An integer grading, one weight row per Z-factor, validated when built.
 
-    Every relation and reduced-basis element must be homogeneous under every
-    row (``GradingError`` otherwise); the basis guards against term orders
+    Every weight must be an integer (a value equal to its int()), and every
+    relation and reduced-basis element must be homogeneous under every row
+    (``GradingError`` otherwise); the basis guards against term orders
     mixing degrees behind the relations' backs.
     """
 
@@ -214,7 +250,9 @@ class Grading:
 
     def __post_init__(self):
         algebra = self.algebra
-        rows = tuple(tuple(int(w) for w in row) for row in self.matrix)
+        rows = tuple(_integers(row) for row in self.matrix)
+        if None in rows:
+            raise GradingError("weights must be integers")
         object.__setattr__(self, "matrix", rows)
         nv = algebra.context.nvars
         for row in rows:
@@ -276,10 +314,10 @@ def attach_grading(algebra: PresentedAlgebra, matrix) -> Grading:
 
 def coarsen_grading(grading: Grading, projection) -> Grading:
     """Push a Z^n grading forward along a full-row-rank integer projection."""
-    pi = [ [int(c) for c in row] for row in projection ]
-    if not pi or any(len(row) != grading.nrows for row in pi):
+    pi = [_integers(row) for row in projection]
+    if not pi or None in pi or any(len(row) != grading.nrows for row in pi):
         raise GradingError(
-            f"projection must have rows of length {grading.nrows}"
+            f"projection must be an integer matrix with rows of length {grading.nrows}"
         )
     if len(pi) > grading.nrows or rank(pi) != len(pi):
         raise GradingError("projection matrix must have full row rank")

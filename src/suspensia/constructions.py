@@ -62,6 +62,7 @@ from .derivation import (
     LNDCertificate,
     RelationCheck,
     WellDefinedness,
+    certificate_json,
 )
 from .groebner import elimination
 from .poly import Context, Polynomial
@@ -284,18 +285,12 @@ def certify_family_lnd(p: int, cap: int = DEFAULT_CAP) -> LNDCertificate:
     ``build_vandermonde_lnd`` builds Yp and D and refuses what fails a
     premise; the orders x_j -> 2, z -> 1, y, w -> 0 then follow from the
     proof in the module docstring, with no orbit iterated.  A generator
-    whose order exceeds ``cap`` is inconclusive, so the certificate equals
-    what ``certify_lnd(derivation, cap)`` gives.
+    whose order exceeds ``cap`` is inconclusive, so the orders are those
+    ``certify_lnd(derivation, cap)`` gives.
     """
     derivation = build_vandermonde_lnd(p)
     orders = {"y": 0, "z": 1, "w": 0, **dict.fromkeys(x_names(p), 2)}
-    names = derivation.algebra.variables
-    return LNDCertificate(
-        derivation,
-        cap,
-        {name: orders[name] for name in names if orders[name] <= cap},
-        tuple(name for name in names if orders[name] > cap),
-    )
+    return LNDCertificate._issue(derivation, cap, orders)
 
 
 @dataclass
@@ -353,8 +348,7 @@ def certify_bundle(p: int, n: int, cap: int = DEFAULT_CAP) -> YpBundle:
             "coefficientsRational": True,
         },
         "imageBranches": {f"x{j}": "direct-power" for j in range(p)},
-        "wellDefined": derivation.well_defined.to_json(),
-        "lnd": lnd.to_json(),
+        **certificate_json(lnd),
         "grading": {
             "matrix": [list(row) for row in grading.matrix],
             "relationDegrees": [
@@ -365,8 +359,7 @@ def certify_bundle(p: int, n: int, cap: int = DEFAULT_CAP) -> YpBundle:
         "lift": {
             "power": e,
             "variable": "u",
-            "wellDefined": lifted.well_defined.to_json(),
-            "lnd": lifted_lnd.to_json(),
+            **certificate_json(lifted_lnd),
             "ordersMatchSource": orders_match,
         },
         "ok": lnd.certified and lifted_lnd.certified and orders_match,

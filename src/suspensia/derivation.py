@@ -27,19 +27,21 @@ f, which ends by the bound the certified orders give to f.
 ``AlgebraMorphism(source, target, images)`` checks every relation and
 pushes by substitution.  The unchecked builders are private:
 ``Derivation._proved`` for the family derivation, whose witnesses come from
-a proof, and ``AlgebraMorphism._trusted`` for composites, identities and
-exponentials.
+a proof; ``AlgebraMorphism._trusted`` for composites, identities and
+exponentials; and ``LNDCertificate._issue``, the one issuer of certificates,
+for ``certify_lnd``, ``certify_family_lnd`` and the lifts.
 
-Derivations are immutable after construction; apply/nu/exp are pure.
+Derivations, morphisms and certificates refuse attribute writes, and keep
+images and orders in read-only mappings; apply/nu/exp are pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar
+from types import MappingProxyType
 
-from .algebra import AlgebraElement, Grading, PresentedAlgebra
+from .algebra import AlgebraElement, Grading, PresentedAlgebra, _Frozen
 from .coeff import stored_integers
 from .poly import ContextError, Polynomial, Substitution
 
@@ -114,18 +116,27 @@ class WellDefinedness:
         return {"ok": self.ok, "relations": [c.to_json() for c in self.checks]}
 
 
-@dataclass(frozen=True)
-class LNDCertificate:
+class LNDCertificate(_Frozen):
     """Nilpotency orders per generator of ``derivation``, or those unresolved."""
 
-    derivation: Derivation = field(repr=False)
-    cap: int
-    orders: dict
-    inconclusive: tuple
-    justification: ClassVar[str] = (
+    __slots__ = ("derivation", "cap", "orders", "inconclusive")
+    justification = (
         "finite nilpotency order on every generator extends to the whole algebra "
         "because the induced order function is a degree function"
     )
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("certificates are issued by certify_lnd, certify_family_lnd and the lifts")
+
+    @classmethod
+    def _issue(cls, derivation: Derivation, cap: int, orders: dict) -> LNDCertificate:
+        """Unchecked: proven ``orders``; a generator without one up to ``cap`` is inconclusive."""
+        names = derivation.algebra.variables
+        within = {name: orders[name] for name in names if name in orders and orders[name] <= cap}
+        return object.__new__(cls)._fill(
+            derivation=derivation, cap=cap, orders=MappingProxyType(within),
+            inconclusive=tuple(name for name in names if name not in within),
+        )
 
     @property
     def certified(self) -> bool:
@@ -144,29 +155,38 @@ class LNDCertificate:
             "justification": self.justification,
         }
 
+    def __repr__(self):
+        return (f"LNDCertificate(cap={self.cap}, orders={dict(self.orders)}, "
+                f"inconclusive={self.inconclusive})")
 
-class Derivation:
+
+def _images(names: tuple, images: dict, element, error) -> MappingProxyType:
+    """One image per name through ``element``, read-only; ``error`` if one is missing or unknown."""
+    resolved = {}
+    for name in names:
+        if name not in images:
+            raise error(f"missing image for variable {name!r}")
+        resolved[name] = element(images[name])
+    for name in images:
+        if name not in resolved:
+            raise error(f"image given for unknown variable {name!r}")
+    return MappingProxyType(resolved)
+
+
+class Derivation(_Frozen):
     """A derivation of a presented algebra, fixed by its generator images.
 
     Construction needs one image per variable and applies the Leibniz
     extension to every relation: a nonzero normal form raises
     ``NotWellDefinedError`` with that witness, and the checks that pass are
-    kept as ``well_defined``.
+    kept as ``well_defined``.  ``images`` is a read-only mapping.
     """
 
     __slots__ = ("algebra", "images", "well_defined")
 
     def __init__(self, algebra: PresentedAlgebra, images: dict):
-        resolved = {}
-        for name in algebra.variables:
-            if name not in images:
-                raise DerivationError(f"missing image for variable {name!r}")
-            resolved[name] = algebra.element(images[name])
-        for name in images:
-            if name not in resolved:
-                raise DerivationError(f"image given for unknown variable {name!r}")
-        self.algebra = algebra
-        self.images = resolved
+        self._fill(algebra=algebra,
+                   images=_images(algebra.variables, images, algebra.element, DerivationError))
         checks = []
         for r in algebra.relations:
             raw = self.leibniz_image(r)
@@ -177,14 +197,14 @@ class Derivation:
                     r, nf,
                 )
             checks.append(RelationCheck(r, raw, nf))
-        self.well_defined = WellDefinedness(tuple(checks))
+        self._fill(well_defined=WellDefinedness(tuple(checks)))
 
     @classmethod
     def _proved(cls, algebra: PresentedAlgebra, images: dict, witnesses: WellDefinedness):
         """Unchecked: for ``build_vandermonde_lnd``, whose witnesses come from a proof."""
-        derivation = object.__new__(cls)
-        derivation.algebra, derivation.images, derivation.well_defined = algebra, images, witnesses
-        return derivation
+        return object.__new__(cls)._fill(
+            algebra=algebra, images=MappingProxyType(dict(images)), well_defined=witnesses
+        )
 
     def leibniz_image(self, f: Polynomial) -> Polynomial:
         """Image of a plain polynomial under the Leibniz extension (no reduction)."""
@@ -301,10 +321,9 @@ def certify_lnd(derivation: Derivation, cap: int = DEFAULT_CAP) -> LNDCertificat
     certificate is a value bound to ``derivation``, which is not modified.
     """
     names = derivation.algebra.variables
-    found = {i: len(orbit) - 1 for i, orbit in _orbits(derivation, cap) if orbit is not None}
-    orders = {name: found[i] for i, name in enumerate(names) if i in found}
-    unresolved = tuple(name for i, name in enumerate(names) if i not in found)
-    return LNDCertificate(derivation, cap, orders, unresolved)
+    orbits = _orbits(derivation, cap)
+    orders = {names[i]: len(orbit) - 1 for i, orbit in orbits if orbit is not None}
+    return LNDCertificate._issue(derivation, cap, orders)
 
 
 # ----------------------------------------------------------------------
@@ -446,12 +465,13 @@ def is_diagonal_semisimple(derivation: Derivation):
 # exponentials
 
 
-class AlgebraMorphism:
+class AlgebraMorphism(_Frozen):
     """An algebra map given on generators; relations must map to zero.
 
-    ``AlgebraMorphism(source, target, images)`` pushes every relation
-    through the images, and its normal form must vanish (``MorphismError``
-    otherwise).  ``compose``, ``identity_morphism`` and ``exp`` build
+    ``AlgebraMorphism(source, target, images)`` takes one image per source
+    variable and pushes every relation through them; a missing or unknown
+    name, or a nonzero normal form, raises ``MorphismError``.  ``compose``,
+    ``identity_morphism`` and ``exp`` build
     through ``_trusted`` instead: their maps are algebra maps by
     construction.  A morphism pushes elements by substitution: each
     generator goes to its image, one table of image powers per call of
@@ -461,12 +481,8 @@ class AlgebraMorphism:
     __slots__ = ("source", "target", "images")
 
     def __init__(self, source, target, images: dict):
-        self.source = source
-        self.target = target
-        self.images = {name: target.element(v) for name, v in images.items()}
-        for name in source.variables:
-            if name not in self.images:
-                raise MorphismError(f"missing image for variable {name!r}")
+        self._fill(source=source, target=target,
+                   images=_images(source.variables, images, target.element, MorphismError))
         substitute = self._substitution()
         for r in source.relations:
             nf = target.normal_form(substitute(r))
@@ -474,11 +490,11 @@ class AlgebraMorphism:
                 raise MorphismError(f"relation {r.text()} maps to nonzero {nf.text()}")
 
     @classmethod
-    def _trusted(cls, source, target, images: dict):
-        """Unchecked: for maps that are algebra maps by construction, images in ``target``."""
-        morphism = object.__new__(cls)
-        morphism.source, morphism.target, morphism.images = source, target, images
-        return morphism
+    def _trusted(cls, source, target, images: dict, **fields):
+        """Unchecked: for algebra maps by construction; ``fields`` fill a subclass's slots."""
+        return object.__new__(cls)._fill(
+            source=source, target=target, images=MappingProxyType(dict(images)), **fields
+        )
 
     def _substitution(self) -> Substitution:
         bindings = {name: img.rep for name, img in self.images.items()}
@@ -642,9 +658,8 @@ def exp(derivation: Derivation, t, cap: int = DEFAULT_CAP,
         name: AlgebraElement(algebra, _series(algebra.field, orbit, t))
         for name, orbit in zip(algebra.variables, orbits)
     }
-    exponential = Exponential._trusted(algebra, algebra, images)
-    exponential.derivation, exponential.t, exponential.orders = derivation, t, orders
-    return exponential
+    return Exponential._trusted(algebra, algebra, images, derivation=derivation, t=t,
+                                orders=orders)
 
 
 def certificate_json(certificate: LNDCertificate, grading: Grading | None = None) -> dict:

@@ -27,7 +27,9 @@ is the extension that the root data or the suspension data describe.  The
 first two are verified exactly, without a Groebner basis; the third holds by
 construction, since each lift builds its target from those data.
 Well-definedness of the lift is still checked relation by relation, as an
-independent check.
+independent check.  The lift's certificate then comes from
+``LNDCertificate._issue``, an unchecked builder like ``Derivation._proved``
+and ``AlgebraMorphism._trusted``: the argument above proves its orders.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import reduce
 
-from .algebra import AlgebraElement, PresentedAlgebra
+from .algebra import AlgebraElement, PresentedAlgebra, _integers
 from .derivation import InconclusiveError, LNDCertificate, new_derivation
 from .poly import Context, ContextError, Polynomial
 
@@ -86,13 +88,8 @@ class CriterionReport:
 
 def _exponents(exponents) -> tuple:
     """The exponents as a tuple of ints; each must be a positive integer."""
-    raw = tuple(exponents)
-    try:
-        ks = tuple(int(k) for k in raw)
-        integral = ks == raw
-    except (TypeError, ValueError):
-        integral = False
-    if not integral or not ks or any(k < 1 for k in ks):
+    ks = _integers(exponents)
+    if not ks or any(k < 1 for k in ks):
         raise SuspensionError("exponents must be positive integers")
     return ks
 
@@ -192,16 +189,6 @@ def torus_action(extended: PresentedAlgebra, spec: SuspensionSpec) -> TorusActio
     return TorusAction(extended, tuple(rows))
 
 
-def _transported_lift(certificate: LNDCertificate, algebra: PresentedAlgebra,
-                      images: dict, orders: dict) -> LNDCertificate:
-    """The lifted derivation, checked well defined, with the inherited orders.
-
-    ``orders`` maps each generator of ``algebra`` to the order it inherits
-    (see the module docstring), none above the certified source's cap.
-    """
-    return LNDCertificate(new_derivation(algebra, images), certificate.cap, orders, ())
-
-
 def lift_lnd(certificate: LNDCertificate, function, exponents, names=None) -> LNDCertificate:
     """Lift a certified nilpotent derivation D of the base A to a suspension.
 
@@ -233,7 +220,7 @@ def lift_lnd(certificate: LNDCertificate, function, exponents, names=None) -> LN
     for name in spec.suspension_variables:
         images[name] = Polynomial.zero(context)
         orders[name] = 0
-    return _transported_lift(certificate, extended, images, orders)
+    return LNDCertificate._issue(new_derivation(extended, images), certificate.cap, orders)
 
 
 def _check_root(context: Context, var: str, new_var: str, power: int) -> None:
@@ -321,4 +308,4 @@ def lift_along_root(
             lifted_algebra.context, root
         )
         orders[target_name] = certificate.orders[name]
-    return _transported_lift(certificate, lifted_algebra, images, orders)
+    return LNDCertificate._issue(new_derivation(lifted_algebra, images), certificate.cap, orders)

@@ -1,6 +1,7 @@
 """Presented algebras, element equality, gradings, and coarsening."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -168,6 +169,11 @@ def test_grading_validates_when_built():
             build(algebra, ((1, 1),))
         assert info.value.row == 0
     assert Grading(algebra, [[2, 1]]).matrix == ((2, 1),)
+    # a weight must equal its int(): int() would read 2.7 as 2 and "2" as 2
+    for row in ((2.7, 1), ("2", 1), (float("inf"), 1), (float("nan"), 1)):
+        with pytest.raises(GradingError, match="integers"):
+            Grading(algebra, [row])
+    assert Grading(algebra, [[2.0, Fraction(1)]]).matrix == ((2, 1),)
 
 
 def test_zero_matrix_is_trivial_grading():
@@ -226,6 +232,8 @@ def test_coarsen_rejects_rank_deficiency():
         coarsen_grading(grading, [(1, 1), (2, 2)])
     with pytest.raises(GradingError):
         coarsen_grading(grading, [(0, 0)])
+    with pytest.raises(GradingError, match="integer"):
+        coarsen_grading(grading, [(1.5, 1)])
 
 
 def test_coarsen_keeps_relations_at_weight_zero():

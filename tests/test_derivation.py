@@ -1,8 +1,10 @@
 """Derivation certification: well-definedness, nilpotency, decomposition, exp."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
+from types import MappingProxyType, SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +17,11 @@ from suspensia import (
     Derivation,
     DerivationError,
     InconclusiveError,
+    LNDCertificate,
     MorphismError,
     NotWellDefinedError,
     Polynomial,
+    PresentedAlgebra,
     QQ,
     algebra_from_strings,
     attach_grading,
@@ -30,6 +34,7 @@ from suspensia import (
     identity_morphism,
     is_diagonal_semisimple,
     lift_along_root,
+    lift_lnd,
     new_algebra,
     new_derivation,
     nu,
@@ -490,6 +495,11 @@ def test_user_morphism_breaking_a_relation_is_refused(y3):
         AlgebraMorphism(parabola, parabola, shifted)
     with pytest.raises(TypeError):
         AlgebraMorphism(parabola, parabola, shifted, check=False)
+    # an image for a name the source lacks is refused, as Derivation refuses it
+    plane = algebra_from_strings(QQ, ["x", "y"], ["x*y"])
+    extra = {"x": plane.variable("x"), "y": plane.variable("y"), "q": 1}
+    with pytest.raises(MorphismError, match="unknown variable 'q'"):
+        AlgebraMorphism(plane, plane, extra)
 
 
 def test_compose_from_one_table_matches_per_image_apply(y3):
@@ -662,13 +672,13 @@ def test_decomposed_components_satisfy_leibniz(y3):
 
 
 def _state(obj):
-    """Every attribute of obj, with a shallow copy of each dict attribute."""
+    """Every attribute of obj, with a shallow copy of each mapping attribute."""
     if hasattr(obj, "__dict__"):
         attributes = dict(vars(obj))
     else:
         attributes = {name: getattr(obj, name) for name in type(obj).__slots__}
     return {
-        name: (value, dict(value) if isinstance(value, dict) else None)
+        name: (value, dict(value) if isinstance(value, (dict, MappingProxyType)) else None)
         for name, value in attributes.items()
     }
 
@@ -694,6 +704,69 @@ def test_certification_writes_nothing():
     for obj, state in zip(watched, before):
         _assert_same_state(state, _state(obj))
     assert not hasattr(derivation, "__dict__")
+
+
+@pytest.fixture
+def checked():
+    """Checked values to forge or edit: D(x) = x on Q[x, y] certifies
+    inconclusive, and the zero derivation of Q[x, y]/(xy) certifies."""
+    free = free_xy()
+    context = Context(QQ, ("x", "y"))
+    plane = PresentedAlgebra(context, [parse_expression("x*y", context)], gradings={"g": [[1, 1]]})
+    zero = zero_derivation(plane)
+    return SimpleNamespace(
+        free=free, euler=D(free, x="x", y="0"), plane=plane, zero=zero,
+        certificate=certify_lnd(zero), morphism=identity_morphism(plane),
+        exponential=exp(zero, 1),
+    )
+
+
+def _forged(v):
+    return LNDCertificate(v.euler, 8, {"x": 0, "y": 0}, ())
+
+
+FORGERIES = {
+    "certificate": _forged,
+    "certificate lifted along a root": lambda v: lift_along_root(_forged(v), "y", "u", 2),
+    "certificate lifted to a suspension": lambda v: lift_lnd(_forged(v), v.free.variable("y"), (2,)),
+    "replaced certificate": lambda v: dataclasses.replace(v.certificate, derivation=v.euler),
+    "certificate orders item": lambda v: v.certificate.orders.__setitem__("x", 5),
+    "derivation images item": lambda v: v.zero.images.__setitem__("x", v.plane.element(1)),
+    "morphism images item": lambda v: v.morphism.images.__setitem__("x", v.plane.element(1)),
+    "algebra gradings item": lambda v: v.plane.gradings.__setitem__("g", None),
+    "algebra relations": lambda v: setattr(v.plane, "relations", ()),
+    "algebra deletion": lambda v: delattr(v.plane, "basis"),
+    "element rep": lambda v: setattr(v.zero.images["x"], "rep", v.plane.one().rep),
+    "element algebra": lambda v: setattr(v.plane.one(), "algebra", v.free),
+    "derivation images": lambda v: setattr(v.zero, "images", {}),
+    "derivation witnesses": lambda v: setattr(v.zero, "well_defined", None),
+    "morphism images": lambda v: setattr(v.morphism, "images", {}),
+    "certificate orders": lambda v: setattr(v.certificate, "orders", {"x": 5}),
+    "certificate deletion": lambda v: delattr(v.certificate, "inconclusive"),
+    "exponential derivation": lambda v: setattr(v.exponential, "derivation", v.euler),
+    "exponential t": lambda v: setattr(v.exponential, "t", 2),
+    "exponential orders": lambda v: setattr(v.exponential, "orders", (5, 5)),
+}
+
+
+@pytest.mark.parametrize("forge", FORGERIES.values(), ids=FORGERIES.keys())
+def test_checked_values_cannot_be_forged_or_edited(checked, forge):
+    # each of these gave a certificate that certify_lnd would not issue, or
+    # changed a value after its check, until it raised
+    with pytest.raises((TypeError, AttributeError)):
+        forge(checked)
+    assert certify_lnd(checked.euler).status == "inconclusive"
+    assert certify_lnd(checked.zero).certified and checked.zero.is_zero()
+    assert checked.plane.relations and checked.plane.gradings["g"].matrix == ((1, 1),)
+
+
+def test_certificate_repr():
+    # the repr a dataclass gave, without the derivation
+    certificate = certify_lnd(build_vandermonde_lnd(3), 1)
+    assert repr(certificate) == (
+        "LNDCertificate(cap=1, orders={'y': 0, 'z': 1, 'w': 0}, "
+        "inconclusive=('x0', 'x1', 'x2'))"
+    )
 
 
 @settings(max_examples=80, deadline=None)

@@ -137,6 +137,9 @@ def test_non_integral_exponents_rejected():
         suspend(X, parse_expression("x", X.context), (2.7, 3))
     with pytest.raises(SuspensionError, match="positive integers"):
         suspend(X, parse_expression("x", X.context), ("2", 3))
+    # int() of an infinity raises OverflowError, which is not an exponent error
+    with pytest.raises(SuspensionError, match="positive integers"):
+        gcd_criterion((float("inf"), 2))
     # integral values of other types are still exponents
     assert gcd_criterion((Fraction(4), 6.0)).exponents == (4, 6)
 

@@ -7,7 +7,9 @@ Each pair runs ``python3 bench/run.py --workload W --seed S --seconds N
 --trace 0`` from the root of each checkout, on the same seed; pair k uses
 seed ``--seed`` + k, and the side that runs first alternates from pair to
 pair.  ``--seconds`` defaults to ``run_seconds`` in the change's
-``BENCHMARK.json``.  The last line of each run's standard output (its JSON
+``BENCHMARK.json``.  Every run gets its own fresh, empty
+``PYTHONPYCACHEPREFIX`` directory, removed when it ends, so no run reads a
+bytecode cache that a checkout's ``__pycache__`` or an earlier run left.  The last line of each run's standard output (its JSON
 verdict and metrics) is kept as it is.
 
 The output file collects one entry per workload; running the script again
@@ -21,17 +23,22 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     argv = [sys.executable, "bench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        env = {**os.environ, "PYTHONPYCACHEPREFIX": cache}
+        done = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True,
+                              check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
