@@ -61,7 +61,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="suspensia",
         description="Exact certificates for derivations on presented algebras.",
@@ -314,10 +314,23 @@ def _cmd_exp(args) -> int:
     return EXIT_OK
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code (see the module docstring).
+
+    ``argv`` defaults to ``sys.argv[1:]``.  May be called any number of
+    times in one process: the parser is built on the first call and kept
+    for the rest, and each call parses into a fresh namespace, so nothing
+    carries over from one call to the next.  ``--help`` prints the usage
+    and raises ``SystemExit(0)``, as argparse does.
+    """
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         return args.handler(args)
     except (parseio.ParseError, parseio.SchemaError, UsageError, CoefficientError,
             SizeLimitError, constructions.ConstructionError, ContextError, OSError) as exc:

@@ -293,9 +293,13 @@ def certify_family_lnd(p: int, cap: int = DEFAULT_CAP) -> LNDCertificate:
     return LNDCertificate._issue(derivation, cap, orders)
 
 
-@dataclass
+@dataclass(frozen=True)
 class YpBundle:
-    """Everything the pipeline builds and certifies for one prime."""
+    """Everything the pipeline builds and certifies for one prime.
+
+    The fields cannot be reassigned.  ``report`` stays a plain dict, the
+    JSON that ``build-yp`` writes as ``certificate.json``.
+    """
 
     p: int
     n: int

@@ -330,14 +330,18 @@ def certify_lnd(derivation: Derivation, cap: int = DEFAULT_CAP) -> LNDCertificat
 # homogeneous structure
 
 
-@dataclass
+@dataclass(frozen=True)
 class HomogeneousDecomposition:
-    """A derivation split into graded pieces along one grading row."""
+    """A derivation split into graded pieces along one grading row.
+
+    ``components`` maps each degree shift to its piece, in increasing
+    order, and is a read-only mapping.
+    """
 
     derivation: Derivation
     grading: Grading
     row: int
-    components: dict
+    components: MappingProxyType
     lower: int | None
     upper: int | None
 
@@ -372,7 +376,7 @@ def decompose(derivation: Derivation, grading: Grading, row: int = 0) -> Homogen
         derivation,
         grading,
         row,
-        components,
+        MappingProxyType(components),
         min(shifts) if shifts else None,
         max(shifts) if shifts else None,
     )

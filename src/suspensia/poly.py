@@ -265,12 +265,6 @@ class Polynomial:
             raise ValueError(f"not a constant polynomial: {self.text()}")
         return next(iter(self.terms.values()))
 
-    def total_degree(self):
-        """Max total degree, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(m) for m in self.terms)
-
     def degree_in(self, name: str) -> int:
         i = self.context.index(name)
         return max((m[i] for m in self.terms), default=0)

@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from suspensia import cli
 from suspensia.cli import main
 from suspensia.parseio import save_json
 
@@ -544,6 +547,88 @@ def test_exp_power_past_the_term_limit_is_input_error(monkeypatch, capsys):
     with helpers.wall_clock_budget(1):
         assert main(argv) == 3
     assert "terms exceeds the limit" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# one parser per process: main builds it on the first call and keeps it
+
+
+@pytest.fixture
+def fresh_parser(monkeypatch):
+    """Empty the parser slot, and count the builds, for this test only."""
+    monkeypatch.setattr(cli, "_parser", None)
+    builds = []
+    build = cli._build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_build_parser", counted)
+    return builds
+
+
+def test_importing_the_cli_builds_no_parser():
+    probe = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import suspensia.cli\n"
+        "assert suspensia.cli._parser is None, 'parser slot filled at import'\n"
+        "assert not built, f'{len(built)} parsers built at import'\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+def test_parser_is_built_once_across_calls(fresh_parser, capsys):
+    fixture = str(FIXTURES / "yp3.json")
+    assert [main(["validate", fixture]) for _ in range(3)] == [0, 0, 0]
+    assert len(fresh_parser) == 1
+    assert cli._parser is not None
+
+
+def test_out_does_not_carry_over_to_the_next_call(fresh_parser, tmp_path, capsys):
+    fixture = str(FIXTURES / "yp3_derivation.json")
+    written = tmp_path / "cert.json"
+    assert main(["certify-derivation", fixture, "--out", str(written)]) == 0
+    assert f"wrote {written}" in capsys.readouterr().out
+    written.unlink()
+    assert main(["certify-derivation", fixture]) == 0
+    assert "wrote" not in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cap_does_not_carry_over_to_the_next_call(fresh_parser, capsys):
+    fixture = str(FIXTURES / "yp3_derivation.json")
+    assert main(["--cap", "1", "certify-derivation", fixture]) == 2
+    assert "status: inconclusive (cap 1)" in capsys.readouterr().out
+    assert main(["certify-derivation", fixture]) == 0
+    assert "status: certified (cap 64)" in capsys.readouterr().out
+
+
+def test_usage_error_then_good_call(fresh_parser, capsys):
+    assert main(["suspend"]) == 3
+    assert capsys.readouterr().err.startswith("input error:")
+    assert main(["validate", str(FIXTURES / "yp3.json")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_help_exits_zero_and_the_next_call_works(fresh_parser, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: suspensia")
+    assert main(["validate", str(FIXTURES / "yp3.json")]) == 0
+    assert len(fresh_parser) == 1
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The counterexample family: expansion, algebras, solved derivation, bundle."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -229,6 +230,9 @@ def test_certify_bundle_3_6():
         "x1": "direct-power",
         "x2": "direct-power",
     }
+    # the bundle's fields are fixed once built; report stays a plain dict
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bundle.derivation = None
 
 
 def test_certify_bundle_never_evaluates(monkeypatch):

@@ -743,6 +743,10 @@ FORGERIES = {
     "morphism images": lambda v: setattr(v.morphism, "images", {}),
     "certificate orders": lambda v: setattr(v.certificate, "orders", {"x": 5}),
     "certificate deletion": lambda v: delattr(v.certificate, "inconclusive"),
+    "decomposition components item": lambda v: decompose(
+        v.euler, attach_grading(v.free, [(1, 1)])).components.__setitem__(0, v.zero),
+    "decomposition components": lambda v: setattr(
+        decompose(v.euler, attach_grading(v.free, [(1, 1)])), "components", {}),
     "exponential derivation": lambda v: setattr(v.exponential, "derivation", v.euler),
     "exponential t": lambda v: setattr(v.exponential, "t", 2),
     "exponential orders": lambda v: setattr(v.exponential, "orders", (5, 5)),
