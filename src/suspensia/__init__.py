@@ -15,7 +15,6 @@ from .algebra import (
     PresentedAlgebra,
     attach_grading,
     coarsen_grading,
-    new_algebra,
 )
 from .coeff import (
     CoefficientError,
@@ -30,7 +29,6 @@ from .coeff import (
 from .constructions import (
     ConstructionError,
     FormProducts,
-    LinearForms,
     YpBundle,
     build_F,
     build_Xp,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
-from .coeff import CyclotomicNumber
+from .coeff import CyclotomicNumber, _power
 from .groebner import MonomialOrder, buchberger, grevlex
 from .linalg import matmul, rank
 from .poly import Context, ContextError, Polynomial, monomial_text
@@ -150,11 +150,6 @@ class PresentedAlgebra(_Frozen):
         return f"PresentedAlgebra({self.field.text}[{', '.join(self.variables)}] / ({rels}))"
 
 
-def new_algebra(field, variables, relations) -> PresentedAlgebra:
-    """Construct K[variables]/(relations); fails if the ideal is the unit ideal."""
-    return PresentedAlgebra(Context(field, tuple(variables)), relations)
-
-
 class AlgebraElement(_Frozen):
     """A coset, stored through its unique normal-form representative."""
 
@@ -205,15 +200,7 @@ class AlgebraElement(_Frozen):
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("element power must be a non-negative integer")
-        result = self.algebra.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, self.algebra.one())
 
     def __eq__(self, other):
         other = self._operand(other)

@@ -62,6 +62,23 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _check_order(p: int) -> None:
+    if not is_prime(p):
+        raise CoefficientError(f"cyclotomic order must be prime, got {p}")
+
+
+def _power(base, n: int, one):
+    """base**n for an int n >= 0 by square-and-multiply; the last squaring is skipped."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
 def stored_integers(c) -> tuple:
     """The integers a coefficient is stored as: numerators, then denominator."""
     if isinstance(c, CyclotomicNumber):
@@ -112,8 +129,7 @@ class CyclotomicNumber:
     __slots__ = ("p", "_num", "_den")
 
     def __init__(self, p: int, coeffs) -> None:
-        if not is_prime(p):
-            raise CoefficientError(f"cyclotomic order must be prime, got {p}")
+        _check_order(p)
         coeffs = [_as_fraction(c) for c in coeffs]
         if len(coeffs) != p - 1:
             raise CoefficientError(
@@ -124,13 +140,6 @@ class CyclotomicNumber:
         self.p = p
         self._num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
         self._den = den
-
-    @classmethod
-    def from_rational(cls, p: int, value) -> CyclotomicNumber:
-        if not is_prime(p):
-            raise CoefficientError(f"cyclotomic order must be prime, got {p}")
-        value = _as_fraction(value)
-        return _rational(p, value.numerator, value.denominator)
 
     @property
     def coeffs(self) -> tuple:
@@ -242,14 +251,7 @@ class CyclotomicNumber:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = _rational(self.p, 1, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, _rational(self.p, 1, 1))
 
     def __eq__(self, other):
         if isinstance(other, CyclotomicNumber):
@@ -343,8 +345,7 @@ def _rational(p: int, n: int, d: int) -> CyclotomicNumber:
 
 def root_of_unity(p: int, i: int) -> CyclotomicNumber:
     """Return the i-th root of unity z^i of prime order p (z^p = 1)."""
-    if not is_prime(p):
-        raise CoefficientError(f"root of unity order must be prime, got {p}")
+    _check_order(p)
     if not 1 <= i <= p:
         raise CoefficientError(f"root index must lie in 1..{p}, got {i}")
     k = i % p
@@ -384,8 +385,7 @@ class CyclotomicField:
     p: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise CoefficientError(f"cyclotomic order must be prime, got {self.p}")
+        _check_order(self.p)
 
     def coerce(self, value) -> CyclotomicNumber:
         if isinstance(value, CyclotomicNumber):

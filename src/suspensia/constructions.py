@@ -111,15 +111,7 @@ def xp_context(p: int) -> Context:
     return Context(QQ, x_names(p) + ("s", "z", "w"))
 
 
-@dataclass(frozen=True)
-class LinearForms:
-    """The p twisted linear forms; their product is the rational polynomial F."""
-
-    prime: int
-    forms: tuple
-
-
-def linear_forms(p: int) -> LinearForms:
+def linear_forms(p: int) -> tuple:
     """Form i is sum_j e_i^j * x_j * y^j with e_i the i-th p-th root of unity."""
     _check_prime(p)
     context = yp_context(p)
@@ -132,7 +124,7 @@ def linear_forms(p: int) -> LinearForms:
                 context, {f"x{j}": 1, "y": j}, eps ** j
             )
         forms.append(form)
-    return LinearForms(p, tuple(forms))
+    return tuple(forms)
 
 
 @dataclass(frozen=True)
@@ -144,7 +136,7 @@ class FormProducts:
     from ``tail``.
     """
 
-    forms: LinearForms
+    forms: tuple
     tail: Polynomial
     full: Polynomial
 
@@ -152,10 +144,10 @@ class FormProducts:
 def form_products(p: int) -> FormProducts:
     """Multiply the last p-1 linear forms together, then by the first."""
     forms = linear_forms(p)
-    tail = Polynomial.one(forms.forms[0].context)
-    for form in forms.forms[1:]:
+    tail = Polynomial.one(forms[0].context)
+    for form in forms[1:]:
         tail = tail * form
-    return FormProducts(forms, tail, forms.forms[0] * tail)
+    return FormProducts(forms, tail, forms[0] * tail)
 
 
 def build_F(p: int):
@@ -270,7 +262,7 @@ def build_vandermonde_lnd(p: int) -> Derivation:
         tuple(RelationCheck(r, zero, zero) for r in algebra.relations)
     )
     derivation = Derivation._proved(algebra, resolved, witnesses)
-    forms = products.forms.forms
+    forms = products.forms
     first_image = Polynomial.monomial(context, {"z": 1, "y": p - 1}, 2)
     if derivation.leibniz_image(forms[0]) != first_image:
         raise DerivationError("the first linear form does not map to 2*z*y^(p-1)")
@@ -355,10 +347,7 @@ def certify_bundle(p: int, n: int, cap: int = DEFAULT_CAP) -> YpBundle:
         **certificate_json(lnd),
         "grading": {
             "matrix": [list(row) for row in grading.matrix],
-            "relationDegrees": [
-                next(iter(r.weighted_components(grading.matrix[0])), 0)
-                for r in Xp.relations
-            ],
+            "relationDegrees": [grading.degree(r)[0] for r in Xp.relations],
         },
         "lift": {
             "power": e,

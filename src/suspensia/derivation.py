@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
-from .algebra import AlgebraElement, Grading, PresentedAlgebra, _Frozen
+from .algebra import AlgebraElement, Grading, GradingError, PresentedAlgebra, _Frozen
 from .coeff import stored_integers
 from .poly import ContextError, Polynomial, Substitution
 
@@ -386,27 +386,20 @@ def homogeneous_degree(derivation: Derivation, grading: Grading):
     """The multidegree shift of a homogeneous derivation, or None.
 
     Each nonzero image must be homogeneous and all images must agree on the
-    shift, row by row.  The zero derivation reports None.
+    shift: its degree minus the variable's weights.  The zero derivation
+    reports None.
     """
-    result = []
-    for weights in grading.matrix:
-        shift = None
-        for i, name in enumerate(derivation.algebra.variables):
-            rep = derivation.images[name].rep
-            if not rep.terms:
-                continue
-            comps = rep.weighted_components(weights)
-            if len(comps) != 1:
-                return None
-            this = next(iter(comps)) - weights[i]
-            if shift is None:
-                shift = this
-            elif shift != this:
-                return None
-        if shift is None:
+    shifts = set()
+    for i, name in enumerate(derivation.algebra.variables):
+        image = derivation.images[name]
+        if not image:
+            continue
+        try:
+            degree = grading.degree(image)
+        except GradingError:
             return None
-        result.append(shift)
-    return tuple(result)
+        shifts.add(tuple(d - weights[i] for d, weights in zip(degree, grading.matrix)))
+    return shifts.pop() if len(shifts) == 1 else None
 
 
 def homogenize_lnd(derivation: Derivation, grading: Grading, cap: int = DEFAULT_CAP):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from .coeff import CoefficientError, CyclotomicField, CyclotomicNumber, RationalField
+from .coeff import CoefficientError, CyclotomicField, CyclotomicNumber, RationalField, _power
 
 # An exponent tuple, one non-negative integer per context variable.
 Monomial = tuple
@@ -232,14 +232,7 @@ class Polynomial:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial power must be a non-negative integer")
-        result = Polynomial.one(self.context)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(self, n, Polynomial.one(self.context))
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):

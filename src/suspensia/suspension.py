@@ -120,7 +120,8 @@ def suspend(base: PresentedAlgebra, function, exponents, names=None):
 
     Returns the extended algebra together with the suspension data.  The
     function must be non-constant in the quotient; a fresh name that is a
-    base variable, repeated or invalid raises ``ContextError``.
+    base variable, repeated or invalid, or a count of names other than one
+    per exponent, raises ``ContextError``.
     """
     ks = _exponents(exponents)
     f = base.element(function)
@@ -133,7 +134,7 @@ def suspend(base: PresentedAlgebra, function, exponents, names=None):
     else:
         names = tuple(names)
     if len(names) != len(ks):
-        raise SuspensionError("need exactly one fresh variable per exponent")
+        raise ContextError("need exactly one fresh variable per exponent")
 
     context = Context(base.field, base.variables + names)
     product = Polynomial.one(context)
@@ -154,13 +155,6 @@ class TorusAction:
 
     algebra: PresentedAlgebra
     rows: tuple
-
-    @property
-    def variables(self) -> tuple:
-        return self.algebra.variables
-
-    def to_json(self) -> dict:
-        return {"variables": list(self.variables), "rows": [list(r) for r in self.rows]}
 
 
 def torus_action(extended: PresentedAlgebra, spec: SuspensionSpec) -> TorusAction:

@@ -80,6 +80,34 @@ def nonzero_random_polynomial(rng, context, **kwargs):
 QXY = Context(QQ, ("x", "y"))
 
 
+def homogeneous_degree_oracle(derivation, grading):
+    """The shift of a homogeneous derivation, found row by row, or None.
+
+    Reads each image's weighted components itself instead of going through
+    ``Grading.degree``.  On a grading with no rows it gives () even for the
+    zero derivation, where the library gives None.
+    """
+    result = []
+    for weights in grading.matrix:
+        shift = None
+        for i, name in enumerate(derivation.algebra.variables):
+            rep = derivation.images[name].rep
+            if not rep.terms:
+                continue
+            comps = rep.weighted_components(weights)
+            if len(comps) != 1:
+                return None
+            this = next(iter(comps)) - weights[i]
+            if shift is None:
+                shift = this
+            elif shift != this:
+                return None
+        if shift is None:
+            return None
+        result.append(shift)
+    return tuple(result)
+
+
 def refuse_large_powers(monkeypatch):
     """Fail the test if a polynomial power past the parser's limits is computed.
 

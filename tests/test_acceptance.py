@@ -86,8 +86,8 @@ def test_divisibility_lemma():
     for p, budget in budgets.items():
         start = time.perf_counter()
         forms = linear_forms(p)
-        product = Polynomial.one(forms.forms[0].context)
-        for form in forms.forms:
+        product = Polynomial.one(forms[0].context)
+        for form in forms:
             product = product * form
         y_index = product.context.index("y")
         for mono, coeff in product.terms.items():
@@ -105,7 +105,7 @@ def test_f3_closed_form():
     assert F == parse_expression(
         "x0^3 + x1^3*y^3 + x2^3*y^6 - 3*x0*x1*x2*y^3", F.context
     )
-    oracle = brute_force_product(list(linear_forms(3).forms))
+    oracle = brute_force_product(list(linear_forms(3)))
     assert F.convert(oracle.context) == oracle
 
 

@@ -23,7 +23,6 @@ from suspensia import (
     coarsen_grading,
     elimination,
     grevlex,
-    new_algebra,
     parse_expression,
 )
 from suspensia.linalg import matmul
@@ -92,12 +91,6 @@ def test_order_is_part_of_the_presentation():
 def test_unit_ideal_rejected():
     with pytest.raises(PresentationError):
         algebra_from_strings(QQ, ["x"], ["x", "x - 1"])
-
-
-def test_new_algebra_entry_point():
-    ctx = Context(QQ, ("x", "y"))
-    algebra = new_algebra(QQ, ("x", "y"), [parse_expression("x*y", ctx)])
-    assert algebra.variables == ("x", "y")
 
 
 def test_element_equality_in_free_algebra():

@@ -522,8 +522,13 @@ def test_output_path_under_an_existing_file_is_input_error(command, tmp_path, ca
           "--names", "x0,y2"], "duplicate variable name 'x0'"),
         (["suspend", str(FIXTURES / "yp3.json"), "--f", "x0", "--k", "2,3",
           "--names", "9a,b"], "invalid variable name '9a'"),
+        (["suspend", str(FIXTURES / "yp3.json"), "--f", "x0", "--k", "2,3",
+          "--names", "a"], "one fresh variable per exponent"),
+        (["torus", str(FIXTURES / "yp3.json"), "--f", "x0", "--k", "2,3",
+          "--names", "a"], "one fresh variable per exponent"),
     ],
-    ids=["lift-var", "lift-new", "suspend-taken", "suspend-invalid"],
+    ids=["lift-var", "lift-new", "suspend-taken", "suspend-invalid", "suspend-count",
+         "torus-count"],
 )
 def test_bad_variable_name_is_input_error(command, message, capsys):
     # each exited 1 ("check failed") although the name is malformed input

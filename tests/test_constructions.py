@@ -32,7 +32,7 @@ from suspensia import (
 )
 from suspensia.cli import main
 from suspensia import constructions
-from suspensia.constructions import LinearForms, yp_context
+from suspensia.constructions import yp_context
 from suspensia.linalg import SingularMatrixError, solve_linear
 
 from helpers import brute_force_product
@@ -47,14 +47,14 @@ def test_f3_closed_form_against_bruteforce_oracle():
         "x0^3 + x1^3*s + x2^3*s^2 - 3*x0*x1*x2*s", G.context
     )
     forms = linear_forms(3)
-    oracle = brute_force_product(list(forms.forms))
+    oracle = brute_force_product(list(forms))
     assert oracle == F.convert(oracle.context)
 
 
 def test_forms_product_reconstructs_f5():
     forms = linear_forms(5)
-    product = Polynomial.one(forms.forms[0].context)
-    for form in forms.forms:
+    product = Polynomial.one(forms[0].context)
+    for form in forms:
         product = product * form
     F, _ = build_F(5)
     assert product == F.convert(product.context)
@@ -127,7 +127,7 @@ def test_vandermonde_constraints_hold():
     p = 3
     d = build_vandermonde_lnd(p)
     Yp = d.algebra
-    forms = linear_forms(p).forms
+    forms = linear_forms(p)
     target = Polynomial.monomial(Yp.context, {"z": 1, "y": p - 1}, 2)
     assert d.leibniz_image(forms[0]) == target
     for form in forms[1:]:
@@ -162,7 +162,7 @@ def test_second_power_of_z_vanishes_in_free_ring():
 
 def test_third_power_of_first_form_vanishes_in_free_ring():
     d = build_vandermonde_lnd(3)
-    form = linear_forms(3).forms[0]
+    form = linear_forms(3)[0]
     image = form
     for _ in range(3):
         image = d.leibniz_image(image)
@@ -179,7 +179,7 @@ def test_inverse_vandermonde_identity():
     # x_j * y^j = (1/p) * sum_i e_i^(-j) * L_i, the mechanism bounding the
     # nilpotency order of x_j
     for p in (3, 5):
-        forms = linear_forms(p).forms
+        forms = linear_forms(p)
         context = forms[0].context
         for j in range(p):
             total = Polynomial.zero(context)
@@ -206,10 +206,10 @@ def test_yp_grading_homogeneous_with_homogeneous_derivation():
 def test_build_F_conversions_catch_a_defective_expansion(monkeypatch):
     # the conversions to Q are what stops a defective product of forms
     forms = linear_forms(3)
-    y = Polynomial.variable(forms.forms[0].context, "y")
+    y = Polynomial.variable(forms[0].context, "y")
     for extra, error in ((y, PowerCollapseError), (y**3 * root_of_unity(3, 1), CoefficientError)):
         monkeypatch.setattr(
-            constructions, "linear_forms", lambda p, extra=extra: LinearForms(p, forms.forms + (extra,))
+            constructions, "linear_forms", lambda p, extra=extra: forms + (extra,)
         )
         with pytest.raises(error):
             build_F(3)
@@ -292,7 +292,7 @@ def _generic_route(algebra, p, cap):
             context, {"z": 1, "y": p - 1 - j}, eps1 ** (-j) * Fraction(2, p)
         )
     z_image = Polynomial.monomial(context, {"y": p - 1})
-    for form in linear_forms(p).forms[1:]:
+    for form in linear_forms(p)[1:]:
         z_image = z_image * form
     images["z"] = z_image
     return certify_lnd(new_derivation(algebra, images), cap)

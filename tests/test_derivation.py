@@ -35,7 +35,6 @@ from suspensia import (
     is_diagonal_semisimple,
     lift_along_root,
     lift_lnd,
-    new_algebra,
     new_derivation,
     nu,
     parse_expression,
@@ -192,7 +191,7 @@ def _random_free_derivations(draw, triangular=None):
             coeff = draw(st.integers(min_value=-3, max_value=3).filter(bool))
             terms[tuple(mono)] = coeff
         images[name] = Polynomial(context, terms)
-    algebra = new_algebra(QQ, names, [])
+    algebra = PresentedAlgebra(context, [])
     cap = draw(st.integers(min_value=0, max_value=8))
     return new_derivation(algebra, images), cap
 
@@ -341,6 +340,46 @@ def test_homogeneous_degree_vector(y3):
     algebra, derivation = y3
     grading = attach_grading(algebra, [yp_weight_row(3), (0, 0, 0, 0, 0, 0)])
     assert homogeneous_degree(derivation, grading) == (1, 0)
+
+
+@st.composite
+def _graded_derivations(draw):
+    """A triangular or diagonal derivation of a free algebra, with a one- or
+    two-row grading of weights in -2..2 (any such matrix grades it)."""
+    if draw(st.booleans()):
+        derivation, _ = draw(_random_free_derivations(triangular=True))
+    else:
+        n = draw(st.integers(min_value=2, max_value=3))
+        context = Context(QQ, tuple(f"x{i}" for i in range(n)))
+        images = {
+            name: Polynomial.monomial(context, {name: 1}, draw(st.integers(-2, 2)))
+            for name in context.variables
+        }
+        derivation = new_derivation(PresentedAlgebra(context, []), images)
+    n = len(derivation.algebra.variables)
+    row = st.lists(st.integers(min_value=-2, max_value=2), min_size=n, max_size=n)
+    matrix = draw(st.lists(row, min_size=1, max_size=2))
+    return derivation, attach_grading(derivation.algebra, matrix)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graded_derivations())
+def test_homogeneous_degree_matches_row_by_row_oracle(case):
+    derivation, grading = case
+    assert homogeneous_degree(derivation, grading) == helpers.homogeneous_degree_oracle(
+        derivation, grading
+    )
+
+
+def test_homogeneous_degree_without_rows():
+    # the one difference from the row-by-row oracle: a grading with no rows
+    # gives the zero derivation no degree, as for every other grading
+    algebra = free_xy()
+    grading = attach_grading(algebra, [])
+    assert homogeneous_degree(D(algebra, x="0", y="x^2 + x"), grading) == ()
+    zero = zero_derivation(algebra)
+    assert homogeneous_degree(zero, grading) is None
+    assert helpers.homogeneous_degree_oracle(zero, grading) == ()
 
 
 def test_homogenize_already_homogeneous(y3):

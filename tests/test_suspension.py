@@ -93,6 +93,10 @@ def test_name_collision_rejected():
         suspend(X, parse_expression("y1", X.context), (1, 1), names=("u", "u"))
     with pytest.raises(ContextError, match="invalid variable name '9a'"):
         suspend(X, parse_expression("y1", X.context), (1, 1), names=("9a", "u"))
+    # a wrong count of names is malformed input too, not a suspension defect
+    for names in (("u",), ("u", "v", "t")):
+        with pytest.raises(ContextError, match="one fresh variable per exponent"):
+            suspend(X, parse_expression("y1", X.context), (1, 1), names=names)
     X2 = algebra_from_strings(QQ, ["x"], [])
     Y, _ = suspend(X2, parse_expression("x", X2.context), (1, 1), names=("u", "v"))
     assert Y.variables == ("x", "u", "v")
