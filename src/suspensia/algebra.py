@@ -27,7 +27,7 @@ from types import MappingProxyType
 from .coeff import CyclotomicNumber, _power
 from .groebner import MonomialOrder, buchberger, grevlex
 from .linalg import matmul, rank
-from .poly import Context, ContextError, Polynomial, monomial_text
+from .poly import Context, ContextError, Polynomial, _integers, monomial_text
 
 
 class _Frozen:
@@ -45,16 +45,6 @@ class _Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-
-def _integers(values) -> tuple | None:
-    """``values`` as a tuple of ints when each equals its int(), else None."""
-    try:
-        raw = tuple(values)
-        ints = tuple(int(v) for v in raw)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return ints if ints == raw else None
 
 
 class PresentationError(ValueError):

@@ -72,71 +72,45 @@ def _build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_CAP,
         help=f"iteration cap for nilpotency certification (default {DEFAULT_CAP})",
     )
+    # each argument shared by several commands is declared once, on a parent parser
+    file = argparse.ArgumentParser(add_help=False)
+    file.add_argument("file")
+    derivation = argparse.ArgumentParser(add_help=False, parents=[file])
+    derivation.add_argument("--derivation", help="name when the file has several")
+    graded = argparse.ArgumentParser(add_help=False, parents=[derivation])
+    graded.add_argument("--grading", required=True)
+    suspension_data = argparse.ArgumentParser(add_help=False, parents=[file])
+    suspension_data.add_argument("--f", required=True, help="suspension function (expression)")
+    suspension_data.add_argument("--k", required=True, help="comma-separated positive exponents")
+    suspension_data.add_argument("--names", help="comma-separated fresh variable names")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="parse and check a description file")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_validate)
+    def command(name, handler, summary, parent=None):
+        p = sub.add_parser(name, help=summary, parents=[parent] if parent else [])
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("groebner", help="print the reduced basis of an algebra")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_groebner)
-
-    p = sub.add_parser("certify-derivation", help="certify a derivation as LND")
-    p.add_argument("file")
-    p.add_argument("--derivation", help="name when the file has several")
+    command("validate", _cmd_validate, "parse and check a description file", file)
+    command("groebner", _cmd_groebner, "print the reduced basis of an algebra", file)
+    p = command("certify-derivation", _cmd_certify, "certify a derivation as LND", derivation)
     p.add_argument("--out", help="write the certificate JSON here")
-    p.set_defaults(handler=_cmd_certify)
-
-    p = sub.add_parser("decompose", help="split a derivation along a grading row")
-    p.add_argument("file")
-    p.add_argument("--derivation")
-    p.add_argument("--grading", required=True)
+    p = command("decompose", _cmd_decompose, "split a derivation along a grading row", graded)
     p.add_argument("--row", type=int, default=0)
-    p.set_defaults(handler=_cmd_decompose)
-
-    p = sub.add_parser("homogenize", help="extract a homogeneous LND")
-    p.add_argument("file")
-    p.add_argument("--derivation")
-    p.add_argument("--grading", required=True)
-    p.set_defaults(handler=_cmd_homogenize)
-
-    p = sub.add_parser("suspend", help="build a suspension over an algebra")
-    p.add_argument("file")
-    p.add_argument("--f", required=True, help="suspension function (expression)")
-    p.add_argument("--k", required=True, help="comma-separated positive exponents")
-    p.add_argument("--names", help="comma-separated fresh variable names")
+    command("homogenize", _cmd_homogenize, "extract a homogeneous LND", graded)
+    p = command("suspend", _cmd_suspend, "build a suspension over an algebra", suspension_data)
     p.add_argument("--out", help="directory for suspension.json / torus.json / criterion.json")
-    p.set_defaults(handler=_cmd_suspend)
-
-    p = sub.add_parser("torus", help="print the torus weights of a suspension")
-    p.add_argument("file")
-    p.add_argument("--f", required=True)
-    p.add_argument("--k", required=True)
-    p.add_argument("--names")
-    p.set_defaults(handler=_cmd_torus)
-
-    p = sub.add_parser("lift", help="lift a derivation along var = new^power")
-    p.add_argument("file")
-    p.add_argument("--derivation")
+    command("torus", _cmd_torus, "print the torus weights of a suspension", suspension_data)
+    p = command("lift", _cmd_lift, "lift a derivation along var = new^power", derivation)
     p.add_argument("--var", required=True)
     p.add_argument("--new", required=True, dest="new_var")
     p.add_argument("--power", type=_positive_int, required=True)
     p.add_argument("--out", help="write the lifted algebra + derivation here")
-    p.set_defaults(handler=_cmd_lift)
-
-    p = sub.add_parser("build-yp", help="run the counterexample-family pipeline")
+    p = command("build-yp", _cmd_build_yp, "run the counterexample-family pipeline")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", default=".", help="output directory (default: cwd)")
-    p.set_defaults(handler=_cmd_build_yp)
-
-    p = sub.add_parser("exp", help="exponentiate a certified derivation")
-    p.add_argument("file")
-    p.add_argument("--derivation")
+    p = command("exp", _cmd_exp, "exponentiate a certified derivation", derivation)
     p.add_argument("--t", default="1", help="scalar parameter (expression)")
-    p.set_defaults(handler=_cmd_exp)
-
     return parser
 
 
@@ -162,13 +136,21 @@ def _cmd_groebner(args) -> int:
     return EXIT_OK
 
 
+def _print_orders(certificate) -> None:
+    """One line ``order(x) = n`` per generator, in variable order."""
+    for name in certificate.derivation.algebra.variables:
+        print(f"order({name}) = {certificate.orders.get(name, 'inconclusive')}")
+
+
+def _image_lines(images) -> list:
+    """``x -> image`` for each generator; ``images`` is in variable order."""
+    return [f"{name} -> {image.rep.text()}" for name, image in images.items()]
+
+
 def _cmd_certify(args) -> int:
     derivation = parseio.load_derivation(args.file, args.derivation)
     certificate = certify_lnd(derivation, args.cap)
-    for name in derivation.algebra.variables:
-        order = certificate.orders.get(name)
-        shown = order if order is not None else "inconclusive"
-        print(f"order({name}) = {shown}")
+    _print_orders(certificate)
     print(f"status: {certificate.status} (cap {certificate.cap})")
     if args.out:
         parseio.save_json(args.out, certificate_json(certificate))
@@ -184,8 +166,7 @@ def _pick_grading(algebra, name):
 
 def _cmd_decompose(args) -> int:
     derivation = parseio.load_derivation(args.file, args.derivation)
-    algebra = derivation.algebra
-    grading = _pick_grading(algebra, args.grading)
+    grading = _pick_grading(derivation.algebra, args.grading)
     if not 0 <= args.row < grading.nrows:
         raise UsageError(f"row {args.row} out of range for {grading.nrows} rows")
     pieces = decompose(derivation, grading, args.row)
@@ -194,21 +175,17 @@ def _cmd_decompose(args) -> int:
         return EXIT_OK
     print(f"degrees {pieces.lower}..{pieces.upper}")
     for degree, part in pieces.components.items():
-        images = ", ".join(
-            f"{n} -> {part.images[n].rep.text()}" for n in algebra.variables
-        )
-        print(f"degree {degree}: {images}")
+        print(f"degree {degree}: {', '.join(_image_lines(part.images))}")
     return EXIT_OK
 
 
 def _cmd_homogenize(args) -> int:
     derivation = parseio.load_derivation(args.file, args.derivation)
-    algebra = derivation.algebra
-    grading = _pick_grading(algebra, args.grading)
+    grading = _pick_grading(derivation.algebra, args.grading)
     result, degree = homogenize_lnd(derivation, grading, args.cap)
     print(f"homogeneous degree: {list(degree)}")
-    for name in algebra.variables:
-        print(f"{name} -> {result.images[name].rep.text()}")
+    for line in _image_lines(result.images):
+        print(line)
     return EXIT_OK
 
 
@@ -233,11 +210,7 @@ def _cmd_suspend(args) -> int:
     print(f"suspension over {len(spec.base.variables)} base variables: "
           f"{len(extended.variables)} variables, {len(extended.relations)} relations")
     print(f"gcd = {report.gcd}: {report.verdict.value}")
-    if len(spec.exponents) >= 2:
-        action = suspension.torus_action(extended, spec)
-        rows = action.rows
-    else:
-        rows = ()
+    rows = suspension.torus_action(extended, spec).rows if len(spec.exponents) > 1 else ()
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -252,9 +225,9 @@ def _cmd_suspend(args) -> int:
 
 
 def _cmd_torus(args) -> int:
-    extended, spec = _build_suspension(args)
-    action = suspension.torus_action(extended, spec)
-    for row in action.rows:
+    if len(_parse_exponents(args.k)) < 2:
+        raise UsageError("a torus needs at least two --k exponents")
+    for row in suspension.torus_action(*_build_suspension(args)).rows:
         print(" ".join(str(w) for w in row))
     return EXIT_OK
 
@@ -263,14 +236,11 @@ def _cmd_lift(args) -> int:
     derivation = parseio.load_derivation(args.file, args.derivation)
     source = certify_lnd(derivation, args.cap)
     certificate = suspension.lift_along_root(source, args.var, args.new_var, args.power)
-    lifted_algebra = certificate.derivation.algebra
+    lifted = certificate.derivation
     print(f"lifted along {args.var} = {args.new_var}^{args.power}: {certificate.status}")
-    for name in lifted_algebra.variables:
-        print(f"order({name}) = {certificate.orders.get(name, 'inconclusive')}")
+    _print_orders(certificate)
     if args.out:
-        data = parseio.algebra_to_data(
-            lifted_algebra, derivations={"lifted": certificate.derivation}
-        )
+        data = parseio.algebra_to_data(lifted.algebra, derivations={"lifted": lifted})
         parseio.save_json(args.out, data)
         print(f"wrote {args.out}")
     return EXIT_OK if certificate.certified else EXIT_INCONCLUSIVE
@@ -304,8 +274,8 @@ def _cmd_exp(args) -> int:
         raise UsageError(f"--t must be a constant, got {args.t!r}")
     scalar = scalar_poly.constant_value()
     morphism = exp(derivation, scalar, args.cap, max_digits=parseio.MAX_DIGITS)
-    for name in algebra.variables:
-        print(f"{name} -> {morphism.images[name].rep.text()}")
+    for line in _image_lines(morphism.images):
+        print(line)
     half = exp(derivation, algebra.field.coerce(scalar) * Fraction(1, 2), args.cap)
     one_param = half.compose(half)
     if not one_param.agrees_with(morphism):

@@ -288,32 +288,44 @@ class CyclotomicNumber:
 
     def __str__(self) -> str:
         sym = f"z@{self.p}"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if k == 0:
-                parts.append(str(c))
-                continue
-            mono = sym if k == 1 else f"{sym}^{k}"
-            if c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for piece in parts[1:]:
-            if piece.startswith("-"):
-                out += " - " + piece[1:]
-            else:
-                out += " + " + piece
-        return out
+        den = self._den
+        return _signed_sum(
+            _term_text(Fraction(n, den), "" if k == 0 else sym if k == 1 else f"{sym}^{k}")
+            for k, n in enumerate(self._num) if n
+        )
 
     def __repr__(self):
         return f"CyclotomicNumber({self.p}, {self})"
+
+
+# --- text: one renderer for signed sums of terms ---------------------------
+
+
+def _term_text(coeff, mono: str) -> tuple:
+    """One term as (sign, body): the sign pulled out, a coefficient of 1 left out.
+
+    An irrational Q(z@p) coefficient is parenthesized and keeps its own signs;
+    a rational one is printed from its numerator and denominator, as str()
+    prints a Fraction.
+    """
+    if isinstance(coeff, CyclotomicNumber):
+        if not coeff.is_rational():
+            return (1, f"({coeff})*{mono}" if mono else f"({coeff})")
+        n, d = coeff._num[0], coeff._den
+    else:
+        n, d = coeff.numerator, coeff.denominator
+    body = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
+    if mono:
+        body = mono if body == "1" else f"{body}*{mono}"
+    return (-1 if n < 0 else 1, body)
+
+
+def _signed_sum(terms) -> str:
+    """Join (sign, body) pairs as "a - b + c"; "0" when there are none."""
+    out = "".join((" + " if sign > 0 else " - ") + body for sign, body in terms)
+    if not out:
+        return "0"
+    return out[3:] if out[1] == "+" else "-" + out[3:]
 
 
 # --- trusted constructors: the order is already known to be prime ---------

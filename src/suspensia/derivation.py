@@ -441,15 +441,11 @@ def is_diagonal_semisimple(derivation: Derivation):
     weights = []
     for name in algebra.variables:
         img = derivation.images[name].rep
-        gen = algebra.variable(name).rep
-        if not gen.terms:
-            if img.terms:
-                return None
-            weights.append(algebra.field.zero)
-            continue
         if not img.terms:
             weights.append(algebra.field.zero)
             continue
+        # a generator in the ideal has image 0 (D is well defined), so gen is nonzero
+        gen = algebra.variable(name).rep
         lead = next(iter(gen.terms))
         scale = img.coefficient(lead) / gen.terms[lead]
         if img != gen * scale:

@@ -357,7 +357,7 @@ def algebra_from_data(data: dict) -> PresentedAlgebra:
         _expect(
             isinstance(matrix, list)
             and all(isinstance(row, list) and len(row) == len(variables) for row in matrix)
-            and all(isinstance(w, int) for row in matrix for w in row),
+            and all(type(w) is int for row in matrix for w in row),  # bool is not a weight
             f"grading {name!r} must be a list of integer rows of length {len(variables)}",
         )
     algebra = PresentedAlgebra(context, parsed, gradings=gradings)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from .coeff import CoefficientError, CyclotomicField, CyclotomicNumber, RationalField, _power
+from .coeff import CoefficientError, CyclotomicNumber, _power, _signed_sum, _term_text
 
 # An exponent tuple, one non-negative integer per context variable.
 Monomial = tuple
@@ -82,6 +82,16 @@ def monomial_text(context: Context, mono) -> str:
         elif e:
             parts.append(f"{name}^{e}")
     return "*".join(parts)
+
+
+def _integers(values) -> tuple | None:
+    """``values`` as a tuple of ints when each equals its int(), else None."""
+    try:
+        raw = tuple(values)
+        ints = tuple(int(v) for v in raw)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return ints if ints == raw else None
 
 
 def _gradedlex_key(mono):
@@ -285,7 +295,9 @@ class Polynomial:
     # weighted degrees
 
     def _check_weights(self, weights):
-        weights = tuple(int(w) for w in weights)
+        weights = _integers(weights)
+        if weights is None:
+            raise ContextError("weights must be integers")
         if len(weights) != self.context.nvars:
             raise ContextError(
                 f"weight vector length {len(weights)} does not match "
@@ -382,42 +394,18 @@ class Polynomial:
         )
 
     def text(self) -> str:
-        if not self.terms:
-            return "0"
-        rendered = []
         try:
-            for mono, coeff in self.sorted_terms():
-                rendered.append(_term_text(coeff, monomial_text(self.context, mono)))
+            return _signed_sum(
+                _term_text(c, monomial_text(self.context, m)) for m, c in self.sorted_terms()
+            )
         except ValueError:  # str() of an integer past sys.get_int_max_str_digits()
             limit = sys.get_int_max_str_digits()
             raise CoefficientError(f"a number has too many digits to print (limit {limit})") from None
-        sign, body = rendered[0]
-        out = body if sign > 0 else "-" + body
-        for sign, body in rendered[1:]:
-            out += (" + " if sign > 0 else " - ") + body
-        return out
 
     __str__ = text
 
     def __repr__(self):
         return f"Polynomial({self.text()!r})"
-
-
-def _term_text(coeff, mono_s: str):
-    """Render one term; returns (sign, body) with sign pulled out for joining."""
-    if isinstance(coeff, CyclotomicNumber):
-        if coeff.is_rational():
-            coeff = coeff.rational_value()
-        else:
-            body = f"({coeff})"
-            return (1, f"{body}*{mono_s}" if mono_s else body)
-    sign = -1 if coeff < 0 else 1
-    mag = abs(coeff)
-    if not mono_s:
-        return (sign, str(mag))
-    if mag == 1:
-        return (sign, mono_s)
-    return (sign, f"{mag}*{mono_s}")
 
 
 class Substitution:

@@ -24,8 +24,9 @@ principle for locally nilpotent derivations (Freudenburg, *Algebraic Theory
 of Locally Nilpotent Derivations*, ch. 1).  The argument rests on three
 premises: D kills y or f, the source is certified, and the target algebra
 is the extension that the root data or the suspension data describe.  The
-first two are verified exactly, without a Groebner basis; the third holds by
-construction, since each lift builds its target from those data.
+first two are verified exactly, in that order (``_check_lift``) and before
+the target's Groebner basis is computed; the third holds by construction, since each lift builds
+its target from those data.
 Well-definedness of the lift is still checked relation by relation, as an
 independent check.  The lift's certificate then comes from
 ``LNDCertificate._issue``, an unchecked builder like ``Derivation._proved``
@@ -40,9 +41,9 @@ from enum import Enum
 from fractions import Fraction
 from functools import reduce
 
-from .algebra import AlgebraElement, PresentedAlgebra, _integers
+from .algebra import AlgebraElement, PresentedAlgebra
 from .derivation import InconclusiveError, LNDCertificate, new_derivation
-from .poly import Context, ContextError, Polynomial
+from .poly import Context, ContextError, Polynomial, _integers
 
 
 class SuspensionError(ValueError):
@@ -183,38 +184,50 @@ def torus_action(extended: PresentedAlgebra, spec: SuspensionSpec) -> TorusActio
     return TorusAction(extended, tuple(rows))
 
 
+def _check_lift(certificate: LNDCertificate, f, image: AlgebraElement) -> None:
+    """Refuse a lift unless D kills f (``image`` is D(f)) and the source is certified.
+
+    The kill is checked first: a D that moves f lifts at no cap.
+    """
+    if image:
+        raise SuspensionError(f"derivation does not kill {f}: its image has normal form {image}")
+    if not certificate.certified:
+        raise InconclusiveError("cannot lift: source derivation is not certified")
+
+
+def _transport(certificate: LNDCertificate, target: PresentedAlgebra, root=None):
+    """The certificate of the lift of the certified D to ``target`` (module docstring).
+
+    Each source generator keeps its image, converted through ``root`` (as
+    ``Polynomial.convert`` takes it), and its order; every other variable
+    of the target gets image 0 and order 0.
+    """
+    context = target.context
+    images = dict.fromkeys(context.variables, Polynomial.zero(context))
+    orders = dict.fromkeys(context.variables, 0)
+    for name, image in certificate.derivation.images.items():
+        lifted = root[1] if root and name == root[0] else name
+        images[lifted] = image.rep.convert(context, root)
+        orders[lifted] = certificate.orders[name]
+    return LNDCertificate._issue(new_derivation(target, images), certificate.cap, orders)
+
+
 def lift_lnd(certificate: LNDCertificate, function, exponents, names=None) -> LNDCertificate:
     """Lift a certified nilpotent derivation D of the base A to a suspension.
 
     Returns the certificate of the lift to ``suspend(A, function, exponents,
-    names)``, built here once D is known to be certified and to kill f
-    (else ``SuspensionError``).  The lift keeps the base images and sends
-    each suspension variable to zero.  A embeds in the free A-module
-    A[y1..ym]/(y1^k1*...*ym^km - f), and the lift commutes with the
-    embedding because D(f) = 0, so each base generator keeps its order and
-    each y_i has order 0 (module docstring).
+    names)``, built here once D is known to kill f (else ``SuspensionError``)
+    and to be certified (else ``InconclusiveError``).  The lift keeps the
+    base images and sends each suspension variable to zero.  A embeds in the
+    free A-module A[y1..ym]/(y1^k1*...*ym^km - f), and the lift commutes
+    with the embedding because D(f) = 0, so each base generator keeps its
+    order and each y_i has order 0 (module docstring).
     """
     derivation = certificate.derivation
     base = derivation.algebra
-    if not certificate.certified:
-        raise InconclusiveError("cannot lift: source derivation is not certified")
     f = base.element(function)
-    df = base.normal_form(derivation.leibniz_image(f.rep))
-    if df:
-        raise SuspensionError(
-            f"derivation does not kill the suspension function: image has "
-            f"normal form {df.text()}"
-        )
-    extended, spec = suspend(base, f, exponents, names)
-    context = extended.context
-    images = {
-        name: derivation.images[name].rep.convert(context) for name in base.variables
-    }
-    orders = dict(certificate.orders)
-    for name in spec.suspension_variables:
-        images[name] = Polynomial.zero(context)
-        orders[name] = 0
-    return LNDCertificate._issue(new_derivation(extended, images), certificate.cap, orders)
+    _check_lift(certificate, f, base.element(derivation.leibniz_image(f.rep)))
+    return _transport(certificate, suspend(base, f, exponents, names)[0])
 
 
 def _check_root(context: Context, var: str, new_var: str, power: int) -> None:
@@ -276,30 +289,15 @@ def lift_along_root(
     Returns the certificate of the lift, whose algebra is ``adjoin_root(source,
     var, new_var, power)``, built here once D is known to kill var (else the
     substitution does not commute with it, ``SuspensionError``) and to be
-    certified.  Images are rewritten through the substitution.  The source A
-    embeds in the free A-module A[new_var]/(new_var^power - var), and the
-    lift commutes with the embedding because D(var) = 0, so each generator
-    keeps its order and new_var takes var's, 0 (module docstring).
+    certified (else ``InconclusiveError``).  Images are rewritten through
+    the substitution.  The source A embeds in the free A-module
+    A[new_var]/(new_var^power - var), and the lift commutes with the
+    embedding because D(var) = 0, so each generator keeps its order and
+    new_var takes var's, 0 (module docstring).
     """
     derivation = certificate.derivation
     source = derivation.algebra
     _check_root(source.context, var, new_var, power)
-    dvar = derivation.images[var]
-    if dvar:
-        raise SuspensionError(
-            f"derivation must kill {var!r} to lift along the root substitution; "
-            f"its image has normal form {dvar.rep.text()}"
-        )
-    if not certificate.certified:
-        raise InconclusiveError("cannot lift: source derivation is not certified")
-    lifted_algebra = PresentedAlgebra(*_root_presentation(source, var, new_var, power))
-    root = (var, new_var, power)
-    images = {}
-    orders = {}
-    for name in source.variables:
-        target_name = new_var if name == var else name
-        images[target_name] = derivation.images[name].rep.convert(
-            lifted_algebra.context, root
-        )
-        orders[target_name] = certificate.orders[name]
-    return LNDCertificate._issue(new_derivation(lifted_algebra, images), certificate.cap, orders)
+    _check_lift(certificate, var, derivation.images[var])
+    target = PresentedAlgebra(*_root_presentation(source, var, new_var, power))
+    return _transport(certificate, target, (var, new_var, power))

@@ -35,6 +35,39 @@ def cyclo_from_power_oracle(p, k):
     return CyclotomicNumber(p, reduce_cyclotomic_oracle(p, dense))
 
 
+def cyclotomic_text_oracle(c):
+    """The text of a Q(z@p) value, rendered term by term from its coordinates.
+
+    A separate renderer from the library's: each nonzero coordinate becomes
+    one piece with its own sign, and a leading '-' turns into ' - ' when the
+    pieces are joined.
+    """
+    sym = f"z@{c.p}"
+    parts = []
+    for k, q in enumerate(c.coeffs):
+        if not q:
+            continue
+        if k == 0:
+            parts.append(str(q))
+            continue
+        mono = sym if k == 1 else f"{sym}^{k}"
+        if q == 1:
+            parts.append(mono)
+        elif q == -1:
+            parts.append(f"-{mono}")
+        else:
+            parts.append(f"{q}*{mono}")
+    if not parts:
+        return "0"
+    out = parts[0]
+    for piece in parts[1:]:
+        if piece.startswith("-"):
+            out += " - " + piece[1:]
+        else:
+            out += " + " + piece
+    return out
+
+
 def brute_force_product(factors):
     """Expand a product of polynomials by enumerating every cross term."""
     context = factors[0].context

@@ -142,6 +142,15 @@ def test_grading_row_of_the_wrong_length_is_input_error(tmp_path, capsys):
     assert err.startswith("input error:") and "rows of length 2" in err
 
 
+def test_boolean_grading_weight_is_input_error(tmp_path, capsys):
+    # JSON true/false are Python bools, which isinstance(w, int) accepts
+    data = {"field": "Q", "variables": ["x", "y"], "relations": ["x*y"],
+            "gradings": {"g": [[True, False]]}}
+    assert main(["validate", _write(tmp_path, "bools.json", data)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "integer rows" in err
+
+
 @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no integer text limit")
 def test_groebner_basis_past_the_digit_limit_is_input_error(tmp_path, capsys):
     # x_i - N*x_(i+1) with a 999-digit N: every input limit accepts the file,
@@ -203,6 +212,17 @@ def test_torus_command(tmp_path, capsys):
     )
     assert main(["torus", path, "--f", "x", "--k", "2,2"]) == 0
     assert capsys.readouterr().out.strip() == "0 1 -1"
+
+
+def test_torus_with_one_exponent_is_input_error(tmp_path, capsys):
+    # a torus needs two suspension variables: one --k entry is a malformed request
+    path = _write(
+        tmp_path, "base.json", {"field": "Q", "variables": ["x"], "relations": []}
+    )
+    assert main(["torus", path, "--f", "x", "--k", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: a torus needs at least two --k exponents\n"
 
 
 def test_lift_command(capsys):

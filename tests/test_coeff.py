@@ -4,13 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from suspensia import (
     CoefficientError,
+    Context,
     CyclotomicField,
     CyclotomicNumber,
+    Polynomial,
     QQ,
     field_from_text,
     is_prime,
@@ -18,7 +20,12 @@ from suspensia import (
 )
 from suspensia import coeff
 
-from helpers import cyclo_from_power_oracle, random_scalar, reduce_cyclotomic_oracle
+from helpers import (
+    cyclo_from_power_oracle,
+    cyclotomic_text_oracle,
+    random_scalar,
+    reduce_cyclotomic_oracle,
+)
 
 
 def test_root_of_unity_power_p_is_one():
@@ -202,6 +209,31 @@ def _coordinate_pairs(draw):
     p = draw(st.sampled_from([3, 5, 7]))
     coords = st.lists(_rationals, min_size=p - 1, max_size=p - 1)
     return p, draw(coords), draw(coords)
+
+
+@st.composite
+def _text_cases(draw):
+    """An order p in {3, 5, 7} and p-1 coordinates, often 0 or +-1."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    coordinate = st.one_of(st.just(Fraction(0)), st.sampled_from([Fraction(1), Fraction(-1)]),
+                           _rationals)
+    return p, draw(st.lists(coordinate, min_size=p - 1, max_size=p - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_text_cases())
+@example((3, [Fraction(-1), Fraction(-1)]))
+@example((5, [Fraction(-7, 2), Fraction(0), Fraction(1), Fraction(-1)]))
+@example((7, [Fraction(0)] * 6))
+def test_text_matches_term_by_term_oracle(case):
+    p, coords = case
+    c = CyclotomicNumber(p, coords)
+    expected = cyclotomic_text_oracle(c)
+    assert str(c) == expected
+    # a polynomial prints a constant through the same renderer
+    context = Context(CyclotomicField(p), ("x",))
+    shown = expected if c.is_rational() else f"({expected})"
+    assert Polynomial.constant(context, c).text() == shown
 
 
 @settings(max_examples=150, deadline=None)

@@ -426,6 +426,10 @@ def test_diagonal_semisimple():
     assert is_diagonal_semisimple(d) == (1, 2)
     zero = zero_derivation(free_xy())
     assert is_diagonal_semisimple(zero) == (0, 0)
+    # x lies in the ideal, so every well-defined D sends it to 0
+    in_ideal = algebra_from_strings(QQ, ["x", "y"], ["x"])
+    assert is_diagonal_semisimple(D(in_ideal, x="0", y="3*y")) == (0, 3)
+    assert is_diagonal_semisimple(D(in_ideal, x="0", y="1")) is None
 
 
 def test_diagonal_semisimple_absent(y3):

@@ -219,6 +219,19 @@ def test_negative_weights_allowed():
     assert f.weighted_degree((1, -1)) == 0
 
 
+def test_non_integer_weights_rejected():
+    # weights were truncated by int(): (2.7, 1) read as (2, 1) and "3" as 3
+    f = P("x*y^2 + 3*x^2", QXY)
+    for weights in ((2.7, 1), ("3", 1), (1.9, 1), (Fraction(1, 2), 1)):
+        with pytest.raises(ContextError, match="weights must be integers"):
+            f.weighted_degree(weights)
+        with pytest.raises(ContextError, match="weights must be integers"):
+            f.weighted_components(weights)
+    # integral values of other types are the integers they equal
+    assert f.weighted_degree((2.0, Fraction(1))) == 4
+    assert list(f.weighted_components((1.0, 1))) == [2, 3]
+
+
 def test_invalid_exponents_rejected():
     with pytest.raises(ContextError):
         Polynomial(QXY, {(1,): 1})

@@ -1,6 +1,7 @@
 """Suspensions, the gcd criterion, torus weights, lifting, root adjunction."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -389,6 +390,40 @@ def test_lift_along_root_requires_killed_variable():
     )
     with pytest.raises(SuspensionError):
         lift_along_root(certify_lnd(d, 4), "y", "u", 2)
+
+
+def _chain(x_image):
+    """D on Q[x, s, t]: x -> x_image, s -> x, t -> s; t has order 2 or more."""
+    X = algebra_from_strings(QQ, ["x", "s", "t"], [])
+    images = {"x": x_image, "s": "x", "t": "s"}
+    return new_derivation(X, {n: parse_expression(e, X.context) for n, e in images.items()})
+
+
+@pytest.mark.parametrize("cap", [1, 8])
+def test_lifts_check_the_kill_before_the_certificate(cap):
+    # a D that moves f (or var) lifts at no cap, so both lifts refuse it
+    # with one message whether or not the source is certified
+    moving = certify_lnd(_chain("1"), cap)
+    assert moving.certified == (cap == 8)
+    f = parse_expression("x + t", moving.derivation.algebra.context)
+    message = "derivation does not kill x + t: its image has normal form s + 1"
+    with pytest.raises(SuspensionError, match=f"^{re.escape(message)}$"):
+        lift_lnd(moving, f, (2, 3))
+    message = "derivation does not kill x: its image has normal form 1"
+    with pytest.raises(SuspensionError, match=f"^{re.escape(message)}$"):
+        lift_along_root(moving, "x", "u", 2)
+    # a D that kills f (and var) but is not certified is inconclusive
+    killing = certify_lnd(_chain("0"), cap)
+    x = parse_expression("x", killing.derivation.algebra.context)
+    if cap == 1:
+        assert not killing.certified
+        for lift in (lambda: lift_lnd(killing, x, (2, 3)),
+                     lambda: lift_along_root(killing, "x", "u", 2)):
+            with pytest.raises(InconclusiveError, match="source derivation is not certified"):
+                lift()
+    else:
+        assert lift_lnd(killing, x, (2, 3)).certified
+        assert lift_along_root(killing, "x", "u", 2).certified
 
 
 def test_lift_along_root_rejects_unknown_variable():
