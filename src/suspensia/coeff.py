@@ -355,6 +355,17 @@ def _rational(p: int, n: int, d: int) -> CyclotomicNumber:
     return _reduced(p, (n,) + (0,) * (p - 2), d)
 
 
+def _root_exponent(c, p: int) -> int | None:
+    """k when c is the root power z^k of Q(z@p), 0 <= k < p; else None."""
+    if not isinstance(c, CyclotomicNumber) or c.p != p or c._den != 1:
+        return None
+    num = c._num
+    if num.count(1) == 1 and num.count(0) == p - 2:
+        return num.index(1)
+    # z^(p-1) = -(1 + z + ... + z^(p-2))
+    return p - 1 if num.count(-1) == p - 1 else None
+
+
 def root_of_unity(p: int, i: int) -> CyclotomicNumber:
     """Return the i-th root of unity z^i of prime order p (z^p = 1)."""
     _check_order(p)

@@ -12,8 +12,15 @@ unity, solved in closed form); the pipeline certifies that it is well
 defined and locally nilpotent, and lifts it along y = u^(n/p).
 
 The product P = L_2*...*L_p is multiplied out once (``form_products``); F is
-L_1*P and D(z) is y^(p-1)*P.  D is certified from its values on the forms,
-without expanding a Leibniz image of F or iterating D.
+L_1*P and D(z) is y^(p-1)*P.  Every coefficient of a form is a root power
+z^k, so the forms are multiplied in the group ring Z[t]/(t^p - 1), each
+coefficient packed into one int of p slots, and a coefficient product is a
+rotation of the slots (``_root_products``).  This is exact: every slot is a
+non-negative count of term products, at most the product of the forms'
+term counts, so a slot one bit wider than that bound never overflows; each
+result is unpacked once through the fold z^(p-1) = -(1 + ... + z^(p-2)).
+D is certified from its values on the forms, without expanding a Leibniz
+image of F or iterating D.
 ``build_vandermonde_lnd(p)`` builds the forms, P, L_1*P and Yp itself, so Yp
 is by construction the algebra with relations L_1*P - z^2 and y*w - 1
 (under the elimination order with block {z}), and P is the product of
@@ -52,9 +59,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .algebra import Grading, PresentedAlgebra
-from .coeff import CyclotomicField, QQ, is_prime, root_of_unity
+from .coeff import CyclotomicField, QQ, _new, _root_exponent, is_prime, root_of_unity
 from .derivation import (
     DEFAULT_CAP,
     Derivation,
@@ -65,7 +73,7 @@ from .derivation import (
     certificate_json,
 )
 from .groebner import elimination
-from .poly import Context, Polynomial
+from .poly import Context, ContextError, Polynomial
 from .suspension import lift_along_root
 
 DEFAULT_MAX_PRIME = 7
@@ -131,9 +139,11 @@ def linear_forms(p: int) -> tuple:
 class FormProducts:
     """P = L_2*...*L_p and L_1*P over Q(z@p), each multiplied out once.
 
-    ``form_products`` is the only builder.  ``build_F`` descends ``full`` to
-    Q; ``build_vandermonde_lnd`` presents Yp from ``full`` and takes D(z)
-    from ``tail``.
+    ``form_products`` is the only builder.  It multiplies the forms as
+    packed rotations in Z[t]/(t^p - 1) (see ``_root_products``), which is
+    exact because every coefficient of a form is a power of z.  ``build_F``
+    descends ``full`` to Q; ``build_vandermonde_lnd`` presents Yp from
+    ``full`` and takes D(z) from ``tail``.
     """
 
     forms: tuple
@@ -144,10 +154,82 @@ class FormProducts:
 def form_products(p: int) -> FormProducts:
     """Multiply the last p-1 linear forms together, then by the first."""
     forms = linear_forms(p)
-    tail = Polynomial.one(forms[0].context)
-    for form in forms[1:]:
-        tail = tail * form
-    return FormProducts(forms, tail, forms[0] * tail)
+    return FormProducts(forms, *_root_products(p, forms))
+
+
+def _root_products(p: int, factors) -> tuple:
+    """factors[1]*...*factors[-1], and factors[0] times it, over Q(z@p).
+
+    Every coefficient of every factor must be a root power z^k (0 <= k < p);
+    any other raises ``ConstructionError``.  A product is then computed in
+    the group ring Z[t]/(t^p - 1), with t standing for z:
+
+    * a coefficient is one int whose p slots of ``width`` bits hold the
+      integer multiplicity of t^0..t^(p-1), and z^k starts as 1 << k*width;
+    * multiplying by z^k rotates the slots by k (two shifts and a mask), and
+      adding two coefficients is one int addition;
+    * a monomial is one int with a field per variable, wide enough for the
+      sum of the factors' largest exponents in it, so adding two packed
+      monomials multiplies the monomials without a carry between fields.
+
+    Each term product adds +1 to exactly one slot, so no slot exceeds the
+    product N of the factors' term counts (an empty factor counted as one
+    term), and ``width`` = bitlength(N) + 1 leaves no slot able to overflow
+    into the next.  Unpacking maps t^k to z^k and folds
+    z^(p-1) = -(1 + ... + z^(p-2)): coordinate t is c_t - c_(p-1).  A
+    coefficient whose p slots are all equal is c*(1 + ... + z^(p-1)) = 0 in
+    Q(z@p), and is dropped.
+    """
+    context = factors[0].context
+    if any(f.context != context for f in factors):
+        raise ContextError("polynomials from different contexts")
+    # an empty factors[0] must not shrink the bound for the tail, which omits it
+    width = prod(max(len(f.terms), 1) for f in factors).bit_length() + 1
+    span = p * width
+    ring = (1 << span) - 1
+    fields, offset = [], 0
+    for v in range(context.nvars):
+        bits = sum(max((m[v] for m in f.terms), default=0) for f in factors).bit_length()
+        fields.append((offset, (1 << bits) - 1))
+        offset += bits
+
+    packed = []
+    for f in factors:
+        terms = []
+        for mono, c in f.terms.items():
+            k = _root_exponent(c, p)
+            if k is None:
+                raise ConstructionError(f"a factor's coefficient {c} is not a power of z@{p}")
+            # z^k: slots move up by k, and the top k wrap round to the bottom
+            up = k * width
+            terms.append((sum(e << at for e, (at, _) in zip(mono, fields)), up, span - up))
+        packed.append(terms)
+
+    def times(acc: dict, terms: list) -> dict:
+        out = {}
+        get = out.get
+        for m1, c in acc.items():
+            for m2, up, down in terms:
+                m = m1 + m2
+                out[m] = get(m, 0) + (((c << up) & ring) | (c >> down))
+        return out
+
+    def unpack(acc: dict) -> Polynomial:
+        low = (1 << width) - 1
+        ones = ring // low  # 1 in every slot
+        below_top = range(0, span - width, width)
+        out = {}
+        for m, c in acc.items():
+            top = c >> (span - width)
+            if c != top * ones:
+                mono = tuple((m >> at) & mask for at, mask in fields)
+                out[mono] = _new(p, tuple(((c >> at) & low) - top for at in below_top), 1)
+        return Polynomial._raw(context, out)
+
+    tail = {0: 1}
+    for terms in packed[1:]:
+        tail = times(tail, terms)
+    return unpack(tail), unpack(times(tail, packed[0]))
 
 
 def build_F(p: int):

@@ -85,11 +85,17 @@ def monomial_text(context: Context, mono) -> str:
 
 
 def _integers(values) -> tuple | None:
-    """``values`` as a tuple of ints when each equals its int(), else None."""
+    """``values`` as a tuple of ints when each equals its int(), else None.
+
+    A ``bool`` is refused although True == 1: a flag is not a weight or an
+    exponent.
+    """
     try:
         raw = tuple(values)
         ints = tuple(int(v) for v in raw)
     except (TypeError, ValueError, OverflowError):
+        return None
+    if any(isinstance(v, bool) for v in raw):
         return None
     return ints if ints == raw else None
 

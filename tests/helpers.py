@@ -81,6 +81,18 @@ def brute_force_product(factors):
     return Polynomial(context, {m: c for m, c in terms.items() if c})
 
 
+def root_products_oracle(factors):
+    """factors[1]*...*factors[-1], and factors[0] times it, by ``Polynomial.__mul__``.
+
+    One coefficient object per term pair, against the library's packed
+    rotations in Z[t]/(t^p - 1).
+    """
+    tail = Polynomial.one(factors[0].context)
+    for factor in factors[1:]:
+        tail = tail * factor
+    return tail, factors[0] * tail
+
+
 def random_fraction(rng, span=6):
     num = rng.randint(-span, span)
     den = rng.randint(1, span)

@@ -169,6 +169,16 @@ def test_grading_validates_when_built():
     assert Grading(algebra, [[2.0, Fraction(1)]]).matrix == ((2, 1),)
 
 
+def test_boolean_grading_weight_is_refused():
+    # True == 1 and False == 0, but a flag is not a weight: (True, False)
+    # was read as the row (1, 0), which grades xy
+    algebra = algebra_from_strings(QQ, ["x", "y"], ["x*y"])
+    for row in ((True, False), (1, False)):
+        with pytest.raises(GradingError, match="integers"):
+            Grading(algebra, [row])
+    assert Grading(algebra, [[1, 0]]).matrix == ((1, 0),)
+
+
 def test_zero_matrix_is_trivial_grading():
     algebra, _ = build_Xp(3)
     grading = attach_grading(algebra, [(0,) * 6])

@@ -5,10 +5,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from suspensia import (
     CoefficientError,
     ConstructionError,
+    Context,
+    ContextError,
+    CyclotomicNumber,
     Derivation,
     DerivationError,
     FormProducts,
@@ -32,10 +37,11 @@ from suspensia import (
 )
 from suspensia.cli import main
 from suspensia import constructions
-from suspensia.constructions import yp_context
+from suspensia.coeff import CyclotomicField
+from suspensia.constructions import _root_products, yp_context
 from suspensia.linalg import SingularMatrixError, solve_linear
 
-from helpers import brute_force_product
+from helpers import brute_force_product, root_products_oracle
 
 
 def test_f3_closed_form_against_bruteforce_oracle():
@@ -66,6 +72,80 @@ def test_y_degrees_divisible_and_coefficients_rational():
         y_idx = F.context.index("y")
         assert all(m[y_idx] % p == 0 for m in F.terms)
         assert all(isinstance(c, Fraction) for c in F.terms.values())
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_form_products_match_object_product_oracle(p):
+    products = form_products(p)
+    assert (products.tail, products.full) == root_products_oracle(products.forms)
+
+
+def _root_factor(context, p, terms):
+    return Polynomial(context, {mono: root_of_unity(p, i) for mono, i in terms.items()})
+
+
+@st.composite
+def _root_factors(draw):
+    """A prime p in {3, 5} and 1-4 factors over Q(z@p) whose coefficients are powers of z."""
+    p = draw(st.sampled_from([3, 5]))
+    context = Context(CyclotomicField(p), ("x", "y", "w"))
+    monomials = st.tuples(*[st.integers(0, 3)] * 3)
+    factors = draw(st.lists(
+        st.dictionaries(monomials, st.integers(1, p), max_size=5), min_size=1, max_size=4
+    ))
+    return p, [_root_factor(context, p, terms) for terms in factors]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_root_factors())
+def test_root_products_match_repeated_multiplication(case):
+    p, factors = case
+    assert _root_products(p, factors) == root_products_oracle(factors)
+
+
+def test_root_products_cancel_a_full_orbit():
+    # (x + y)(x + z*y)(x + z^2*y) = x^3 + y^3 at p=3, since 1 + z + z^2 = 0:
+    # the x^2*y and x*y^2 slots hold one contribution per power of z
+    context = Context(CyclotomicField(3), ("x", "y"))
+    factors = [_root_factor(context, 3, {(1, 0): 3, (0, 1): i}) for i in (3, 1, 2)]
+    tail, full = _root_products(3, factors)
+    assert full == parse_expression("x^3 + y^3", context)
+    assert tail == parse_expression("x^2 + (-1)*x*y + y^2", context)
+
+
+def test_root_products_refuse_other_coefficients():
+    context = Context(CyclotomicField(3), ("x", "y"))
+    x = Polynomial.variable(context, "x")
+    for c in (2, Fraction(1, 2), 1 + root_of_unity(3, 1)):
+        factor = x + Polynomial.variable(context, "y") * c
+        for factors in ([x, factor], [factor, x]):
+            with pytest.raises(ConstructionError, match="not a power of z@3"):
+                _root_products(3, factors)
+    # a root of unity of another order is no power of z@3 either
+    with pytest.raises(ConstructionError):
+        _root_products(5, [x])
+    # factors from two contexts are refused, as Polynomial.__mul__ refuses them
+    other = Polynomial.variable(Context(CyclotomicField(3), ("x", "w")), "x")
+    with pytest.raises(ContextError):
+        _root_products(3, [x, other])
+
+
+def test_form_products_build_no_coefficient_objects_per_term_pair(monkeypatch):
+    # the forms are multiplied as packed rotations: neither Polynomial.__mul__
+    # nor CyclotomicNumber.__mul__ runs (linear_forms raises z to powers, so
+    # the forms are built before the products are refused)
+    forms = linear_forms(7)
+    monkeypatch.setattr(constructions, "linear_forms", lambda p: forms)
+
+    def refuse(*args):
+        raise AssertionError("an object product was computed")
+
+    for cls in (Polynomial, CyclotomicNumber):
+        monkeypatch.setattr(cls, "__mul__", refuse)
+        monkeypatch.setattr(cls, "__rmul__", refuse)
+    products = form_products(7)
+    monkeypatch.undo()
+    assert (products.tail, products.full) == root_products_oracle(forms)
 
 
 def test_prime_ceiling_and_validation():

@@ -133,6 +133,18 @@ def test_gcd_criterion_rejects_bad_exponents():
         gcd_criterion((0, 2))
 
 
+def test_boolean_exponent_is_refused():
+    # True == 1, but a flag is not an exponent: (True, 2) built y1*y2^2 - x
+    X = algebra_from_strings(QQ, ["x"], [])
+    x = parse_expression("x", X.context)
+    for exponents in ((True, 2), (2, True)):
+        with pytest.raises(SuspensionError, match="positive integers"):
+            suspend(X, x, exponents)
+        with pytest.raises(SuspensionError):
+            gcd_criterion(exponents)
+    assert str(suspend(X, x, (1, 2))[0].relations[-1]) == "y1*y2^2 - x"
+
+
 def test_non_integral_exponents_rejected():
     # int() would truncate these to (2, 4) and (2, 3)
     with pytest.raises(SuspensionError, match="positive integers"):
