@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
-from .coeff import CyclotomicNumber, _power
+from .coeff import CyclotomicNumber, _integer, _integers, _power
 from .groebner import MonomialOrder, buchberger, grevlex
 from .linalg import matmul, rank
-from .poly import Context, ContextError, Polynomial, _integers, monomial_text
+from .poly import Context, ContextError, Polynomial, monomial_text
 
 
 class _Frozen:
@@ -188,8 +188,7 @@ class AlgebraElement(_Frozen):
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("element power must be a non-negative integer")
+        n = _integer(n, 0, ValueError, "element power must be a non-negative integer")
         return _power(self, n, self.algebra.one())
 
     def __eq__(self, other):
@@ -277,6 +276,8 @@ class Grading:
 
     def components(self, value, row: int) -> dict:
         """Graded pieces of an element along one row, as canonical cosets."""
+        row = _integer(row, 0, GradingError, f"row {row} out of range for {self.nrows} rows",
+                       self.nrows - 1)
         element = self.algebra.element(value)
         return {
             deg: AlgebraElement(self.algebra, part)

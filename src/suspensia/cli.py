@@ -254,16 +254,14 @@ def _cmd_build_yp(args) -> int:
     parseio.save_json(out / "Yp.json", parseio.algebra_to_data(bundle.Yp))
     parseio.save_json(
         out / "derivation.json",
-        parseio.derivation_to_data(bundle.derivation, algebra_ref="Yp.json"),
+        {"algebra": "Yp.json", **parseio.derivation_to_data(bundle.derivation)},
     )
     parseio.save_json(out / "certificate.json", bundle.report)
     status = bundle.report["lnd"]["status"]
     lifted_status = bundle.report["lift"]["lnd"]["status"]
     print(f"p={args.p} n={args.n}: derivation {status}, lift {lifted_status}")
     print(f"wrote {out}/Xp.json, Yp.json, derivation.json, certificate.json")
-    if not bundle.report["ok"]:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    return EXIT_OK if bundle.report["ok"] else EXIT_INCONCLUSIVE
 
 
 def _cmd_exp(args) -> int:

@@ -62,9 +62,27 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _check_order(p: int) -> None:
-    if not is_prime(p):
-        raise CoefficientError(f"cyclotomic order must be prime, got {p}")
+def _integers(values) -> tuple | None:
+    """``values`` as a tuple of ints when each equals its int(), else None.
+
+    A ``bool`` is refused although True == 1: a flag is not a count.
+    """
+    try:
+        raw = tuple(values)
+        if set(map(type, raw)) <= {int}:
+            return raw
+        ints = tuple(map(int, raw))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return None if ints != raw or bool in map(type, raw) else ints
+
+
+def _integer(value, low: int, error: type, message: str, high: int | None = None) -> int:
+    """``value`` as an int (by the ``_integers`` rule) in low..high, else ``error(message)``."""
+    ints = _integers((value,))
+    if ints is None or ints[0] < low or (high is not None and ints[0] > high):
+        raise error(message)
+    return ints[0]
 
 
 def _power(base, n: int, one):
@@ -129,7 +147,7 @@ class CyclotomicNumber:
     __slots__ = ("p", "_num", "_den")
 
     def __init__(self, p: int, coeffs) -> None:
-        _check_order(p)
+        p = CyclotomicField(p).p
         coeffs = [_as_fraction(c) for c in coeffs]
         if len(coeffs) != p - 1:
             raise CoefficientError(
@@ -247,11 +265,11 @@ class CyclotomicNumber:
         return other * self.inverse()
 
     def __pow__(self, n: int):
-        if not isinstance(n, int):
+        ints = _integers((n,))
+        if ints is None:
             return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        return _power(self, n, _rational(self.p, 1, 1))
+        base, n = (self, ints[0]) if ints[0] >= 0 else (self.inverse(), -ints[0])
+        return _power(base, n, _rational(self.p, 1, 1))
 
     def __eq__(self, other):
         if isinstance(other, CyclotomicNumber):
@@ -368,15 +386,11 @@ def _root_exponent(c, p: int) -> int | None:
 
 def root_of_unity(p: int, i: int) -> CyclotomicNumber:
     """Return the i-th root of unity z^i of prime order p (z^p = 1)."""
-    _check_order(p)
-    if not 1 <= i <= p:
-        raise CoefficientError(f"root index must lie in 1..{p}, got {i}")
-    k = i % p
-    if k < p - 1:
-        num = [0] * (p - 1)
-        num[k] = 1
-        return _new(p, tuple(num), 1)
-    return _new(p, (-1,) * (p - 1), 1)
+    p = CyclotomicField(p).p
+    k = _integer(i, 1, CoefficientError, f"root index must lie in 1..{p}, got {i}", p) % p
+    # z^(p-1) = -(1 + z + ... + z^(p-2))
+    num = (-1,) * (p - 1) if k == p - 1 else tuple(int(j == k) for j in range(p - 1))
+    return _new(p, num, 1)
 
 
 @dataclass(frozen=True)
@@ -408,7 +422,10 @@ class CyclotomicField:
     p: int
 
     def __post_init__(self):
-        _check_order(self.p)
+        order = _integers((self.p,))
+        if order is None or not is_prime(order[0]):
+            raise CoefficientError(f"cyclotomic order must be prime, got {self.p}")
+        object.__setattr__(self, "p", order[0])
 
     def coerce(self, value) -> CyclotomicNumber:
         if isinstance(value, CyclotomicNumber):

@@ -62,7 +62,7 @@ from fractions import Fraction
 from math import prod
 
 from .algebra import Grading, PresentedAlgebra
-from .coeff import CyclotomicField, QQ, _new, _root_exponent, is_prime, root_of_unity
+from .coeff import CyclotomicField, QQ, _integer, _new, _root_exponent, is_prime, root_of_unity
 from .derivation import (
     DEFAULT_CAP,
     Derivation,
@@ -96,15 +96,18 @@ def prime_ceiling() -> int:
         raise ConstructionError(f"{ENV_MAX_PRIME} must be an integer, got {raw!r}")
 
 
-def _check_prime(p: int):
+def _check_prime(p) -> int:
+    """p as an int; ``ConstructionError`` unless it is an odd prime within the ceiling."""
+    p = _integer(p, 3, ConstructionError, f"need an odd prime, got {p}")
     # compare with the ceiling first, so a huge p is never trial-divided
     ceiling = prime_ceiling()
     if p > ceiling:
         raise ConstructionError(
             f"p = {p} exceeds the ceiling {ceiling} (set {ENV_MAX_PRIME} to raise it)"
         )
-    if not is_prime(p) or p < 3:
+    if not is_prime(p):
         raise ConstructionError(f"need an odd prime, got {p}")
+    return p
 
 
 def x_names(p: int) -> tuple:
@@ -121,7 +124,7 @@ def xp_context(p: int) -> Context:
 
 def linear_forms(p: int) -> tuple:
     """Form i is sum_j e_i^j * x_j * y^j with e_i the i-th p-th root of unity."""
-    _check_prime(p)
+    p = _check_prime(p)
     context = yp_context(p)
     forms = []
     for i in range(1, p + 1):
@@ -153,6 +156,7 @@ class FormProducts:
 
 def form_products(p: int) -> FormProducts:
     """Multiply the last p-1 linear forms together, then by the first."""
+    p = _check_prime(p)
     forms = linear_forms(p)
     return FormProducts(forms, *_root_products(p, forms))
 
@@ -242,6 +246,7 @@ def build_F(p: int):
     ``PowerCollapseError``.  Either would indicate an arithmetic defect, not
     bad input.
     """
+    p = _check_prime(p)
     return _descend(p, form_products(p).full)
 
 
@@ -261,6 +266,7 @@ def build_Yp(p: int, F: Polynomial | None = None) -> PresentedAlgebra:
     reduced basis.  Under grevlex the lead of F - z^2 is an x-monomial
     sharing y with y*w, and Buchberger has to build a third, large element.
     """
+    p = _check_prime(p)
     if F is None:
         F, _ = build_F(p)
     context = yp_context(p)
@@ -279,6 +285,7 @@ def build_Xp(p: int, G: Polynomial | None = None):
     internal failure.  As for ``build_Yp``, the block {z} makes the lead
     monomials z^2 and s*w^p coprime, so the relations are the basis.
     """
+    p = _check_prime(p)
     if G is None:
         _, G = build_F(p)
     context = xp_context(p)
@@ -325,6 +332,7 @@ def build_vandermonde_lnd(p: int) -> Derivation:
     well-definedness witnesses come from the proof in the module docstring.
     A premise on the images that fails raises ``DerivationError``.
     """
+    p = _check_prime(p)
     products = form_products(p)
     algebra = build_Yp(p, products.full)
     context = algebra.context
@@ -362,6 +370,7 @@ def certify_family_lnd(p: int, cap: int = DEFAULT_CAP) -> LNDCertificate:
     whose order exceeds ``cap`` is inconclusive, so the orders are those
     ``certify_lnd(derivation, cap)`` gives.
     """
+    p = _check_prime(p)
     derivation = build_vandermonde_lnd(p)
     orders = {"y": 0, "z": 1, "w": 0, **dict.fromkeys(x_names(p), 2)}
     return LNDCertificate._issue(derivation, cap, orders)
@@ -397,9 +406,11 @@ def certify_bundle(p: int, n: int, cap: int = DEFAULT_CAP) -> YpBundle:
     JSON-ready report.  Every certificate must come back certified for the
     bundle to report ok.
     """
-    _check_prime(p)
-    if n < p or n % p:
-        raise ConstructionError(f"n must be a multiple of p, got n={n}, p={p}")
+    p = _check_prime(p)
+    message = f"n must be a multiple of p, got n={n}, p={p}"
+    n = _integer(n, p, ConstructionError, message)
+    if n % p:
+        raise ConstructionError(message)
     lnd = certify_family_lnd(p, cap)
     derivation = lnd.derivation
     Yp = derivation.algebra
@@ -417,12 +428,10 @@ def certify_bundle(p: int, n: int, cap: int = DEFAULT_CAP) -> YpBundle:
     report = {
         "p": p,
         "n": n,
-        "cap": cap,
+        "cap": lnd.cap,
         "field": Yp.field.text,
         "divisibility": {
-            "allYExponentsDivisible": all(
-                m[y_index] % p == 0 for m in F.terms
-            ),
+            "allYExponentsDivisible": all(m[y_index] % p == 0 for m in F.terms),
             "coefficientsRational": True,
         },
         "imageBranches": {f"x{j}": "direct-power" for j in range(p)},

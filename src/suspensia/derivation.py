@@ -42,13 +42,14 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .algebra import AlgebraElement, Grading, GradingError, PresentedAlgebra, _Frozen
-from .coeff import stored_integers
+from .coeff import _integer, stored_integers
 from .poly import ContextError, Polynomial, Substitution
 
 #: The order of the zero element (absorbing under addition of orders).
 MINUS_INFINITY = float("-inf")
 
 DEFAULT_CAP = 64
+_BAD_CAP = "cap must be a non-negative integer"
 
 
 class DerivationError(ValueError):
@@ -131,6 +132,7 @@ class LNDCertificate(_Frozen):
     @classmethod
     def _issue(cls, derivation: Derivation, cap: int, orders: dict) -> LNDCertificate:
         """Unchecked: proven ``orders``; a generator without one up to ``cap`` is inconclusive."""
+        cap = _integer(cap, 0, DerivationError, _BAD_CAP)
         names = derivation.algebra.variables
         within = {name: orders[name] for name in names if name in orders and orders[name] <= cap}
         return object.__new__(cls)._fill(
@@ -252,6 +254,7 @@ def nu(derivation: Derivation, value, cap: int = DEFAULT_CAP):
     Returns MINUS_INFINITY for the zero element and None when the cap was
     exhausted without reaching zero (inconclusive).
     """
+    cap = _integer(cap, 0, DerivationError, _BAD_CAP)
     element = derivation.algebra.element(value)
     if not element:
         return MINUS_INFINITY
@@ -279,6 +282,7 @@ def _orbits(derivation: Derivation, cap: int):
     ties broken by variable order.  A generator resolves only when its order
     is at most ``cap``, even where the bound proves a larger order.
     """
+    cap = _integer(cap, 0, DerivationError, _BAD_CAP)
     algebra = derivation.algebra
     names = algebra.variables
     supports = [
@@ -356,29 +360,24 @@ def decompose(derivation: Derivation, grading: Grading, row: int = 0) -> Homogen
     algebra = derivation.algebra
     if grading.algebra is not algebra and not algebra.same_presentation(grading.algebra):
         raise DerivationError("grading belongs to a different algebra")
+    row = _integer(row, 0, DerivationError, f"row {row} out of range for {grading.nrows} rows",
+                   grading.nrows - 1)
     weights = grading.matrix[row]
     per_generator = {}
-    shifts = set()
-    for i, name in enumerate(algebra.variables):
-        rep = derivation.images[name].rep
-        comps = rep.weighted_components(weights)
-        var_weight = weights[i]
-        per_generator[name] = {deg - var_weight: part for deg, part in comps.items()}
-        shifts.update(per_generator[name])
-    components = {}
-    for shift in sorted(shifts):
-        images = {
-            name: per_generator[name].get(shift, Polynomial.zero(algebra.context))
-            for name in algebra.variables
-        }
-        components[shift] = new_derivation(algebra, images)
+    for name, weight in zip(algebra.variables, weights):
+        comps = derivation.images[name].rep.weighted_components(weights)
+        per_generator[name] = {deg - weight: part for deg, part in comps.items()}
+    shifts = sorted(set().union(*per_generator.values()))
+    zero = Polynomial.zero(algebra.context)
+    components = {
+        shift: new_derivation(
+            algebra, {name: per_generator[name].get(shift, zero) for name in algebra.variables}
+        )
+        for shift in shifts
+    }
     return HomogeneousDecomposition(
-        derivation,
-        grading,
-        row,
-        MappingProxyType(components),
-        min(shifts) if shifts else None,
-        max(shifts) if shifts else None,
+        derivation, grading, row, MappingProxyType(components),
+        min(shifts, default=None), max(shifts, default=None),
     )
 
 
@@ -637,6 +636,8 @@ def exp(derivation: Derivation, t, cap: int = DEFAULT_CAP,
     it does not check that the images are multiplicative.  That rests on
     the theorem above, and on the premise checks here.
     """
+    if max_digits is not None:
+        max_digits = _integer(max_digits, 1, DerivationError, "max_digits must be positive")
     algebra = derivation.algebra
     t = algebra.field.coerce(t)
     orbits = [None] * len(algebra.variables)
@@ -655,15 +656,9 @@ def exp(derivation: Derivation, t, cap: int = DEFAULT_CAP,
                                 orders=orders)
 
 
-def certificate_json(certificate: LNDCertificate, grading: Grading | None = None) -> dict:
-    """The certificate payload: well-definedness, nilpotency, homogeneity."""
-    derivation = certificate.derivation
-    data = {
-        "wellDefined": derivation.well_defined.to_json(),
+def certificate_json(certificate: LNDCertificate) -> dict:
+    """The certificate payload: well-definedness and nilpotency."""
+    return {
+        "wellDefined": certificate.derivation.well_defined.to_json(),
         "lnd": certificate.to_json(),
     }
-    if grading is not None:
-        degree = homogeneous_degree(derivation, grading)
-        if degree is not None:
-            data["homogeneous"] = list(degree)
-    return data

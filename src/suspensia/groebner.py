@@ -10,8 +10,10 @@ one ``_Reducer``: its lead monomial, its monic term dict and its tail.
 
 Invariants of a :class:`GroebnerBasis`: it is the reduced basis of its ideal
 under its order, its generators are monic and sorted ascending by lead
-monomial, and its reducers are built once, at construction.  It is frozen:
-reductions against one basis write nothing and may run concurrently.
+monomial, and it holds the reducers and the order's key function that
+``buchberger`` or ``eliminate`` computed it with, so neither is built again.
+It is frozen: reductions against one basis write nothing and may run
+concurrently.
 """
 
 from __future__ import annotations
@@ -173,17 +175,17 @@ def _s_poly_terms(f: _Reducer, g: _Reducer) -> dict:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """The reduced Groebner basis of an ideal (invariants in the module docstring)."""
+    """The reduced Groebner basis of an ideal, built from its reducers (module docstring)."""
 
     context: Context
     order: MonomialOrder
-    generators: tuple
-    _reducers: tuple = field(init=False, repr=False, compare=False)
+    _reducers: tuple = field(repr=False, compare=False)
+    _key: object = field(repr=False, compare=False)
+    generators: tuple = field(init=False)
 
     def __post_init__(self):
-        keyf = self.order.key_for(self.context)
-        reducers = tuple(_Reducer(g.terms, keyf) for g in self.generators)
-        object.__setattr__(self, "_reducers", reducers)
+        generators = tuple(Polynomial._raw(self.context, r.terms) for r in self._reducers)
+        object.__setattr__(self, "generators", generators)
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         """The unique remainder of f against this basis."""
@@ -191,8 +193,7 @@ class GroebnerBasis:
             raise ContextError("polynomial does not live in the basis context")
         if not f.terms or not self.generators:
             return f
-        keyf = self.order.key_for(self.context)
-        return Polynomial._raw(self.context, _reduce_terms(f.terms, self._reducers, keyf))
+        return Polynomial._raw(self.context, _reduce_terms(f.terms, self._reducers, self._key))
 
     def is_member(self, f: Polynomial) -> bool:
         return not self.normal_form(f).terms
@@ -251,11 +252,7 @@ def buchberger(
             for k in range(t):
                 pairs[(k, t)] = keyf(lcm_of(k, t))
 
-    return GroebnerBasis(
-        context,
-        order,
-        tuple(Polynomial._raw(context, r.terms) for r in _reduce_basis(basis, keyf)),
-    )
+    return GroebnerBasis(context, order, tuple(_reduce_basis(basis, keyf)), keyf)
 
 
 def _reduce_basis(basis, keyf) -> list:
@@ -296,11 +293,11 @@ def eliminate(basis: GroebnerBasis, drop) -> GroebnerBasis:
     drop_idx = {basis.context.index(v) for v in drop}
     kept = tuple(v for v in basis.context.variables if v not in drop)
     new_ctx = Context(basis.context.field, kept)
-    gens = [
-        g.convert(new_ctx)
+    keyf = grevlex().key_for(new_ctx)
+    reducers = [
+        _Reducer(g.convert(new_ctx).terms, keyf)
         for g in basis.generators
         if all(m[i] == 0 for m in g.terms for i in drop_idx)
     ]
-    keyf = grevlex().key_for(new_ctx)
-    gens.sort(key=lambda g: keyf(max(g.terms, key=keyf)))
-    return GroebnerBasis(new_ctx, grevlex(), tuple(gens))
+    reducers.sort(key=lambda r: keyf(r.lm))
+    return GroebnerBasis(new_ctx, grevlex(), tuple(reducers), keyf)

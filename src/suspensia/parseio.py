@@ -464,16 +464,14 @@ def algebra_to_data(algebra: PresentedAlgebra, derivations: dict | None = None) 
     return data
 
 
-def derivation_to_data(derivation: Derivation, algebra_ref: str | None = None) -> dict:
-    data = {
+def derivation_to_data(derivation: Derivation) -> dict:
+    """The images of a standalone derivation file; the file's writer adds its 'algebra' path."""
+    return {
         "images": {
             name: derivation.images[name].rep.text()
             for name in derivation.algebra.variables
         }
     }
-    if algebra_ref is not None:
-        data = {"algebra": algebra_ref, **data}
-    return data
 
 
 def dump_canonical(data) -> str:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from .coeff import CoefficientError, CyclotomicNumber, _power, _signed_sum, _term_text
+from .coeff import CoefficientError, CyclotomicNumber, _integer, _integers
+from .coeff import _power, _signed_sum, _term_text
 
 # An exponent tuple, one non-negative integer per context variable.
 Monomial = tuple
@@ -84,22 +85,6 @@ def monomial_text(context: Context, mono) -> str:
     return "*".join(parts)
 
 
-def _integers(values) -> tuple | None:
-    """``values`` as a tuple of ints when each equals its int(), else None.
-
-    A ``bool`` is refused although True == 1: a flag is not a weight or an
-    exponent.
-    """
-    try:
-        raw = tuple(values)
-        ints = tuple(int(v) for v in raw)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    if any(isinstance(v, bool) for v in raw):
-        return None
-    return ints if ints == raw else None
-
-
 def _gradedlex_key(mono):
     return (sum(mono), mono)
 
@@ -112,10 +97,10 @@ class Polynomial:
         if terms:
             nv = context.nvars
             zero = context.field.zero
-            for mono, coeff in terms.items():
-                mono = tuple(int(e) for e in mono)
-                if len(mono) != nv or any(e < 0 for e in mono):
-                    raise ContextError(f"bad exponent vector {mono} for {context.variables}")
+            for raw, coeff in terms.items():
+                mono = _integers(raw)
+                if mono is None or len(mono) != nv or min(mono, default=0) < 0:
+                    raise ContextError(f"bad exponent vector {raw} for {context.variables}")
                 coeff = clean.get(mono, zero) + context.field.coerce(coeff)
                 if coeff:
                     clean[mono] = coeff
@@ -246,8 +231,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial power must be a non-negative integer")
+        n = _integer(n, 0, ValueError, "polynomial power must be a non-negative integer")
         return _power(self, n, Polynomial.one(self.context))
 
     def __eq__(self, other):

@@ -42,8 +42,9 @@ from fractions import Fraction
 from functools import reduce
 
 from .algebra import AlgebraElement, PresentedAlgebra
+from .coeff import _integer, _integers
 from .derivation import InconclusiveError, LNDCertificate, new_derivation
-from .poly import Context, ContextError, Polynomial, _integers
+from .poly import Context, ContextError, Polynomial
 
 
 class SuspensionError(ValueError):
@@ -230,20 +231,19 @@ def lift_lnd(certificate: LNDCertificate, function, exponents, names=None) -> LN
     return _transport(certificate, suspend(base, f, exponents, names)[0])
 
 
-def _check_root(context: Context, var: str, new_var: str, power: int) -> None:
-    """Reject a power below 1, a var the source lacks and new_var = var."""
-    if not isinstance(power, int) or power < 1:
-        raise SuspensionError("root power must be a positive integer")
+def _check_root(context: Context, var: str, new_var: str, power: int) -> int:
+    """The power as an int; reject a power below 1, a var the source lacks and new_var = var."""
+    power = _integer(power, 1, SuspensionError, "root power must be a positive integer")
     context.index(var)
     if new_var == var:
         raise ContextError(f"variable {new_var!r} is not fresh")
+    return power
 
 
-def _root_presentation(algebra: PresentedAlgebra, var: str, new_var: str, scale) -> tuple:
+def _root_algebra(algebra: PresentedAlgebra, var: str, new_var: str, scale) -> PresentedAlgebra:
     """Rename var to the fresh new_var and rewrite var^e as new_var^(e*scale).
 
-    Returns the context, relations and order; the fresh variable takes
-    var's place in the context and in the order.
+    The fresh variable takes var's place in the context and in the order.
     """
     context = algebra.context
     names = list(context.variables)
@@ -251,7 +251,7 @@ def _root_presentation(algebra: PresentedAlgebra, var: str, new_var: str, scale)
     new_context = Context(context.field, tuple(names))
     root = (var, new_var, scale)
     relations = tuple(r.convert(new_context, root) for r in algebra.relations)
-    return new_context, relations, algebra.order.renamed(var, new_var)
+    return PresentedAlgebra(new_context, relations, algebra.order.renamed(var, new_var))
 
 
 def adjoin_root(
@@ -263,8 +263,8 @@ def adjoin_root(
     disappears and the fresh one takes its position, in the context and in
     the algebra's monomial order.
     """
-    _check_root(algebra.context, var, new_var, power)
-    return PresentedAlgebra(*_root_presentation(algebra, var, new_var, power))
+    power = _check_root(algebra.context, var, new_var, power)
+    return _root_algebra(algebra, var, new_var, power)
 
 
 def collapse_root(
@@ -277,8 +277,8 @@ def collapse_root(
     by monomial (failures carry the offending monomial).  The fresh variable
     takes var's place in the algebra's monomial order as well.
     """
-    _check_root(algebra.context, var, new_var, power)
-    return PresentedAlgebra(*_root_presentation(algebra, var, new_var, Fraction(1, power)))
+    scale = Fraction(1, _check_root(algebra.context, var, new_var, power))
+    return _root_algebra(algebra, var, new_var, scale)
 
 
 def lift_along_root(
@@ -297,7 +297,7 @@ def lift_along_root(
     """
     derivation = certificate.derivation
     source = derivation.algebra
-    _check_root(source.context, var, new_var, power)
+    power = _check_root(source.context, var, new_var, power)
     _check_lift(certificate, var, derivation.images[var])
-    target = PresentedAlgebra(*_root_presentation(source, var, new_var, power))
+    target = adjoin_root(source, var, new_var, power)
     return _transport(certificate, target, (var, new_var, power))

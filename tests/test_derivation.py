@@ -689,16 +689,14 @@ def test_exp_is_multiplicative_at_p5(y5):
 def test_certificate_json_payload(y3):
     from suspensia.derivation import certificate_json
 
-    algebra, derivation = y3
-    grading = attach_grading(algebra, [yp_weight_row(3)])
-    payload = certificate_json(certify_lnd(derivation, 8), grading)
+    _, derivation = y3
+    payload = certificate_json(certify_lnd(derivation, 8))
     assert payload["wellDefined"]["ok"]
     assert all(r["identicallyZero"] for r in payload["wellDefined"]["relations"])
     assert payload["lnd"]["status"] == "certified"
     assert payload["lnd"]["orders"] == {
         "x0": 2, "x1": 2, "x2": 2, "y": 0, "z": 1, "w": 0
     }
-    assert payload["homogeneous"] == [1]
 
 
 def test_decomposed_components_satisfy_leibniz(y3):
