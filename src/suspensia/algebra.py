@@ -243,8 +243,9 @@ class Grading:
                 comps = poly.weighted_components(weights)
                 if len(comps) > 1:
                     degs = sorted(comps)
-                    m1 = next(iter(comps[degs[0]].terms))
-                    m2 = next(iter(comps[degs[-1]].terms))
+                    # sorted, not dict, order: a remainder's dict order is not canonical
+                    m1 = comps[degs[0]].sorted_terms()[0][0]
+                    m2 = comps[degs[-1]].sorted_terms()[0][0]
                     witness = (
                         f"{monomial_text(algebra.context, m1) or '1'} (weight {degs[0]}) vs "
                         f"{monomial_text(algebra.context, m2) or '1'} (weight {degs[-1]})"

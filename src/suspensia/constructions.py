@@ -65,6 +65,7 @@ from .algebra import Grading, PresentedAlgebra
 from .coeff import CyclotomicField, QQ, _integer, _new, _root_exponent, is_prime, root_of_unity
 from .derivation import (
     DEFAULT_CAP,
+    _BAD_CAP,
     Derivation,
     DerivationError,
     LNDCertificate,
@@ -371,6 +372,7 @@ def certify_family_lnd(p: int, cap: int = DEFAULT_CAP) -> LNDCertificate:
     ``certify_lnd(derivation, cap)`` gives.
     """
     p = _check_prime(p)
+    cap = _integer(cap, 0, DerivationError, _BAD_CAP)
     derivation = build_vandermonde_lnd(p)
     orders = {"y": 0, "z": 1, "w": 0, **dict.fromkeys(x_names(p), 2)}
     return LNDCertificate._issue(derivation, cap, orders)

@@ -26,10 +26,10 @@ The ``Exponential`` it returns pushes an element f, in ``apply`` and
 f, which ends by the bound the certified orders give to f.
 ``AlgebraMorphism(source, target, images)`` checks every relation and
 pushes by substitution.  The unchecked builders are private:
-``Derivation._proved`` for the family derivation, whose witnesses come from
-a proof; ``AlgebraMorphism._trusted`` for composites, identities and
-exponentials; and ``LNDCertificate._issue``, the one issuer of certificates,
-for ``certify_lnd``, ``certify_family_lnd`` and the lifts.
+``Derivation._proved`` for the family derivation and the lifts, whose
+witnesses come from a proof; ``AlgebraMorphism._trusted`` for composites,
+identities and exponentials; and ``LNDCertificate._issue``, the one issuer
+of certificates, for ``certify_lnd``, ``certify_family_lnd`` and the lifts.
 
 Derivations, morphisms and certificates refuse attribute writes, and keep
 images and orders in read-only mappings; apply/nu/exp are pure.
@@ -203,7 +203,7 @@ class Derivation(_Frozen):
 
     @classmethod
     def _proved(cls, algebra: PresentedAlgebra, images: dict, witnesses: WellDefinedness):
-        """Unchecked: for ``build_vandermonde_lnd``, whose witnesses come from a proof."""
+        """Unchecked: for ``build_vandermonde_lnd`` and the lifts, whose witnesses come from a proof."""
         return object.__new__(cls)._fill(
             algebra=algebra, images=MappingProxyType(dict(images)), well_defined=witnesses
         )

@@ -88,9 +88,10 @@ def elimination(*variables: str) -> MonomialOrder:
 
 
 class _Reducer:
-    """A basis element: lead monomial, monic term dict, non-lead term pairs."""
+    """A basis element: lead monomial, monic term dict, non-lead term pairs,
+    and the lead's nonzero (index, exponent) pairs, its ``support``."""
 
-    __slots__ = ("lm", "terms", "tail")
+    __slots__ = ("lm", "terms", "tail", "support")
 
     def __init__(self, terms: dict, keyf):
         lm = max(terms, key=keyf)
@@ -101,47 +102,62 @@ class _Reducer:
         self.lm = lm
         self.terms = terms
         self.tail = [(m, c) for m, c in terms.items() if m != lm]
+        self.support = tuple((i, e) for i, e in enumerate(lm) if e)
 
 
 def _divides(a, b) -> bool:
     return all(map(le, a, b))
 
 
-def _reduce_terms(work: dict, reducers, keyf) -> dict:
-    """Fully reduce a term dict, returning the (canonical) remainder dict."""
-    work = dict(work)
-    heap = [(tuple(map(neg, keyf(m))), m) for m in work]
+def _reduce_terms(terms: dict, reducers, keyf) -> dict:
+    """The remainder of a term dict; only its contents are canonical, not its order.
+
+    Each term is tested against the leads once, as it enters; only reducible
+    ones are keyed and heaped, the largest first, for their first dividing
+    reducer.  The rest form the remainder, so a normal form is returned as
+    it is after one scan and no key.
+    """
+
+    def reducer_of(mono):
+        for i, g in enumerate(reducers):
+            for j, e in g.support:
+                if mono[j] < e:
+                    break
+            else:
+                return i
+        return None
+
+    heap = []
+    for mono in terms:
+        i = reducer_of(mono)
+        if i is not None:
+            heap.append((tuple(map(neg, keyf(mono))), mono, i))
+    if not heap:
+        return terms
+    work = dict(terms)
     heapq.heapify(heap)
-    remainder = {}
     while heap:
-        _, mono = heapq.heappop(heap)
-        coeff = work.get(mono)
-        if not coeff:
+        _, mono, i = heapq.heappop(heap)
+        coeff = work.pop(mono, None)
+        if coeff is None:
             continue
-        reducer = None
-        for g in reducers:
-            if _divides(g.lm, mono):
-                reducer = g
-                break
-        if reducer is None:
-            remainder[mono] = coeff
-            del work[mono]
-            continue
-        del work[mono]
+        reducer = reducers[i]
         shift = tuple(map(sub, mono, reducer.lm))
         for mg, cg in reducer.tail:
             t = tuple(map(add, mg, shift))
             prev = work.get(t)
             if prev is None:
                 work[t] = -coeff * cg
-                heapq.heappush(heap, (tuple(map(neg, keyf(t))), t))
+                j = reducer_of(t)
+                if j is not None:
+                    heapq.heappush(heap, (tuple(map(neg, keyf(t))), t, j))
             else:
                 val = prev - coeff * cg
                 if val:
                     work[t] = val
                 else:
                     del work[t]
-    return remainder
+    return work
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -191,9 +207,10 @@ class GroebnerBasis:
         """The unique remainder of f against this basis."""
         if f.context != self.context:
             raise ContextError("polynomial does not live in the basis context")
-        if not f.terms or not self.generators:
+        if not self._reducers:
             return f
-        return Polynomial._raw(self.context, _reduce_terms(f.terms, self._reducers, self._key))
+        terms = _reduce_terms(f.terms, self._reducers, self._key)
+        return f if terms is f.terms else Polynomial._raw(self.context, terms)
 
     def is_member(self, f: Polynomial) -> bool:
         return not self.normal_form(f).terms
@@ -261,7 +278,8 @@ def _reduce_basis(basis, keyf) -> list:
     Reducing an element of a minimal basis against the others never changes
     any lead monomial, so one pass already gives the unique reduced basis.
     Only a smaller lead monomial divides a term below an element's lead, so
-    each element is reduced against the (already reduced) ones before it.
+    each element is reduced against the (already reduced) ones before it; an
+    element that is already reduced is kept as it is.
     """
     minimal = []
     for r in sorted(basis, key=lambda r: keyf(r.lm)):
@@ -269,7 +287,8 @@ def _reduce_basis(basis, keyf) -> list:
             minimal.append(r)
     out = []
     for r in minimal:
-        out.append(_Reducer(_reduce_terms(r.terms, out, keyf), keyf))
+        terms = _reduce_terms(r.terms, out, keyf)
+        out.append(r if terms is r.terms else _Reducer(terms, keyf))
     return out
 
 

@@ -25,12 +25,16 @@ of Locally Nilpotent Derivations*, ch. 1).  The argument rests on three
 premises: D kills y or f, the source is certified, and the target algebra
 is the extension that the root data or the suspension data describe.  The
 first two are verified exactly, in that order (``_check_lift``) and before
-the target's Groebner basis is computed; the third holds by construction, since each lift builds
-its target from those data.
-Well-definedness of the lift is still checked relation by relation, as an
-independent check.  The lift's certificate then comes from
-``LNDCertificate._issue``, an unchecked builder like ``Derivation._proved``
-and ``AlgebraMorphism._trusted``: the argument above proves its orders.
+the target's Groebner basis is computed; the third holds by construction,
+since each lift builds its target from those data.
+
+Well-definedness is transported the same way (``_transport``): on
+polynomials D'(phi r) = phi(D r), so each source witness (r, D(r), 0)
+becomes (phi(r), phi(D(r)), 0), and a suspension's new relation
+y1^k1*...*ym^km - f gets (that relation, -phi(D(f)), 0).  So the lift is
+built with the unchecked ``Derivation._proved`` and ``LNDCertificate._issue``;
+rebuilding it with ``new_derivation``, which checks every relation, is the
+tests' oracle.
 """
 
 from __future__ import annotations
@@ -43,7 +47,13 @@ from functools import reduce
 
 from .algebra import AlgebraElement, PresentedAlgebra
 from .coeff import _integer, _integers
-from .derivation import InconclusiveError, LNDCertificate, new_derivation
+from .derivation import (
+    Derivation,
+    InconclusiveError,
+    LNDCertificate,
+    RelationCheck,
+    WellDefinedness,
+)
 from .poly import Context, ContextError, Polynomial
 
 
@@ -196,39 +206,48 @@ def _check_lift(certificate: LNDCertificate, f, image: AlgebraElement) -> None:
         raise InconclusiveError("cannot lift: source derivation is not certified")
 
 
-def _transport(certificate: LNDCertificate, target: PresentedAlgebra, root=None):
+def _transport(certificate: LNDCertificate, target: PresentedAlgebra, root=None, added=()):
     """The certificate of the lift of the certified D to ``target`` (module docstring).
 
-    Each source generator keeps its image, converted through ``root`` (as
-    ``Polynomial.convert`` takes it), and its order; every other variable
-    of the target gets image 0 and order 0.
+    Images, orders and witnesses go through phi, ``Polynomial.convert`` with
+    ``root``; other variables get image 0 and order 0.  ``added`` holds the
+    witnesses of the target's relations past the phi(r).
     """
     context = target.context
-    images = dict.fromkeys(context.variables, Polynomial.zero(context))
+    images = dict.fromkeys(context.variables, target.zero())
     orders = dict.fromkeys(context.variables, 0)
     for name, image in certificate.derivation.images.items():
         lifted = root[1] if root and name == root[0] else name
-        images[lifted] = image.rep.convert(context, root)
+        images[lifted] = target.element(image.rep.convert(context, root))
         orders[lifted] = certificate.orders[name]
-    return LNDCertificate._issue(new_derivation(target, images), certificate.cap, orders)
+    zero = Polynomial.zero(context)
+    checks = tuple(
+        RelationCheck(c.relation.convert(context, root), c.image.convert(context, root), zero)
+        for c in certificate.derivation.well_defined.checks
+    ) + tuple(added)
+    if tuple(c.relation for c in checks) != target.relations:
+        raise RuntimeError("internal error: the lifted checks do not match the target's relations")
+    derivation = Derivation._proved(target, images, WellDefinedness(checks))
+    return LNDCertificate._issue(derivation, certificate.cap, orders)
 
 
 def lift_lnd(certificate: LNDCertificate, function, exponents, names=None) -> LNDCertificate:
     """Lift a certified nilpotent derivation D of the base A to a suspension.
 
     Returns the certificate of the lift to ``suspend(A, function, exponents,
-    names)``, built here once D is known to kill f (else ``SuspensionError``)
-    and to be certified (else ``InconclusiveError``).  The lift keeps the
-    base images and sends each suspension variable to zero.  A embeds in the
-    free A-module A[y1..ym]/(y1^k1*...*ym^km - f), and the lift commutes
-    with the embedding because D(f) = 0, so each base generator keeps its
-    order and each y_i has order 0 (module docstring).
+    names)``, built once D is known to kill f (else ``SuspensionError``) and
+    to be certified (else ``InconclusiveError``): it keeps the base images
+    and orders, and each y_i has image 0 and order 0 (module docstring).
     """
     derivation = certificate.derivation
     base = derivation.algebra
     f = base.element(function)
-    _check_lift(certificate, f, base.element(derivation.leibniz_image(f.rep)))
-    return _transport(certificate, suspend(base, f, exponents, names)[0])
+    image = derivation.leibniz_image(f.rep)
+    _check_lift(certificate, f, base.element(image))
+    target = suspend(base, f, exponents, names)[0]
+    ctx = target.context
+    added = RelationCheck(target.relations[-1], -image.convert(ctx), Polynomial.zero(ctx))
+    return _transport(certificate, target, added=(added,))
 
 
 def _check_root(context: Context, var: str, new_var: str, power: int) -> int:
@@ -286,14 +305,11 @@ def lift_along_root(
 ) -> LNDCertificate:
     """Transport a certified derivation D along the substitution var = new_var^power.
 
-    Returns the certificate of the lift, whose algebra is ``adjoin_root(source,
-    var, new_var, power)``, built here once D is known to kill var (else the
-    substitution does not commute with it, ``SuspensionError``) and to be
-    certified (else ``InconclusiveError``).  Images are rewritten through
-    the substitution.  The source A embeds in the free A-module
-    A[new_var]/(new_var^power - var), and the lift commutes with the
-    embedding because D(var) = 0, so each generator keeps its order and
-    new_var takes var's, 0 (module docstring).
+    Returns the certificate of the lift to ``adjoin_root(source, var,
+    new_var, power)``, built once D is known to kill var (else
+    ``SuspensionError``) and to be certified (else ``InconclusiveError``):
+    images are rewritten through the substitution, each generator keeps its
+    order and new_var takes var's, 0 (module docstring).
     """
     derivation = certificate.derivation
     source = derivation.algebra

@@ -5,14 +5,16 @@ library: cyclotomic reduction by long division instead of index folding,
 products by enumerating all cross terms instead of pairwise dict merging.
 """
 
+import heapq
 import math
 import signal
 import time
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product as iter_product
+from operator import add, le, neg, sub
 
-from suspensia import Context, CyclotomicNumber, Polynomial, QQ
+from suspensia import Context, CyclotomicNumber, Polynomial, QQ, new_derivation
 from suspensia.coeff import CyclotomicField
 
 
@@ -91,6 +93,74 @@ def root_products_oracle(factors):
     for factor in factors[1:]:
         tail = tail * factor
     return tail, factors[0] * tail
+
+
+def reduce_terms_oracle(terms, reducers, keyf):
+    """The remainder of a term dict against a list of ``groebner._Reducer``s.
+
+    Every term, and every term a reduction creates, gets an order key and
+    a heap entry; the largest is popped, and the first reducer whose lead
+    divides it (tested at the pop) cancels it, or it moves to the
+    remainder.  The library tests and keys only the reducible terms.
+    """
+    work = dict(terms)
+    heap = [(tuple(map(neg, keyf(m))), m) for m in work]
+    heapq.heapify(heap)
+    remainder = {}
+    while heap:
+        _, mono = heapq.heappop(heap)
+        coeff = work.pop(mono, None)
+        if coeff is None:
+            continue
+        reducer = next((g for g in reducers if all(map(le, g.lm, mono))), None)
+        if reducer is None:
+            remainder[mono] = coeff
+            continue
+        shift = tuple(map(sub, mono, reducer.lm))
+        for mg, cg in reducer.tail:
+            t = tuple(map(add, mg, shift))
+            prev = work.get(t)
+            if prev is None:
+                work[t] = -coeff * cg
+                heapq.heappush(heap, (tuple(map(neg, keyf(t))), t))
+            else:
+                val = prev - coeff * cg
+                if val:
+                    work[t] = val
+                else:
+                    del work[t]
+    return remainder
+
+
+def lift_oracle(certificate, target, root=None):
+    """The lift of a certified D to ``target``, checked relation by relation.
+
+    Each source image goes through ``Polynomial.convert`` with ``root``,
+    each other variable of the target gets image 0, and ``new_derivation``
+    expands and reduces the Leibniz image of every relation of the target,
+    where the library transports the source's witnesses.  Returns the
+    derivation and the orders the lift should report.
+    """
+    context = target.context
+    images = dict.fromkeys(context.variables, Polynomial.zero(context))
+    orders = dict.fromkeys(context.variables, 0)
+    for name, image in certificate.derivation.images.items():
+        lifted = root[1] if root and name == root[0] else name
+        images[lifted] = image.rep.convert(context, root)
+        orders[lifted] = certificate.orders[name]
+    return new_derivation(target, images), orders
+
+
+def assert_lift_matches_oracle(lifted, certificate, target, root=None):
+    """``lifted`` (a lift's certificate) against ``lift_oracle`` on ``target``."""
+    derivation, orders = lift_oracle(certificate, target, root)
+    assert lifted.derivation.algebra.same_presentation(target)
+    assert lifted.derivation.well_defined.to_json() == derivation.well_defined.to_json()
+    assert lifted.derivation.well_defined.checks == derivation.well_defined.checks
+    assert list(lifted.derivation.images) == list(derivation.images)
+    assert lifted.derivation == derivation
+    assert dict(lifted.orders) == orders
+    assert lifted.cap == certificate.cap
 
 
 def random_fraction(rng, span=6):

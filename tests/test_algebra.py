@@ -153,6 +153,24 @@ def test_attach_grading_rejects_bad_weights():
     assert len(comps) > 1
 
 
+def test_grading_witness_does_not_depend_on_term_order():
+    # the same relation with its terms inserted in two orders: the witness
+    # takes each component's first term in sorted order, not in dict order
+    context = Context(QQ, ("x", "y"))
+    terms = {(2, 0): 1, (0, 2): 1, (1, 0): 1}
+    texts = set()
+    for order in (list(terms), list(terms)[::-1]):
+        relation = Polynomial(context, {m: terms[m] for m in order})
+        algebra = PresentedAlgebra(context, [relation])
+        with pytest.raises(GradingError) as info:
+            Grading(algebra, [[1, 1]])
+        texts.add((str(info.value), info.value.witness))
+    assert texts == {(
+        "relation x^2 + y^2 + x is not homogeneous under row 0: x (weight 1) vs x^2 (weight 2)",
+        "x (weight 1) vs x^2 (weight 2)",
+    )}
+
+
 def test_grading_validates_when_built():
     # x - y^2 is homogeneous under (2, 1) only; the constructor refuses
     # (1, 1) as attach_grading does, so no unchecked Grading exists

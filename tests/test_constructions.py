@@ -492,3 +492,15 @@ def test_certifiers_take_no_caller_built_algebra_or_products():
     images["z"] = Polynomial.monomial(Y3.context, {"y": 2}) * forged.tail
     with pytest.raises(NotWellDefinedError):
         new_derivation(Y3, images)
+
+
+@pytest.mark.parametrize("cap", [True, -1, 2.5])
+def test_a_bad_cap_is_refused_before_any_work(monkeypatch, cap):
+    def refuse(p):
+        raise AssertionError("form_products ran for a bad cap")
+
+    monkeypatch.setattr(constructions, "form_products", refuse)
+    with pytest.raises(DerivationError, match="^cap must be a non-negative integer$"):
+        certify_family_lnd(3, cap)
+    with pytest.raises(DerivationError, match="^cap must be a non-negative integer$"):
+        certify_bundle(3, 6, cap)

@@ -23,9 +23,10 @@ from suspensia import (
     root_of_unity,
     s_polynomial,
 )
-from suspensia.constructions import build_Xp, build_Yp
+from suspensia import groebner
+from suspensia.constructions import build_vandermonde_lnd, build_Xp, build_Yp
 
-from helpers import QXY, nonzero_random_polynomial, random_polynomial
+from helpers import QXY, nonzero_random_polynomial, random_polynomial, reduce_terms_oracle
 
 
 def P(text, ctx):
@@ -258,3 +259,66 @@ def test_basis_is_immutable():
     before = dict(vars(basis))
     basis.normal_form(P("x^3 + y^3", QXY))
     assert vars(basis) == before
+
+
+_ORDERS = {"grevlex": grevlex(), "lex": lex(), "elimination": elimination("x")}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.sampled_from([QQ, CyclotomicField(3)]),
+    st.sampled_from(sorted(_ORDERS)),
+)
+def test_reduce_terms_matches_heap_oracle(seed, field, order_name):
+    rng = random.Random(seed)
+    context = Context(field, ("x", "y", "z"))
+    gens = [
+        nonzero_random_polynomial(rng, context, max_terms=3, max_exp=2)
+        for _ in range(rng.randint(1, 3))
+    ]
+    basis = buchberger(gens, _ORDERS[order_name], context)
+    reducers, key = basis._reducers, basis._key
+    for _ in range(3):
+        f = random_polynomial(rng, context, max_terms=6, max_exp=4)
+        for g in (f, f * gens[0], f + gens[-1]):
+            remainder = groebner._reduce_terms(g.terms, reducers, key)
+            assert remainder == reduce_terms_oracle(g.terms, reducers, key)
+            assert basis.normal_form(g).terms == remainder
+
+
+def _counting(key):
+    calls = []
+
+    def counted(mono):
+        calls.append(mono)
+        return key(mono)
+
+    return counted, calls
+
+
+def test_a_normal_form_is_reduced_with_no_key_call():
+    basis = buchberger([P("x^2 - y", QXY), P("y^2 - x", QXY)], grevlex())
+    f = basis.normal_form(P("x^3*y + 3*x*y^5 + 2", QXY))
+    assert f.terms
+    key, calls = _counting(basis._key)
+    assert groebner._reduce_terms(f.terms, basis._reducers, key) is f.terms
+    assert calls == []
+    assert basis.normal_form(f) is f
+    # a reducible input keys only its reducible terms and those reductions create
+    g = f + P("x^2", QXY)
+    remainder = groebner._reduce_terms(g.terms, basis._reducers, key)
+    assert remainder == reduce_terms_oracle(g.terms, basis._reducers, basis._key)
+    assert calls == [(2, 0)]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_family_image_of_z_is_checked_with_no_key_call(p):
+    # D(z) = y^(p-1)*P is a normal form of Yp: none of its terms is divisible
+    # by z^2 or y*w, so checking it is one scan
+    derivation = build_vandermonde_lnd(p)
+    basis = derivation.algebra.basis
+    image = derivation.images["z"].rep
+    key, calls = _counting(basis._key)
+    assert groebner._reduce_terms(image.terms, basis._reducers, key) is image.terms
+    assert calls == []

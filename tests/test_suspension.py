@@ -44,6 +44,8 @@ from suspensia import (
 from suspensia import derivation as derivation_module
 from suspensia import suspension as suspension_module
 
+from helpers import assert_lift_matches_oracle
+
 
 def test_classical_plane_suspension():
     X = algebra_from_strings(QQ, ["x"], [])
@@ -322,12 +324,101 @@ def test_lift_along_root_matches_certify_oracle(case):
     }
     oracle = certify_lnd(new_derivation(lifted, images), source.cap)
     _assert_matches_oracle(result, oracle)
+    assert_lift_matches_oracle(result, source, lifted, ("y", "u", power))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _root_lift_cases(),
+    st.sampled_from(["y", "c", "y*c + 2", "y^2 - c"]),
+    st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3),
+)
+def test_lift_lnd_matches_transport_oracle(case, function, exponents):
+    derivation, _, cap = case
+    source = certify_lnd(derivation) if cap is None else certify_lnd(derivation, cap)
+    base = derivation.algebra
+    f = parse_expression(function, base.context)
+    if not any(any(m) for m in base.element(f).rep.terms):
+        return  # f is a constant of the base, which suspend refuses
+    if not source.certified:
+        with pytest.raises(InconclusiveError, match="source derivation is not certified"):
+            lift_lnd(source, f, exponents)
+        return
+    result = lift_lnd(source, f, exponents)
+    assert_lift_matches_oracle(result, source, suspend(base, f, exponents)[0])
+
+
+def _nilpotent_witness_case():
+    """D(t) = c on Q[t, y, c]/(c^2, t*c, y^3 - c*y): D(t*c) = c^2 is a nonzero member."""
+    X = algebra_from_strings(QQ, ["t", "y", "c"], ["c^2", "t*c", "y^3 - c*y"])
+    images = {"t": "c", "y": "0", "c": "0"}
+    d = new_derivation(X, {n: parse_expression(e, X.context) for n, e in images.items()})
+    assert [c.image.text() for c in d.well_defined.checks] == ["0", "c^2", "0"]
+    return certify_lnd(d, 4)
+
+
+def test_lifts_transport_nonzero_witnesses():
+    source = _nilpotent_witness_case()
+    X = source.derivation.algebra
+    by_root = lift_along_root(source, "y", "u", 2)
+    assert_lift_matches_oracle(by_root, source, adjoin_root(X, "y", "u", 2), ("y", "u", 2))
+    assert by_root.derivation.well_defined.checks[1].image.text() == "c^2"
+    # D(t^2 + y) = 2*t*c is a nonzero member too, so the new relation's
+    # witness image -D(f) is not 0
+    f = parse_expression("t^2 + y", X.context)
+    by_suspension = lift_lnd(source, f, (2, 2), names=("v1", "v2"))
+    target = suspend(X, f, (2, 2), names=("v1", "v2"))[0]
+    assert_lift_matches_oracle(by_suspension, source, target)
+    assert by_suspension.derivation.well_defined.checks[-1].image.text() == "-2*t*c"
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_family_lifts_match_transport_oracle(p):
+    source = certify_family_lnd(p)
+    Yp = source.derivation.algebra
+    by_root = lift_along_root(source, "y", "u", 2)
+    assert_lift_matches_oracle(by_root, source, adjoin_root(Yp, "y", "u", 2), ("y", "u", 2))
+    y = Yp.variable("y")
+    by_suspension = lift_lnd(source, y, (2, 3))
+    assert_lift_matches_oracle(by_suspension, source, suspend(Yp, y, (2, 3))[0])
+
+
+def test_lift_along_root_expands_no_leibniz_image(monkeypatch):
+    source = certify_family_lnd(7)
+    calls = []
+    real = Derivation.leibniz_image
+
+    def counted(self, f):
+        calls.append(f)
+        return real(self, f)
+
+    monkeypatch.setattr(Derivation, "leibniz_image", counted)
+    assert lift_along_root(source, "y", "u", 2).certified
+    assert calls == []
+
+
+def test_transport_refuses_checks_that_do_not_line_up():
+    source = _nilpotent_witness_case()
+    X = source.derivation.algebra
+    target = adjoin_root(X, "y", "u", 2)
+    shuffled = PresentedAlgebra(target.context, target.relations[::-1], target.order)
+    with pytest.raises(RuntimeError, match="internal error"):
+        suspension_module._transport(source, shuffled, ("y", "u", 2))
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_bundle_lift_matches_certify_oracle(p):
     bundle = certify_bundle(p, 2 * p)
-    oracle = certify_lnd(bundle.lifted_derivation, bundle.report["cap"])
+    lifted = bundle.lifted_derivation
+    # the bundle's lift is transported: rebuild it through new_derivation,
+    # which checks every relation, and certify that by iteration
+    rebuilt = new_derivation(
+        bundle.lifted_algebra, {n: e.rep for n, e in lifted.images.items()}
+    )
+    assert rebuilt == lifted
+    assert rebuilt.well_defined.to_json() == lifted.well_defined.to_json()
+    assert bundle.report["lift"]["wellDefined"] == rebuilt.well_defined.to_json()
+    oracle = certify_lnd(rebuilt, bundle.report["cap"])
     assert oracle.certified
     assert bundle.report["lift"]["lnd"] == oracle.to_json()
     assert bundle.report["lift"]["ordersMatchSource"]

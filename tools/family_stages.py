@@ -47,6 +47,7 @@ def main() -> int:
     def stage(name, run):
         best = float("inf")
         for _ in range(max(args.repeat, 1)):
+            result = None  # so a repeat's peak RSS does not hold the last result
             start = perf_counter()
             result = run()
             best = min(best, perf_counter() - start)
