@@ -256,12 +256,13 @@ def _cmd_build_yp(args) -> int:
         out / "derivation.json",
         {"algebra": "Yp.json", **parseio.derivation_to_data(bundle.derivation)},
     )
-    parseio.save_json(out / "certificate.json", bundle.report)
-    status = bundle.report["lnd"]["status"]
-    lifted_status = bundle.report["lift"]["lnd"]["status"]
+    (out / "certificate.json").write_text(bundle._report, encoding="utf-8", newline="\n")
+    report = bundle.report
+    status = report["lnd"]["status"]
+    lifted_status = report["lift"]["lnd"]["status"]
     print(f"p={args.p} n={args.n}: derivation {status}, lift {lifted_status}")
     print(f"wrote {out}/Xp.json, Yp.json, derivation.json, certificate.json")
-    return EXIT_OK if bundle.report["ok"] else EXIT_INCONCLUSIVE
+    return EXIT_OK if report["ok"] else EXIT_INCONCLUSIVE
 
 
 def _cmd_exp(args) -> int:

@@ -56,6 +56,7 @@ route is the tests' oracle.
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,7 +75,8 @@ from .derivation import (
     certificate_json,
 )
 from .groebner import elimination
-from .poly import Context, ContextError, Polynomial
+from .parseio import dump_canonical
+from .poly import Context, ContextError, Polynomial, _sum
 from .suspension import lift_along_root
 
 DEFAULT_MAX_PRIME = 7
@@ -130,12 +132,9 @@ def linear_forms(p: int) -> tuple:
     forms = []
     for i in range(1, p + 1):
         eps = root_of_unity(p, i)
-        form = Polynomial.zero(context)
-        for j in range(p):
-            form = form + Polynomial.monomial(
-                context, {f"x{j}": 1, "y": j}, eps ** j
-            )
-        forms.append(form)
+        forms.append(_sum(context, (
+            Polynomial.monomial(context, {f"x{j}": 1, "y": j}, eps ** j) for j in range(p)
+        )))
     return tuple(forms)
 
 
@@ -382,8 +381,10 @@ def certify_family_lnd(p: int, cap: int = DEFAULT_CAP) -> LNDCertificate:
 class YpBundle:
     """Everything the pipeline builds and certifies for one prime.
 
-    The fields cannot be reassigned.  ``report`` stays a plain dict, the
-    JSON that ``build-yp`` writes as ``certificate.json``.
+    The fields cannot be reassigned.  The bundle keeps its report as
+    canonical JSON text, which ``build-yp`` writes as ``certificate.json``;
+    ``report`` parses a fresh copy on every read, so editing it changes
+    neither the bundle nor the file.
     """
 
     p: int
@@ -396,7 +397,11 @@ class YpBundle:
     derivation: Derivation
     lifted_algebra: PresentedAlgebra
     lifted_derivation: Derivation
-    report: dict
+    _report: str
+
+    @property
+    def report(self) -> dict:
+        return json.loads(self._report)
 
 
 def certify_bundle(p: int, n: int, cap: int = DEFAULT_CAP) -> YpBundle:
@@ -451,5 +456,5 @@ def certify_bundle(p: int, n: int, cap: int = DEFAULT_CAP) -> YpBundle:
         "ok": lnd.certified and lifted_lnd.certified and orders_match,
     }
     return YpBundle(
-        p, n, F, G, Yp, Xp, grading, derivation, lifted.algebra, lifted, report
+        p, n, F, G, Yp, Xp, grading, derivation, lifted.algebra, lifted, dump_canonical(report)
     )

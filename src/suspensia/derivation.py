@@ -43,7 +43,7 @@ from types import MappingProxyType
 
 from .algebra import AlgebraElement, Grading, GradingError, PresentedAlgebra, _Frozen
 from .coeff import _integer, stored_integers
-from .poly import ContextError, Polynomial, Substitution
+from .poly import ContextError, Polynomial, Substitution, _accumulate, _sum
 
 #: The order of the zero element (absorbing under addition of orders).
 MINUS_INFINITY = float("-inf")
@@ -210,14 +210,9 @@ class Derivation(_Frozen):
 
     def leibniz_image(self, f: Polynomial) -> Polynomial:
         """Image of a plain polynomial under the Leibniz extension (no reduction)."""
-        out = Polynomial.zero(self.algebra.context)
-        for name in self.algebra.variables:
-            rep = self.images[name].rep
-            if rep.terms:
-                df = f.diff(name)
-                if df.terms:
-                    out = out + df * rep
-        return out
+        reps = ((name, self.images[name].rep) for name in self.algebra.variables)
+        partials = ((f.diff(name), rep) for name, rep in reps if rep.terms)
+        return _sum(self.algebra.context, (df * rep for df, rep in partials if df.terms))
 
     def apply(self, value) -> AlgebraElement:
         a = self.algebra.element(value)
@@ -574,16 +569,15 @@ def _series(field, orbit, t) -> Polynomial:
     not iterated.  Scalar multiples and sums of normal forms are normal forms.
     """
     terms = iter(orbit)
-    total = next(terms).rep
+    first = next(terms).rep
     if not t:
-        return total
+        return first
+    out = dict(first.terms)
     scalar = field.one
     for k, term in enumerate(terms, 1):
         scalar = scalar * t * Fraction(1, k)
-        total = total + Polynomial._raw(
-            total.context, {m: c * scalar for m, c in term.rep.terms.items()}
-        )
-    return total
+        _accumulate(out, ((m, c * scalar) for m, c in term.rep.terms.items()))
+    return Polynomial._raw(first.context, out)
 
 
 def _check_sizes(t, orders: tuple, orbits: list, max_digits: int) -> None:

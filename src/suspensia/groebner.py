@@ -22,7 +22,7 @@ import heapq
 from dataclasses import dataclass, field
 from operator import add, itemgetter, le, neg, sub
 
-from .poly import Context, ContextError, Polynomial
+from .poly import Context, ContextError, Polynomial, _accumulate
 
 
 class OrderError(ValueError):
@@ -175,18 +175,7 @@ def _s_poly_terms(f: _Reducer, g: _Reducer) -> dict:
     shift_f = tuple(map(sub, lcm, f.lm))
     out = {tuple(map(add, m, shift_f)): c for m, c in f.terms.items()}
     shift_g = tuple(map(sub, lcm, g.lm))
-    for m, c in g.terms.items():
-        t = tuple(map(add, m, shift_g))
-        prev = out.get(t)
-        if prev is None:
-            out[t] = -c
-        else:
-            val = prev - c
-            if val:
-                out[t] = val
-            else:
-                del out[t]
-    return out
+    return _accumulate(out, ((tuple(map(add, m, shift_g)), -c) for m, c in g.terms.items()))
 
 
 @dataclass(frozen=True)

@@ -93,21 +93,8 @@ class Polynomial:
     __slots__ = ("context", "terms")
 
     def __init__(self, context: Context, terms=None):
-        clean = {}
-        if terms:
-            nv = context.nvars
-            zero = context.field.zero
-            for raw, coeff in terms.items():
-                mono = _integers(raw)
-                if mono is None or len(mono) != nv or min(mono, default=0) < 0:
-                    raise ContextError(f"bad exponent vector {raw} for {context.variables}")
-                coeff = clean.get(mono, zero) + context.field.coerce(coeff)
-                if coeff:
-                    clean[mono] = coeff
-                elif mono in clean:
-                    del clean[mono]
         self.context = context
-        self.terms = clean
+        self.terms = _accumulate({}, _checked_pairs(context, terms) if terms else ())
 
     @classmethod
     def _raw(cls, context: Context, terms: dict) -> Polynomial:
@@ -164,18 +151,7 @@ class Polynomial:
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            prev = out.get(mono)
-            if prev is None:
-                out[mono] = coeff
-            else:
-                val = prev + coeff
-                if val:
-                    out[mono] = val
-                else:
-                    del out[mono]
-        return Polynomial._raw(self.context, out)
+        return Polynomial._raw(self.context, _accumulate(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -183,18 +159,8 @@ class Polynomial:
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            prev = out.get(mono)
-            if prev is None:
-                out[mono] = -coeff
-            else:
-                val = prev - coeff
-                if val:
-                    out[mono] = val
-                else:
-                    del out[mono]
-        return Polynomial._raw(self.context, out)
+        negated = ((m, -c) for m, c in other.terms.items())
+        return Polynomial._raw(self.context, _accumulate(dict(self.terms), negated))
 
     def __rsub__(self, other):
         other = self._operand(other)
@@ -211,22 +177,11 @@ class Polynomial:
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(map(add, m1, m2))
-                coeff = c1 * c2
-                prev = out.get(mono)
-                if prev is None:
-                    if coeff:
-                        out[mono] = coeff
-                else:
-                    val = prev + coeff
-                    if val:
-                        out[mono] = val
-                    else:
-                        del out[mono]
-        return Polynomial._raw(self.context, out)
+        right = other.terms.items()
+        products = (
+            (tuple(map(add, m1, m2)), c1 * c2) for m1, c1 in self.terms.items() for m2, c2 in right
+        )
+        return Polynomial._raw(self.context, _accumulate({}, products))
 
     __rmul__ = __mul__
 
@@ -266,20 +221,16 @@ class Polynomial:
         return self.terms.get(tuple(mono), self.context.field.zero)
 
     def diff(self, name: str) -> Polynomial:
-        """Formal partial derivative with respect to one variable."""
+        """Formal partial derivative with respect to one variable.
+
+        Lowering one exponent is injective and c*e != 0 over a field of
+        characteristic 0, so no two terms merge and none cancels.
+        """
         i = self.context.index(name)
-        out = {}
-        for mono, coeff in self.terms.items():
-            e = mono[i]
-            if e:
-                lowered = mono[:i] + (e - 1,) + mono[i + 1:]
-                prev = out.get(lowered)
-                val = coeff * e if prev is None else prev + coeff * e
-                if val:
-                    out[lowered] = val
-                elif lowered in out:
-                    del out[lowered]
-        return Polynomial._raw(self.context, out)
+        return Polynomial._raw(self.context, {
+            mono[:i] + (mono[i] - 1,) + mono[i + 1:]: coeff * mono[i]
+            for mono, coeff in self.terms.items() if mono[i]
+        })
 
     # ------------------------------------------------------------------
     # weighted degrees
@@ -327,8 +278,9 @@ class Polynomial:
     def convert(self, into: Context, root: tuple | None = None) -> Polynomial:
         """Reinterpret in another context, mapping variables by name.
 
-        Coefficients are coerced by the target field, so Q embeds into any
-        Q(z@p) and a rational-valued cyclotomic coefficient descends to Q.
+        When the fields differ, coefficients are coerced by the target field,
+        so Q embeds into any Q(z@p) and a rational-valued cyclotomic
+        coefficient descends to Q.  Terms whose images collide are merged.
 
         ``root = (var, new_var, scale)``, with a positive rational scale, also
         sends var^e to new_var^(e*scale): scale k substitutes var = new_var^k
@@ -345,13 +297,14 @@ class Polynomial:
             root_index = src.index(var)
             targets[root_index] = into.index(new_var)
             num, den = scale.numerator, scale.denominator
-        coerce = into.field.coerce
-        out = {}
-        for mono, coeff in self.terms.items():
-            exps = [0] * into.nvars
-            for i, e in enumerate(mono):
+        nv = into.nvars
+        moves = list(enumerate(targets))
+
+        def image(mono):
+            exps = [0] * nv
+            for i, j in moves:
+                e = mono[i]
                 if e:
-                    j = targets[i]
                     if j is None:
                         raise ContextError(
                             f"variable {src.variables[i]!r} has no "
@@ -364,15 +317,13 @@ class Polynomial:
                             message = f"exponent of {var} in {witness} is not divisible by {den}"
                             raise PowerCollapseError(message, witness)
                     exps[j] += e
-            mono_t = tuple(exps)
-            coeff = coerce(coeff)
-            prev = out.get(mono_t)
-            val = coeff if prev is None else prev + coeff
-            if val:
-                out[mono_t] = val
-            elif mono_t in out:
-                del out[mono_t]
-        return Polynomial._raw(into, out)
+            return tuple(exps)
+
+        pairs = ((image(m), c) for m, c in self.terms.items())
+        if into.field != src.field:
+            coerce = into.field.coerce
+            pairs = ((m, coerce(c)) for m, c in pairs)
+        return Polynomial._raw(into, _accumulate({}, pairs))
 
     # ------------------------------------------------------------------
     # text form
@@ -434,12 +385,58 @@ class Substitution:
     def __call__(self, f: Polynomial) -> Polynomial:
         if f.context != self.source:
             raise ContextError("polynomial is not in the source context of the substitution")
-        target = self.target
-        result = Polynomial.zero(target)
-        for mono, coeff in f.terms.items():
-            term = Polynomial.constant(target, coeff)
-            for i, e in enumerate(mono):
-                if e:
-                    term = term * self._power(i, e)
-            result = result + term
-        return result
+        return _sum(self.target, (self._term(mono, coeff) for mono, coeff in f.terms.items()))
+
+    def _term(self, mono, coeff) -> Polynomial:
+        term = Polynomial.constant(self.target, coeff)
+        for i, e in enumerate(mono):
+            if e:
+                term = term * self._power(i, e)
+        return term
+
+
+def _accumulate(out: dict, pairs) -> dict:
+    """Merge (monomial, coefficient) pairs into ``out`` and return it.
+
+    The one loop that adds a coefficient into a term dict.  Every incoming
+    coefficient must be nonzero, so only a collision can cancel, and a sum
+    that cancels is dropped.  ``out`` is mutated: pass a fresh dict, never a
+    polynomial's own ``terms``.
+    """
+    get = out.get
+    for mono, coeff in pairs:
+        prev = get(mono)
+        if prev is None:
+            out[mono] = coeff
+        else:
+            coeff = prev + coeff
+            if coeff:
+                out[mono] = coeff
+            else:
+                del out[mono]
+    return out
+
+
+def _sum(context: Context, polys) -> Polynomial:
+    """The sum of polynomials of one context, accumulated into one dict."""
+    out = {}
+    for f in polys:
+        _accumulate(out, f.terms.items())
+    return Polynomial._raw(context, out)
+
+
+def _checked_pairs(context: Context, terms: dict):
+    """The (monomial, coefficient) pairs of a raw term dict, checked and coerced.
+
+    Each exponent vector must hold one non-negative integer per variable;
+    coefficients are coerced into the context's field, and a zero is dropped.
+    """
+    nv = context.nvars
+    coerce = context.field.coerce
+    for raw, coeff in terms.items():
+        mono = _integers(raw)
+        if mono is None or len(mono) != nv or min(mono, default=0) < 0:
+            raise ContextError(f"bad exponent vector {raw} for {context.variables}")
+        coeff = coerce(coeff)
+        if coeff:
+            yield mono, coeff

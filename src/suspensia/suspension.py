@@ -137,7 +137,7 @@ def suspend(base: PresentedAlgebra, function, exponents, names=None):
     """
     ks = _exponents(exponents)
     f = base.element(function)
-    if not any(any(m) for m in f.rep.terms):
+    if f.rep.is_constant():
         raise SuspensionError(
             f"suspension function must be non-constant, got {f.rep.text()}"
         )

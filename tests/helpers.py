@@ -3,6 +3,9 @@
 The oracles deliberately take different computational routes than the
 library: cyclotomic reduction by long division instead of index folding,
 products by enumerating all cross terms instead of pairwise dict merging.
+The merge-loop oracles (``add_oracle`` to ``s_polynomial_oracle``) give
+each operation its own hand-written merge and build sums by chaining,
+where the library merges every sum through ``poly._accumulate``.
 """
 
 import heapq
@@ -81,6 +84,127 @@ def brute_force_product(factors):
             coeff = coeff * c
         terms[mono] = terms.get(mono, context.field.zero) + coeff
     return Polynomial(context, {m: c for m, c in terms.items() if c})
+
+
+def _merge_oracle(out, mono, coeff):
+    """Add coeff into out[mono]: a zero adds nothing, and a sum that cancels is dropped."""
+    prev = out.get(mono)
+    if prev is None:
+        if coeff:
+            out[mono] = coeff
+    else:
+        val = prev + coeff
+        if val:
+            out[mono] = val
+        else:
+            del out[mono]
+
+
+def add_oracle(f, g):
+    """f + g: a copy of f's terms, with g's merged in one at a time."""
+    out = dict(f.terms)
+    for mono, coeff in g.terms.items():
+        _merge_oracle(out, mono, coeff)
+    return Polynomial._raw(f.context, out)
+
+
+def sub_oracle(f, g):
+    """f - g: a copy of f's terms, with g's subtracted one at a time."""
+    out = dict(f.terms)
+    for mono, coeff in g.terms.items():
+        prev = out.get(mono)
+        if prev is None:
+            out[mono] = -coeff
+        else:
+            val = prev - coeff
+            if val:
+                out[mono] = val
+            else:
+                del out[mono]
+    return Polynomial._raw(f.context, out)
+
+
+def mul_oracle(f, g):
+    """f * g: every term pair merged in row order, a zero product skipped."""
+    out = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            _merge_oracle(out, tuple(map(add, m1, m2)), c1 * c2)
+    return Polynomial._raw(f.context, out)
+
+
+def diff_oracle(f, name):
+    """The partial derivative of f, merging terms whose lowered monomials meet."""
+    i = f.context.index(name)
+    out = {}
+    for mono, coeff in f.terms.items():
+        e = mono[i]
+        if e:
+            _merge_oracle(out, mono[:i] + (e - 1,) + mono[i + 1:], coeff * e)
+    return Polynomial._raw(f.context, out)
+
+
+def convert_oracle(f, into, root=None):
+    """f mapped into another context by names, every coefficient coerced."""
+    src = f.context
+    targets = [into.index(n) if n in into.variables else None for n in src.variables]
+    root_index, scale = None, Fraction(1)
+    if root is not None:
+        var, new_var, scale = root
+        root_index = src.index(var)
+        targets[root_index] = into.index(new_var)
+    out = {}
+    for mono, coeff in f.terms.items():
+        exps = [0] * into.nvars
+        for i, e in enumerate(mono):
+            if e:
+                if i == root_index:
+                    e = e * scale
+                    assert e.denominator == 1, "exponent does not collapse"
+                exps[targets[i]] += int(e)
+        _merge_oracle(out, tuple(exps), into.field.coerce(coeff))
+    return Polynomial._raw(into, out)
+
+
+def substitution_oracle(f, bindings, target):
+    """The image of f under a substitution: each term's power products, summed one by one."""
+    result = Polynomial.zero(target)
+    for mono, coeff in f.terms.items():
+        term = Polynomial.constant(target, coeff)
+        for name, e in zip(f.context.variables, mono):
+            if e:
+                image = bindings.get(name, Polynomial.variable(target, name))
+                power = Polynomial.one(target)
+                for _ in range(e):
+                    power = mul_oracle(power, image)
+                term = mul_oracle(term, power)
+        result = add_oracle(result, term)
+    return result
+
+
+def leibniz_oracle(derivation, f):
+    """sum over the variables of (df/dv) * D(v), added one product at a time."""
+    out = Polynomial.zero(derivation.algebra.context)
+    for name in derivation.algebra.variables:
+        rep = derivation.images[name].rep
+        if rep.terms:
+            df = diff_oracle(f, name)
+            if df.terms:
+                out = add_oracle(out, mul_oracle(df, rep))
+    return out
+
+
+def s_polynomial_oracle(f, g, order):
+    """The S-polynomial of f and g: both lead coefficients are 1 after scaling."""
+    keyf = order.key_for(f.context)
+    lead_f, lead_g = max(f.terms, key=keyf), max(g.terms, key=keyf)
+    lcm = tuple(map(max, lead_f, lead_g))
+    shift_f, shift_g = tuple(map(sub, lcm, lead_f)), tuple(map(sub, lcm, lead_g))
+    inv_f, inv_g = 1 / f.terms[lead_f], 1 / g.terms[lead_g]
+    out = {tuple(map(add, m, shift_f)): c * inv_f for m, c in f.terms.items()}
+    for m, c in g.terms.items():
+        _merge_oracle(out, tuple(map(add, m, shift_g)), -(c * inv_g))
+    return Polynomial._raw(f.context, out)
 
 
 def root_products_oracle(factors):

@@ -29,6 +29,7 @@ from suspensia import (
     certify_bundle,
     certify_family_lnd,
     certify_lnd,
+    dump_canonical,
     form_products,
     linear_forms,
     new_derivation,
@@ -310,9 +311,26 @@ def test_certify_bundle_3_6():
         "x1": "direct-power",
         "x2": "direct-power",
     }
-    # the bundle's fields are fixed once built; report stays a plain dict
+    # the bundle's fields are fixed once built
     with pytest.raises(dataclasses.FrozenInstanceError):
         bundle.derivation = None
+
+
+def test_bundle_report_is_read_only(monkeypatch, tmp_path):
+    # report is a fresh copy of the kept JSON text: editing it changes
+    # neither the bundle nor the certificate.json that build-yp writes
+    bundle = certify_bundle(3, 6)
+    expected = dump_canonical(bundle.report)
+    bundle.report["ok"] = False
+    bundle.report["lnd"]["status"] = "forged"
+    assert bundle.report["ok"]
+    assert bundle.report["lnd"]["status"] == "certified"
+    report = bundle.report
+    report["ok"] = False
+    assert bundle.report is not report and bundle.report["ok"]
+    monkeypatch.setattr(constructions, "certify_bundle", lambda p, n, cap: bundle)
+    assert main(["build-yp", "--p", "3", "--n", "6", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "certificate.json").read_text(encoding="utf-8") == expected
 
 
 def test_certify_bundle_never_evaluates(monkeypatch):

@@ -12,13 +12,32 @@ from suspensia import (
     ContextError,
     Polynomial,
     PowerCollapseError,
+    PresentedAlgebra,
     QQ,
+    exp,
+    grevlex,
+    linear_forms,
+    new_derivation,
     parse_expression,
     root_of_unity,
+    s_polynomial,
 )
 from suspensia.coeff import CyclotomicField
+from suspensia.poly import Substitution
 
-from helpers import brute_force_product, random_polynomial, QXY
+from helpers import (
+    QXY,
+    add_oracle,
+    brute_force_product,
+    convert_oracle,
+    diff_oracle,
+    leibniz_oracle,
+    mul_oracle,
+    random_polynomial,
+    s_polynomial_oracle,
+    sub_oracle,
+    substitution_oracle,
+)
 
 
 def P(text, ctx):
@@ -241,3 +260,92 @@ def test_invalid_exponents_rejected():
         Context(QQ, ("x", "x"))
     with pytest.raises(ContextError):
         Context(QQ, ("z@3",))
+
+
+def assert_same_terms(fast, oracle):
+    # equal terms, inserted in the same order
+    assert fast.context == oracle.context
+    assert list(fast.terms.items()) == list(oracle.terms.items())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([QQ, CyclotomicField(3)]))
+def test_sums_match_the_merge_loop_oracles(seed, field):
+    # every sum goes through poly._accumulate; the oracles are the merge
+    # loops each operation had of its own
+    rng = random.Random(seed)
+    ctx = Context(field, ("x", "y", "w"))
+    f = random_polynomial(rng, ctx, max_terms=6, max_exp=2)
+    raw = dict(random_polynomial(rng, ctx, max_terms=4, max_exp=2).terms)
+    for mono, coeff in f.terms.items():  # shared monomials, some cancelling
+        if rng.random() < 0.5:
+            raw[mono] = rng.choice([coeff, -coeff, coeff * 2])
+    g = Polynomial(ctx, raw)
+    assert_same_terms(f + g, add_oracle(f, g))
+    assert_same_terms(f - g, sub_oracle(f, g))
+    assert_same_terms(f * g, mul_oracle(f, g))
+    # (f + g)(f - g): the cross terms cancel inside one product
+    assert_same_terms((f + g) * (f - g), mul_oracle(add_oracle(f, g), sub_oracle(f, g)))
+    for name in ctx.variables:
+        assert_same_terms(f.diff(name), diff_oracle(f, name))
+
+    # by name into another order and an extra variable, and into Q(z@3) from Q
+    wider = Context(CyclotomicField(3), ("u", "w", "y", "x"))
+    assert_same_terms(f.convert(wider), convert_oracle(f, wider))
+    # a root onto a variable that is already there: images collide and cancel
+    for scale in (Fraction(1), Fraction(2)):
+        root = ("y", "x", scale)
+        assert_same_terms(f.convert(ctx, root), convert_oracle(f, ctx, root))
+    shifted = f.convert(ctx, ("y", "x", Fraction(1))) - f
+    assert_same_terms(shifted, sub_oracle(convert_oracle(f, ctx, ("y", "x", Fraction(1))), f))
+
+    target = Context(field, ("x", "y", "w", "u"))
+    bindings = {
+        "x": random_polynomial(rng, target, max_terms=3, max_exp=2),
+        "y": Polynomial.variable(target, "u") - Polynomial.variable(target, "w"),
+    }
+    substitute = Substitution(ctx, bindings, target)
+    assert_same_terms(substitute(f), substitution_oracle(f, bindings, target))
+    assert_same_terms(substitute(g), substitution_oracle(g, bindings, target))
+
+    images = {name: random_polynomial(rng, ctx, max_terms=3, max_exp=2) for name in ctx.variables}
+    derivation = new_derivation(PresentedAlgebra(ctx, []), images)
+    assert_same_terms(derivation.leibniz_image(f), leibniz_oracle(derivation, f))
+
+    if f and g:
+        order = grevlex()
+        assert_same_terms(s_polynomial(f, g, order), s_polynomial_oracle(f, g, order))
+
+
+def _summing_calls():
+    """Calls that build a sum, with their inputs built already (parsing adds)."""
+    ctx = Context(CyclotomicField(3), ("x", "y", "z"))
+    f = P("x^2*y + (z@3)*y*z - 3*x + 1", ctx)
+    algebra = PresentedAlgebra(ctx, [P("z^2", ctx)])
+    nilpotent = new_derivation(algebra, {"x": P("y", ctx), "y": P("z", ctx), "z": P("0", ctx)})
+    twisted = new_derivation(
+        PresentedAlgebra(ctx, []), {"x": P("y^2 - x", ctx), "y": P("x + z", ctx), "z": f}
+    )
+    substitute = Substitution(ctx, {"x": P("y + z", ctx), "z": P("x - 1", ctx)}, ctx)
+    automorphism = exp(nilpotent, Fraction(1, 2))
+    element = algebra.element(P("x^3 + x*y", ctx))
+    return {
+        "leibniz_image": lambda: twisted.leibniz_image(f),
+        "substitution": lambda: substitute(f),
+        "exp_apply": lambda: automorphism.apply(element).rep,
+        "linear_forms": lambda: linear_forms(5)[1],
+    }
+
+
+@pytest.mark.parametrize("call", ["leibniz_image", "substitution", "exp_apply", "linear_forms"])
+def test_sums_are_accumulated_not_chained(monkeypatch, call):
+    # each of these builds its sum in one dict: none may add or subtract
+    # Polynomials, which would copy the partial sum at every step
+    run = _summing_calls()[call]
+
+    def refuse(self, other):
+        raise AssertionError("a sum was chained with + or -")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
+        monkeypatch.setattr(Polynomial, name, refuse)
+    assert run().terms

@@ -80,8 +80,9 @@ def test_suspension_over_x3_base():
 
 def test_constant_function_rejected():
     X = algebra_from_strings(QQ, ["x"], [])
-    with pytest.raises(SuspensionError):
-        suspend(X, parse_expression("2", X.context), (1, 1))
+    for constant in ("2", "0"):
+        with pytest.raises(SuspensionError):
+            suspend(X, parse_expression(constant, X.context), (1, 1))
     # constant modulo the relations is rejected too
     T = algebra_from_strings(QQ, ["y", "w"], ["y*w - 1"])
     with pytest.raises(SuspensionError):
