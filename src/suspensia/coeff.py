@@ -305,12 +305,7 @@ class CyclotomicNumber:
         return Fraction(self._num[0], self._den)
 
     def __str__(self) -> str:
-        sym = f"z@{self.p}"
-        den = self._den
-        return _signed_sum(
-            _term_text(Fraction(n, den), "" if k == 0 else sym if k == 1 else f"{sym}^{k}")
-            for k, n in enumerate(self._num) if n
-        )
+        return _cyclotomic_text(self.p, self._num, self._den)
 
     def __repr__(self):
         return f"CyclotomicNumber({self.p}, {self})"
@@ -319,23 +314,38 @@ class CyclotomicNumber:
 # --- text: one renderer for signed sums of terms ---------------------------
 
 
-def _term_text(coeff, mono: str) -> tuple:
-    """One term as (sign, body): the sign pulled out, a coefficient of 1 left out.
+def _rational_text(n: int, d: int) -> tuple:
+    """The rational n/d (n != 0, d > 0, in lowest terms) as (sign, body), as str() prints |n/d|."""
+    return (-1 if n < 0 else 1, str(abs(n)) if d == 1 else f"{abs(n)}/{d}")
 
-    An irrational Q(z@p) coefficient is parenthesized and keeps its own signs;
-    a rational one is printed from its numerator and denominator, as str()
-    prints a Fraction.
+
+def _cyclotomic_text(p: int, num: tuple, den: int) -> str:
+    """The signed sum of a Q(z@p) value's nonzero coordinates, each reduced by one gcd."""
+    sym = f"z@{p}"
+    terms = []
+    for k, n in enumerate(num):
+        if n:
+            g = gcd(n, den)
+            sign, body = _rational_text(n // g, den // g)
+            if k:
+                power = sym if k == 1 else f"{sym}^{k}"
+                body = power if body == "1" else f"{body}*{power}"
+            terms.append((sign, body))
+    return _signed_sum(terms)
+
+
+def _coefficient_text(c) -> tuple:
+    """A coefficient as (sign, body), with body "1" for 1 and -1.
+
+    An irrational Q(z@p) coefficient is parenthesized and keeps its own
+    signs; a rational one is printed from its numerator and denominator.
     """
-    if isinstance(coeff, CyclotomicNumber):
-        if not coeff.is_rational():
-            return (1, f"({coeff})*{mono}" if mono else f"({coeff})")
-        n, d = coeff._num[0], coeff._den
-    else:
-        n, d = coeff.numerator, coeff.denominator
-    body = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
-    if mono:
-        body = mono if body == "1" else f"{body}*{mono}"
-    return (-1 if n < 0 else 1, body)
+    if isinstance(c, CyclotomicNumber):
+        num, den = c._num, c._den
+        if not _is_rational(num):
+            return (1, f"({_cyclotomic_text(c.p, num, den)})")
+        return _rational_text(num[0], den)
+    return _rational_text(c.numerator, c.denominator)
 
 
 def _signed_sum(terms) -> str:
@@ -388,8 +398,13 @@ def root_of_unity(p: int, i: int) -> CyclotomicNumber:
     """Return the i-th root of unity z^i of prime order p (z^p = 1)."""
     p = CyclotomicField(p).p
     k = _integer(i, 1, CoefficientError, f"root index must lie in 1..{p}, got {i}", p) % p
+    return _root(p, k)
+
+
+def _root(p: int, k: int) -> CyclotomicNumber:
+    """z^k in Q(z@p), for a prime p and 0 <= k < p."""
     # z^(p-1) = -(1 + z + ... + z^(p-2))
-    num = (-1,) * (p - 1) if k == p - 1 else tuple(int(j == k) for j in range(p - 1))
+    num = (-1,) * (p - 1) if k == p - 1 else (0,) * k + (1,) + (0,) * (p - 2 - k)
     return _new(p, num, 1)
 
 

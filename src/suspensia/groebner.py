@@ -96,7 +96,9 @@ class _Reducer:
     def __init__(self, terms: dict, keyf):
         lm = max(terms, key=keyf)
         lc = terms[lm]
-        if lc != 1:
+        if lc == -1:
+            terms = {m: -c for m, c in terms.items()}
+        elif lc != 1:
             inv = 1 / lc
             terms = {m: c * inv for m, c in terms.items()}
         self.lm = lm

@@ -27,12 +27,14 @@ import json
 import math
 import re
 from fractions import Fraction
+from operator import add
 from pathlib import Path
 
 from .algebra import PresentedAlgebra
-from .coeff import CyclotomicField, field_from_text, root_of_unity, stored_integers
+from .coeff import CyclotomicField, CyclotomicNumber, _root, _root_exponent, field_from_text
+from .coeff import stored_integers
 from .derivation import Derivation, new_derivation
-from .poly import NAME_PATTERN, Context, ContextError, Polynomial
+from .poly import NAME_PATTERN, Context, ContextError, Polynomial, _accumulate, _product
 
 
 class ParseError(ValueError):
@@ -149,11 +151,22 @@ _MAX_NESTING = 100
 
 
 class _Parser:
+    """A recursive-descent parser whose values are term dicts that it owns.
+
+    Sums merge in place through ``poly._accumulate``, products go through
+    ``poly._product``, and a power of a one-term base through
+    ``_term_power``; only a power of a base of several terms builds a
+    ``Polynomial``.  The result is wrapped once.
+    """
+
     def __init__(self, tokens, context: Context):
         self.tokens = tokens
         self.pos = 0
         self.context = context
         self.depth = 0
+        self.one = context.field.one
+        self.constant = (0,) * context.nvars
+        self.units = {}  # variable name -> its exponent tuple, filled as names appear
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -177,13 +190,14 @@ class _Parser:
         self.depth -= 1
         return value
 
-    def check_constants(self, value: Polynomial, token: _Token, monomials=None):
-        """Refuse value if a coefficient (at ``monomials``, default all) is too large."""
-        terms = value.terms
+    def check_constants(self, terms: dict, token: _Token, monomials=None):
+        """Refuse terms if a coefficient (at ``monomials``, default all) is too large."""
         for mono in terms if monomials is None else monomials:
             c = terms.get(mono)
-            if c is not None and any(abs(n) >= _CONSTANT_LIMIT for n in stored_integers(c)):
-                self.refuse_constant(token)
+            if c is not None:
+                ints = stored_integers(c)
+                if max(ints) >= _CONSTANT_LIMIT or -min(ints) >= _CONSTANT_LIMIT:
+                    self.refuse_constant(token)
 
     def refuse_constant(self, token: _Token):
         self.fail(f"a constant of more than {MAX_DIGITS} digits exceeds the limit", token)
@@ -198,20 +212,20 @@ class _Parser:
         value = self.expr()
         if self.peek().kind != "end":
             self.fail(f"unexpected {self.peek().value!r}")
-        return value
+        return Polynomial._raw(self.context, value)
 
-    def expr(self) -> Polynomial:
+    def expr(self) -> dict:
         value = self.term()
         while self.peek().kind in ("+", "-"):
             op = self.take().kind
             tok = self.peek()
             rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
+            _accumulate(value, rhs.items() if op == "+" else ((m, -c) for m, c in rhs.items()))
             # only the coefficients at rhs's monomials changed
-            self.check_constants(value, tok, rhs.terms)
+            self.check_constants(value, tok, rhs)
         return value
 
-    def term(self) -> Polynomial:
+    def term(self) -> dict:
         value = self.factor()
         while True:
             kind = self.peek().kind
@@ -221,17 +235,22 @@ class _Parser:
                 return value
             tok = self.peek()
             rhs = self.factor()
-            if len(value.terms) * len(rhs.terms) > MAX_TERMS:
+            if len(value) * len(rhs) > MAX_TERMS:
                 self.refuse_terms(tok)
-            value = value * rhs
+            if len(value) == 1 == len(rhs):
+                (m1, c1), = value.items()
+                (m2, c2), = rhs.items()
+                value = {tuple(map(add, m1, m2)): c1 * c2}
+            else:
+                value = _product(value, rhs)
             self.check_constants(value, tok)
 
-    def factor(self) -> Polynomial:
+    def factor(self) -> dict:
         if self.peek().kind == "-":
-            return -self.nested(self.factor)
+            return {m: -c for m, c in self.nested(self.factor).items()}
         return self.power()
 
-    def power(self) -> Polynomial:
+    def power(self) -> dict:
         base = self.atom()
         if self.peek().kind == "^":
             self.take()
@@ -246,7 +265,7 @@ class _Parser:
                 self.fail("malformed exponent: chained '^' is not allowed")
         return base
 
-    def power_of(self, base: Polynomial, tok: _Token) -> Polynomial:
+    def power_of(self, base: dict, tok: _Token) -> dict:
         """base ** e for the exponent token, with the sizes of its constants checked.
 
         The lex-first and lex-last terms of base**e have coefficients c**e,
@@ -256,19 +275,22 @@ class _Parser:
         than ``MAX_TERMS`` terms.
         """
         e = tok.value
-        t = len(base.terms)
+        t = len(base)
         if t > 1 and math.comb(t + e - 1, e) > MAX_TERMS:
             self.refuse_terms(tok)
-        for mono in (min(base.terms), max(base.terms)) if base.terms else ():
-            c = base.terms[mono]
+        for mono in (min(base), max(base)) if base else ():
+            c = base[mono]
             bits = max(abs(c.numerator), c.denominator).bit_length() if isinstance(c, Fraction) else 0
             if e * (bits - 1) >= _CONSTANT_LIMIT_BITS:
                 self.refuse_constant(tok)
-        power = base**e
+        if t == 1:
+            power = _term_power(*next(iter(base.items())), e)
+        else:
+            power = (Polynomial._raw(self.context, base) ** e).terms
         self.check_constants(power, tok)
         return power
 
-    def atom(self) -> Polynomial:
+    def atom(self) -> dict:
         tok = self.peek()
         if tok.kind == "int":
             self.take()
@@ -282,13 +304,19 @@ class _Parser:
                 if denom.value == 0:
                     self.fail("zero denominator", denom)
                 value = Fraction(tok.value, denom.value)
-            return Polynomial.constant(self.context, value)
+            coeff = self.context.field.coerce(value)
+            return {self.constant: coeff} if coeff else {}
         if tok.kind == "ident":
             self.take()
-            try:
-                return Polynomial.variable(self.context, tok.value)
-            except ContextError:
-                self.fail(f"unknown identifier {tok.value!r}", tok)
+            unit = self.units.get(tok.value)
+            if unit is None:
+                try:
+                    index = self.context.index(tok.value)
+                except ContextError:
+                    self.fail(f"unknown identifier {tok.value!r}", tok)
+                unit = self.constant[:index] + (1,) + self.constant[index + 1:]
+                self.units[tok.value] = unit
+            return {unit: self.one}
         if tok.kind == "cyclo":
             self.take()
             field = self.context.field
@@ -297,7 +325,7 @@ class _Parser:
                     f"field constant z@{tok.value} is not available in {field.text}",
                     tok,
                 )
-            return Polynomial.constant(self.context, root_of_unity(tok.value, 1))
+            return {self.constant: _root(tok.value, 1)}
         if tok.kind == "(":
             value = self.nested(self.expr)
             if self.peek().kind != ")":
@@ -305,6 +333,20 @@ class _Parser:
             self.take()
             return value
         self.fail("expected a number, variable, or '('")
+
+
+def _term_power(mono: tuple, coeff, e: int) -> dict:
+    """The term dict of the e-th power of one term: its exponents scaled by e.
+
+    A root of unity z^k of Q(z@p) is raised as the root z^(k*e mod p); any other
+    coefficient as coeff**e.
+    """
+    if isinstance(coeff, CyclotomicNumber):
+        p = coeff.p
+        k = _root_exponent(coeff, p)
+        if k is not None:
+            return {tuple(x * e for x in mono): _root(p, k * e % p)}
+    return {tuple(x * e for x in mono): coeff**e}
 
 
 def parse_expression(text: str, context: Context) -> Polynomial:

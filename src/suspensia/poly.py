@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import add
 
 from .coeff import CoefficientError, CyclotomicNumber, _integer, _integers
-from .coeff import _power, _signed_sum, _term_text
+from .coeff import _coefficient_text, _power, _signed_sum
 
 # An exponent tuple, one non-negative integer per context variable.
 Monomial = tuple
@@ -177,11 +177,7 @@ class Polynomial:
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        right = other.terms.items()
-        products = (
-            (tuple(map(add, m1, m2)), c1 * c2) for m1, c1 in self.terms.items() for m2, c2 in right
-        )
-        return Polynomial._raw(self.context, _accumulate({}, products))
+        return Polynomial._raw(self.context, _product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -335,10 +331,37 @@ class Polynomial:
         )
 
     def text(self) -> str:
+        """The canonical text form, rendered from the stored integers.
+
+        Within one call, each variable power and each distinct coefficient
+        is rendered once; a Q(z@p) coefficient is looked up by its stored
+        integers.
+        """
+        terms = self.terms
+        names = self.context.variables
+        powers = [{1: name} for name in names]
+        coefficients = {}
+        pieces = []
         try:
-            return _signed_sum(
-                _term_text(c, monomial_text(self.context, m)) for m, c in self.sorted_terms()
-            )
+            for mono in sorted(terms, key=_gradedlex_key, reverse=True):
+                c = terms[mono]
+                key = (c._num, c._den) if isinstance(c, CyclotomicNumber) else c
+                piece = coefficients.get(key)
+                if piece is None:
+                    piece = coefficients[key] = _coefficient_text(c)
+                factors = []
+                for name, row, e in zip(names, powers, mono):
+                    if e:
+                        power = row.get(e)
+                        if power is None:
+                            power = row[e] = f"{name}^{e}"
+                        factors.append(power)
+                if factors:
+                    sign, body = piece
+                    mono_text = "*".join(factors)
+                    piece = (sign, mono_text if body == "1" else f"{body}*{mono_text}")
+                pieces.append(piece)
+            return _signed_sum(pieces)
         except ValueError:  # str() of an integer past sys.get_int_max_str_digits()
             limit = sys.get_int_max_str_digits()
             raise CoefficientError(f"a number has too many digits to print (limit {limit})") from None
@@ -415,6 +438,14 @@ def _accumulate(out: dict, pairs) -> dict:
             else:
                 del out[mono]
     return out
+
+
+def _product(left: dict, right: dict) -> dict:
+    """The term dict of the product of two term dicts, merged row by row."""
+    right = right.items()
+    return _accumulate({}, (
+        (tuple(map(add, m1, m2)), c1 * c2) for m1, c1 in left.items() for m2, c2 in right
+    ))
 
 
 def _sum(context: Context, polys) -> Polynomial:

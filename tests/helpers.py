@@ -5,12 +5,16 @@ library: cyclotomic reduction by long division instead of index folding,
 products by enumerating all cross terms instead of pairwise dict merging.
 The merge-loop oracles (``add_oracle`` to ``s_polynomial_oracle``) give
 each operation its own hand-written merge and build sums by chaining,
-where the library merges every sum through ``poly._accumulate``.
+where the library merges every sum through ``poly._accumulate``.  The text
+oracles (``text_oracle``, ``parse_oracle``) print through ``Fraction``s and
+read back through ``Polynomial`` arithmetic, where the library works on
+stored integers and term dicts.
 """
 
 import heapq
 import math
 import signal
+import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -18,7 +22,10 @@ from itertools import product as iter_product
 from operator import add, le, neg, sub
 
 from suspensia import Context, CyclotomicNumber, Polynomial, QQ, new_derivation
-from suspensia.coeff import CyclotomicField
+from suspensia import parseio
+from suspensia.coeff import CoefficientError, CyclotomicField, root_of_unity, stored_integers
+from suspensia.parseio import ParseError
+from suspensia.poly import ContextError
 
 
 def reduce_cyclotomic_oracle(p, dense):
@@ -71,6 +78,196 @@ def cyclotomic_text_oracle(c):
         else:
             out += " + " + piece
     return out
+
+
+def _term_text_oracle(coeff, mono):
+    """One term as (sign, body), its rational coefficient read as a Fraction."""
+    if isinstance(coeff, CyclotomicNumber):
+        if not coeff.is_rational():
+            body = f"({cyclotomic_text_oracle(coeff)})"
+            return (1, f"{body}*{mono}" if mono else body)
+        coeff = coeff.rational_value()
+    n, d = coeff.numerator, coeff.denominator
+    body = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
+    if mono:
+        body = mono if body == "1" else f"{body}*{mono}"
+    return (-1 if n < 0 else 1, body)
+
+
+def text_oracle(f):
+    """The canonical text of f, each term's monomial and coefficient rendered on its own."""
+    pieces = []
+    try:
+        descending = sorted(f.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        for mono, coeff in descending:
+            factors = [
+                name if e == 1 else f"{name}^{e}" for name, e in zip(f.context.variables, mono) if e
+            ]
+            pieces.append(_term_text_oracle(coeff, "*".join(factors)))
+    except ValueError:  # str() of an integer past sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        raise CoefficientError(f"a number has too many digits to print (limit {limit})") from None
+    out = "".join((" + " if sign > 0 else " - ") + body for sign, body in pieces)
+    if not out:
+        return "0"
+    return out[3:] if out[1] == "+" else "-" + out[3:]
+
+
+class _ParserOracle:
+    """The expression parser on ``Polynomial`` values: every sum, product,
+    negation and power is a ``Polynomial`` operation, and ``z@p^k`` is a
+    square-and-multiply.  The limits are checked at the library's points."""
+
+    def __init__(self, tokens, context):
+        self.tokens = tokens
+        self.pos = 0
+        self.context = context
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def fail(self, message, token=None):
+        token = token or self.peek()
+        raise ParseError(message, token.line, token.column)
+
+    def nested(self, parse):
+        tok = self.take()
+        self.depth += 1
+        if self.depth > parseio._MAX_NESTING:
+            self.fail("expression nested too deeply", tok)
+        value = parse()
+        self.depth -= 1
+        return value
+
+    def check_constants(self, value, token, monomials=None):
+        terms = value.terms
+        for mono in terms if monomials is None else monomials:
+            c = terms.get(mono)
+            limit = parseio._CONSTANT_LIMIT
+            if c is not None and any(abs(n) >= limit for n in stored_integers(c)):
+                self.refuse_constant(token)
+
+    def refuse_constant(self, token):
+        self.fail(f"a constant of more than {parseio.MAX_DIGITS} digits exceeds the limit", token)
+
+    def refuse_terms(self, token):
+        limit = parseio.MAX_TERMS
+        message = f"a product or power that could have more than {limit} terms exceeds the limit"
+        self.fail(message, token)
+
+    def parse(self):
+        value = self.expr()
+        if self.peek().kind != "end":
+            self.fail(f"unexpected {self.peek().value!r}")
+        return value
+
+    def expr(self):
+        value = self.term()
+        while self.peek().kind in ("+", "-"):
+            op = self.take().kind
+            tok = self.peek()
+            rhs = self.term()
+            value = value + rhs if op == "+" else value - rhs
+            self.check_constants(value, tok, rhs.terms)
+        return value
+
+    def term(self):
+        value = self.factor()
+        while True:
+            kind = self.peek().kind
+            if kind == "*":
+                self.take()
+            elif kind not in parseio._ATOM_STARTS:
+                return value
+            tok = self.peek()
+            rhs = self.factor()
+            if len(value.terms) * len(rhs.terms) > parseio.MAX_TERMS:
+                self.refuse_terms(tok)
+            value = value * rhs
+            self.check_constants(value, tok)
+
+    def factor(self):
+        if self.peek().kind == "-":
+            return -self.nested(self.factor)
+        return self.power()
+
+    def power(self):
+        base = self.atom()
+        if self.peek().kind == "^":
+            self.take()
+            tok = self.peek()
+            if tok.kind != "int":
+                self.fail("malformed exponent: expected a non-negative integer")
+            if tok.value > parseio.MAX_EXPONENT:
+                self.fail(f"exponent {tok.value} exceeds the limit {parseio.MAX_EXPONENT}", tok)
+            self.take()
+            base = self.power_of(base, tok)
+            if self.peek().kind == "^":
+                self.fail("malformed exponent: chained '^' is not allowed")
+        return base
+
+    def power_of(self, base, tok):
+        e = tok.value
+        t = len(base.terms)
+        if t > 1 and math.comb(t + e - 1, e) > parseio.MAX_TERMS:
+            self.refuse_terms(tok)
+        for mono in (min(base.terms), max(base.terms)) if base.terms else ():
+            c = base.terms[mono]
+            bits = max(abs(c.numerator), c.denominator).bit_length() if isinstance(c, Fraction) else 0
+            if e * (bits - 1) >= parseio._CONSTANT_LIMIT_BITS:
+                self.refuse_constant(tok)
+        power = base**e
+        self.check_constants(power, tok)
+        return power
+
+    def atom(self):
+        tok = self.peek()
+        if tok.kind == "int":
+            self.take()
+            value = Fraction(tok.value)
+            if self.peek().kind == "/":
+                self.take()
+                denom = self.peek()
+                if denom.kind != "int":
+                    self.fail("expected an integer denominator")
+                self.take()
+                if denom.value == 0:
+                    self.fail("zero denominator", denom)
+                value = Fraction(tok.value, denom.value)
+            return Polynomial.constant(self.context, value)
+        if tok.kind == "ident":
+            self.take()
+            try:
+                return Polynomial.variable(self.context, tok.value)
+            except ContextError:
+                self.fail(f"unknown identifier {tok.value!r}", tok)
+        if tok.kind == "cyclo":
+            self.take()
+            field = self.context.field
+            if not isinstance(field, CyclotomicField) or field.p != tok.value:
+                self.fail(
+                    f"field constant z@{tok.value} is not available in {field.text}",
+                    tok,
+                )
+            return Polynomial.constant(self.context, root_of_unity(tok.value, 1))
+        if tok.kind == "(":
+            value = self.nested(self.expr)
+            if self.peek().kind != ")":
+                self.fail("expected ')'")
+            self.take()
+            return value
+        self.fail("expected a number, variable, or '('")
+
+
+def parse_oracle(text, context):
+    """``parse_expression`` through ``Polynomial`` arithmetic, on the library's tokens."""
+    return _ParserOracle(parseio._lex(text), context).parse()
 
 
 def brute_force_product(factors):
@@ -348,14 +545,17 @@ def homogeneous_degree_oracle(derivation, grading):
 
 
 def refuse_large_powers(monkeypatch):
-    """Fail the test if a polynomial power past the parser's limits is computed.
+    """Fail the test if a power past the parser's limits is computed.
 
     The limits are the exponent (``MAX_EXPONENT``) and, for a base of t > 1
     terms, the C(t+n-1, n) terms its n-th power can have (``MAX_TERMS``).
+    Both routes the parser powers by are guarded: ``Polynomial.__pow__``
+    for a base of several terms and ``parseio._term_power`` for one term.
     """
     from suspensia.parseio import MAX_EXPONENT, MAX_TERMS
 
     real_pow = Polynomial.__pow__
+    real_term_power = parseio._term_power
 
     def guarded(self, n):
         assert n <= MAX_EXPONENT, f"power {n} computed"
@@ -363,7 +563,12 @@ def refuse_large_powers(monkeypatch):
         assert t < 2 or math.comb(t + n - 1, n) <= MAX_TERMS, f"power {n} of {t} terms computed"
         return real_pow(self, n)
 
+    def guarded_term(mono, coeff, n):
+        assert n <= MAX_EXPONENT, f"power {n} computed"
+        return real_term_power(mono, coeff, n)
+
     monkeypatch.setattr(Polynomial, "__pow__", guarded)
+    monkeypatch.setattr(parseio, "_term_power", guarded_term)
 
 
 class BudgetExceeded(Exception):

@@ -1,14 +1,21 @@
 """Expression round trips, error locations, and description-file loading."""
 
+import json
 import random
+import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from suspensia import (
+    CoefficientError,
     Context,
+    CyclotomicNumber,
     ParseError,
     Polynomial,
     QQ,
@@ -21,18 +28,28 @@ from suspensia import (
     load_derivation,
     parse_expression,
 )
-from suspensia.coeff import CyclotomicField, root_of_unity
+from suspensia import parseio
+from suspensia.cli import main
+from suspensia.coeff import CyclotomicField, field_from_text, root_of_unity
 from suspensia.parseio import (
     MAX_DIGITS,
     MAX_EXPONENT,
     MAX_TERMS,
     algebra_from_data,
     algebra_to_data,
+    derivation_to_data,
     dump_canonical,
     save_json,
 )
 
-from helpers import random_polynomial, refuse_large_powers, wall_clock_budget, QXY
+from helpers import (
+    QXY,
+    parse_oracle,
+    random_polynomial,
+    refuse_large_powers,
+    text_oracle,
+    wall_clock_budget,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -149,10 +166,12 @@ def test_constant_digit_limit():
 def test_constant_limit_refuses_powers_before_computing(monkeypatch):
     # (10^1000 - 1)^1000 alone takes 0.8 s and 415 kB; a rational vertex
     # coefficient of the base shows the power past the limit beforehand
-    def refuse(self, n):
-        raise AssertionError(f"power {n} computed")
+    def refuse(*args):  # the exponent is the last argument of both
+        raise AssertionError(f"power {args[-1]} computed")
 
+    # a base of several terms is raised by Polynomial.__pow__, one term by _term_power
     monkeypatch.setattr(Polynomial, "__pow__", refuse)
+    monkeypatch.setattr(parseio, "_term_power", refuse)
     nines = "9" * MAX_DIGITS
     for text in (f"({nines})^1000", f"(x + 1/{nines})^2", f"({nines}*x*y + y)^1000"):
         with pytest.raises(ParseError, match="digits exceeds the limit"):
@@ -285,6 +304,176 @@ def test_emit_load_emit_is_byte_stable(tmp_path):
     assert first == again
     assert first.endswith("\n")
     assert "\r" not in first
+
+
+@pytest.fixture(scope="module")
+def family_artifacts(tmp_path_factory):
+    """The four files build-yp writes for p = 3, 5 and 7, by p."""
+    root = tmp_path_factory.mktemp("family")
+    for p in (3, 5, 7):
+        out = str(root / f"p{p}")
+        assert main(["build-yp", "--p", str(p), "--n", str(2 * p), "--out", out]) == 0
+    return {p: root / f"p{p}" for p in (3, 5, 7)}
+
+
+@pytest.mark.parametrize("artifact", ["Xp.json", "Yp.json", "derivation.json"])
+def test_emit_load_emit_is_byte_stable_at_p5(family_artifacts, artifact):
+    # the p = 5 derivation images have coefficients with several
+    # coordinates over a common denominator, such as (-2/5 - 2/5*z@5 - ...)
+    path = family_artifacts[5] / artifact
+    if artifact == "derivation.json":
+        data = {"algebra": "Yp.json", **derivation_to_data(load_derivation(path))}
+    else:
+        data = algebra_to_data(load_algebra(path))
+    assert dump_canonical(data).encode("utf-8") == path.read_bytes()
+
+
+def _expressions(path):
+    """The context of an artifact and every expression it holds."""
+    data = json.loads(path.read_text(encoding="utf-8"))
+    if "images" in data:
+        texts = list(data["images"].values())
+        data = json.loads((path.parent / data["algebra"]).read_text(encoding="utf-8"))
+    else:
+        texts = data["relations"]
+    return Context(field_from_text(data["field"]), tuple(data["variables"])), texts
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_artifacts_parse_as_the_oracle_parses(family_artifacts, p):
+    for artifact in ("Xp.json", "Yp.json", "derivation.json"):
+        context, texts = _expressions(family_artifacts[p] / artifact)
+        for text in texts:
+            parsed = parse_expression(text, context)
+            assert list(parsed.terms.items()) == list(parse_oracle(text, context).terms.items())
+            assert parsed.text() == text
+
+
+def test_artifacts_parse_without_polynomial_arithmetic(family_artifacts, monkeypatch):
+    # sums, products, negations and powers of the family's text act on the
+    # parser's own term dicts; none goes through a Polynomial operator
+    def refuse(*args):
+        raise AssertionError("Polynomial arithmetic while parsing")
+
+    methods = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__",
+               "__pow__")
+    expected = {}
+    for artifact in ("Yp.json", "derivation.json"):
+        context, texts = _expressions(family_artifacts[5] / artifact)
+        expected[artifact] = [parse_oracle(text, context) for text in texts]
+    for method in methods:
+        monkeypatch.setattr(Polynomial, method, refuse)
+    for artifact, oracles in expected.items():
+        context, texts = _expressions(family_artifacts[5] / artifact)
+        for text, oracle in zip(texts, oracles):
+            assert list(parse_expression(text, context).terms.items()) == list(oracle.terms.items())
+
+
+_FIELDS = [QQ, CyclotomicField(3), CyclotomicField(5), CyclotomicField(7)]
+_RATIONALS = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+
+
+@st.composite
+def _polynomials(draw):
+    """A polynomial in x, y, w over Q or Q(z@p), p = 3, 5, 7.
+
+    Terms may repeat a monomial, constants and the zero polynomial occur,
+    and most Q(z@p) coordinates are 0, so rational values and roots of
+    unity are common.
+    """
+    field = draw(st.sampled_from(_FIELDS))
+    context = Context(field, ("x", "y", "w"))
+    if isinstance(field, CyclotomicField):
+        coordinate = st.one_of(st.just(0), st.just(0), st.sampled_from([1, -1]), _RATIONALS)
+        scalar = st.lists(coordinate, min_size=field.p - 1, max_size=field.p - 1).map(
+            lambda coords: CyclotomicNumber(field.p, coords)
+        )
+    else:
+        scalar = _RATIONALS
+    monomial = st.tuples(*[st.integers(0, 3)] * 3)
+    terms = draw(st.lists(st.tuples(monomial, scalar), max_size=6))
+    return Polynomial(context, dict(terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polynomials())
+def test_text_matches_the_oracle_and_parses_back(f):
+    text = f.text()
+    assert text == text_oracle(f)
+    parsed = parse_expression(text, f.context)
+    assert list(parsed.terms.items()) == list(parse_oracle(text, f.context).terms.items())
+    assert parsed == f
+
+
+def test_text_of_a_number_too_long_to_print_is_the_oracle_error():
+    digits = sys.get_int_max_str_digits() + 1
+    huge = Fraction(10**digits + 1, 3)
+    ctx5 = Context(CyclotomicField(5), ("x",))
+    for f in (
+        Polynomial.constant(QXY, huge) + Polynomial.variable(QXY, "x"),
+        Polynomial.monomial(ctx5, (2,), CyclotomicNumber(5, [0, huge, 0, 1])),
+    ):
+        with pytest.raises(CoefficientError) as ours:
+            f.text()
+        with pytest.raises(CoefficientError) as oracle:
+            text_oracle(f)
+        assert str(ours.value) == str(oracle.value)
+
+
+def _atoms(field):
+    roots = [f"z@{field.p}", f"z@{field.p}^2", f"z@{field.p}^{field.p + 1}"] if field != QQ else []
+    return ["x", "y", "w", "0", "1", "3", "5/6", "12/8"] + roots
+
+
+@st.composite
+def _texts(draw):
+    """A field and expression text for it: either well formed, by a small
+    grammar with powers, unary minus, implicit and explicit products, sums
+    and differences, or pieces joined at random, which is mostly malformed.
+
+    The random pieces add an unknown name, a foreign field constant, a zero
+    denominator and stray operators; they are joined by spaces, so a number
+    never runs into a long exponent.
+    """
+    field = draw(st.sampled_from(_FIELDS))
+    atoms = st.sampled_from(_atoms(field))
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.integers(0, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+            st.lists(inner, min_size=2, max_size=3).map("*".join),
+            st.lists(inner, min_size=2, max_size=3).map(" ".join),
+            st.lists(inner, min_size=2, max_size=4).map(" + ".join),
+            st.tuples(inner, inner).map(" - ".join),
+            inner.map(lambda text: f"-{text}"),
+        )
+
+    pieces = _atoms(field) + [
+        "q", "1/0", "2x", "x(y", "x^2", "z@5", "/", "^", "^2", "+", "-", "*", "(", "(", ")", ")",
+    ]
+    random_pieces = st.lists(st.sampled_from(pieces), max_size=16).map(" ".join)
+    return field, draw(st.one_of(st.recursive(atoms, extend, max_leaves=8), random_pieces))
+
+
+def _outcome(parse, text, context):
+    try:
+        return list(parse(text, context).terms.items())
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_texts())
+@example((QQ, f"(x + 1/{'9' * MAX_DIGITS})^2"))
+@example((CyclotomicField(5), f"({'9' * (MAX_DIGITS - 1)}*z@5)^2 - x"))
+@example((QQ, "9^1000*9^1000*x"))
+@example((QQ, "(x+y+w+1)^40"))
+@example((CyclotomicField(7), "(z@7^3)^5*x - (2*z@7)^0 + -(-x)^3 + (x - x)^0 - 0^0"))
+@example((QQ, "((" * 60 + "x" + ")" * 60))
+def test_parsers_agree_on_random_text(case):
+    field, text = case
+    context = Context(field, ("x", "y", "w"))
+    assert _outcome(parse_expression, text, context) == _outcome(parse_oracle, text, context)
 
 
 def test_derivation_loading_by_name(tmp_path):

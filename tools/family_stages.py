@@ -12,7 +12,9 @@ than an earlier one):
 * ``certify_family_lnd(p)``, which builds the forms and their products again;
 * ``_descend`` + ``build_Xp`` on the certified Yp's first relation;
 * ``lift_along_root`` of the certificate along y = u^2 (n = 2p);
-* the whole ``certify_bundle(p, 2p)``, which repeats every stage above.
+* the whole ``certify_bundle(p, 2p)``, which repeats every stage above;
+* the text ``build-yp`` writes from that bundle: ``algebra_to_data`` of Xp
+  and Yp, ``derivation_to_data``, and ``dump_canonical`` of each.
 
 ``SUSPENSIA_MAX_P`` is set to p in this process only, so a prime past the
 library's default ceiling can be timed.
@@ -43,6 +45,7 @@ def main() -> int:
 
     from suspensia import Polynomial, certify_bundle, certify_family_lnd, lift_along_root
     from suspensia.constructions import _descend, build_Xp, form_products, linear_forms
+    from suspensia.parseio import algebra_to_data, derivation_to_data, dump_canonical
 
     def stage(name, run):
         best = float("inf")
@@ -64,6 +67,16 @@ def main() -> int:
     stage("_descend + build_Xp", lambda: build_Xp(p, _descend(p, first)[1]))
     stage("lift_along_root", lambda: lift_along_root(lnd, "y", "u", 2))
     bundle = stage("certify_bundle", lambda: certify_bundle(p, 2 * p))
+
+    def artifact_texts():
+        return [dump_canonical(data) for data in (
+            algebra_to_data(bundle.Xp),
+            algebra_to_data(bundle.Yp),
+            {"algebra": "Yp.json", **derivation_to_data(bundle.derivation)},
+        )]
+
+    texts = stage("artifact text", artifact_texts)
+    print(f"{'':<26} Xp, Yp and derivation.json hold {sum(map(len, texts)):,} characters")
     return 0 if bundle.report["ok"] else 1
 
 
