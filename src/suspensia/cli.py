@@ -190,16 +190,40 @@ def _cmd_homogenize(args) -> int:
 
 
 def _parse_exponents(raw: str):
+    """The --k entries: positive integers, none past ``parseio.MAX_EXPONENT``.
+
+    Each entry is an exponent of the suspension's relation, so a larger one
+    would be written to a file that the reader refuses.
+    """
     try:
-        return tuple(_positive_int(part) for part in raw.split(","))
+        ks = tuple(_positive_int(part) for part in raw.split(","))
     except argparse.ArgumentTypeError:
         raise UsageError(f"bad exponent list {raw!r}; expected e.g. 2,3")
+    if max(ks) > parseio.MAX_EXPONENT:
+        raise UsageError(f"--k entry {max(ks)} exceeds the exponent limit {parseio.MAX_EXPONENT}")
+    return ks
+
+
+def _check_root_power(derivation, var: str, power: int) -> None:
+    """Refuse a --power that would write an exponent past ``parseio.MAX_EXPONENT``.
+
+    The lift writes var^e of the source's relations and images as
+    new^(e * power).  An unknown var is left to ``lift_along_root``.
+    """
+    algebra = derivation.algebra
+    if var not in algebra.variables:
+        return
+    polys = (*algebra.relations, *(image.rep for image in derivation.images.values()))
+    top = power * max(f.degree_in(var) for f in polys)
+    if top > parseio.MAX_EXPONENT:
+        raise UsageError(f"--power {power} would write an exponent {top} of the new variable, "
+                         f"past the limit {parseio.MAX_EXPONENT}")
 
 
 def _build_suspension(args):
+    ks = _parse_exponents(args.k)
     algebra = parseio.load_algebra(args.file)
     function = parseio.parse_expression(args.f, algebra.context)
-    ks = _parse_exponents(args.k)
     names = tuple(args.names.split(",")) if args.names else None
     return suspension.suspend(algebra, function, ks, names)
 
@@ -234,6 +258,7 @@ def _cmd_torus(args) -> int:
 
 def _cmd_lift(args) -> int:
     derivation = parseio.load_derivation(args.file, args.derivation)
+    _check_root_power(derivation, args.var, args.power)
     source = certify_lnd(derivation, args.cap)
     certificate = suspension.lift_along_root(source, args.var, args.new_var, args.power)
     lifted = certificate.derivation

@@ -43,7 +43,7 @@ from types import MappingProxyType
 
 from .algebra import AlgebraElement, Grading, GradingError, PresentedAlgebra, _Frozen
 from .coeff import _integer, stored_integers
-from .poly import ContextError, Polynomial, Substitution, _accumulate, _sum
+from .poly import Polynomial, Substitution, _accumulate, _product
 
 #: The order of the zero element (absorbing under addition of orders).
 MINUS_INFINITY = float("-inf")
@@ -209,10 +209,34 @@ class Derivation(_Frozen):
         )
 
     def leibniz_image(self, f: Polynomial) -> Polynomial:
-        """Image of a plain polynomial under the Leibniz extension (no reduction)."""
-        reps = ((name, self.images[name].rep) for name in self.algebra.variables)
-        partials = ((f.diff(name), rep) for name, rep in reps if rep.terms)
-        return _sum(self.algebra.context, (df * rep for df, rep in partials if df.terms))
+        """Image of a plain polynomial under the Leibniz extension (no reduction).
+
+        D(f) is the sum over the variables v of (df/dv) * D(v), each product
+        made in one pass and no partial derivative built as a polynomial:
+        for a v with D(v) != 0 that occurs in f, the terms c*m of f with
+        m_v > 0 become (m - e_v, c*m_v), and their pairs with the terms of
+        D(v) merge into a fresh dict.  The first nonempty product is the
+        running sum and each later one merges into it, so the terms keep the
+        order of adding the products one at a time.
+        """
+        terms = f.terms.items()
+        out = {}
+        for i, name in enumerate(self.algebra.variables):
+            image = self.images[name].rep.terms
+            if not image:
+                continue
+            lowered = {
+                m[:i] + (m[i] - 1,) + m[i + 1:]: c if m[i] == 1 else c * m[i]
+                for m, c in terms if m[i]
+            }
+            if not lowered:
+                continue
+            partial = _product(lowered, image)
+            if out:
+                _accumulate(out, partial.items())
+            else:
+                out = partial
+        return Polynomial._raw(self.algebra.context, out)
 
     def apply(self, value) -> AlgebraElement:
         a = self.algebra.element(value)
@@ -276,6 +300,11 @@ def _orbits(derivation: Derivation, cap: int):
     generator occurring in the most pending images is iterated directly,
     ties broken by variable order.  A generator resolves only when its order
     is at most ``cap``, even where the bound proves a larger order.
+
+    An orbit starts at the stored image: after x comes ``images[x]``, and D
+    is first applied to it.  Every constructor stores images as elements of
+    the algebra, so normal forms, and D(x) = D(nf x) since D is well
+    defined, also when x is reducible.  A nonzero image has U(x) >= 1.
     """
     cap = _integer(cap, 0, DerivationError, _BAD_CAP)
     algebra = derivation.algebra
@@ -301,7 +330,9 @@ def _orbits(derivation: Derivation, cap: int):
             # generators outside the image do not occur in it; weight 0
             weights = [found.get(v, 0) for v in range(len(names))]
             limit = min(limit, 1 + image.weighted_degree(weights)) if image.terms else 0
-        orbit = list(_orbit(derivation, algebra.variable(names[pick]), limit))
+        orbit = [algebra.variable(names[pick])]
+        if image.terms:
+            orbit.extend(_orbit(derivation, derivation.images[names[pick]], limit - 1))
         if len(orbit) <= cap + 1:
             found[pick] = len(orbit) - 1
             yield pick, orbit

@@ -14,7 +14,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, itemgetter
 
 from .coeff import CoefficientError, CyclotomicNumber, _integer, _integers
 from .coeff import _coefficient_text, _power, _signed_sum
@@ -293,33 +293,54 @@ class Polynomial:
             root_index = src.index(var)
             targets[root_index] = into.index(new_var)
             num, den = scale.numerator, scale.denominator
-        nv = into.nvars
-        moves = list(enumerate(targets))
+        # one gather per term: each target slot reads the source exponent that
+        # lands on it, and a slot nothing lands on reads a 0 appended to it
+        pad = src.nvars
+        order = [pad] * into.nvars
+        for i, j in enumerate(targets):
+            if j is not None and i != root_index:
+                order[j] = i
+        if root is not None:
+            slot = targets[root_index]
+            # a root onto a variable already there adds to its exponent
+            merge = order[slot] != pad
+            if not merge:
+                order[slot] = root_index
+        padded = pad in order
+        pick = itemgetter(*order) if len(order) > 1 else lambda m: tuple(m[i] for i in order)
+        # a missing variable and a stray root exponent raise in variable order
+        missing = [i for i, j in enumerate(targets) if j is None]
+        first = [i for i in missing if root_index is None or i < root_index]
+        then = [i for i in missing if i not in first]
+
+        def lost(mono, indices):
+            for i in indices:
+                if mono[i]:
+                    raise ContextError(
+                        f"variable {src.variables[i]!r} has no counterpart in the target context"
+                    )
 
         def image(mono):
-            exps = [0] * nv
-            for i, j in moves:
-                e = mono[i]
-                if e:
-                    if j is None:
-                        raise ContextError(
-                            f"variable {src.variables[i]!r} has no "
-                            "counterpart in the target context"
-                        )
-                    if i == root_index:
-                        e, stray = divmod(e * num, den)
-                        if stray:
-                            witness = monomial_text(src, mono)
-                            message = f"exponent of {var} in {witness} is not divisible by {den}"
-                            raise PowerCollapseError(message, witness)
-                    exps[j] += e
-            return tuple(exps)
+            if first:
+                lost(mono, first)
+            exps = pick(mono + (0,) if padded else mono)
+            if root_index is not None and mono[root_index]:
+                e, stray = divmod(mono[root_index] * num, den)
+                if stray:
+                    witness = monomial_text(src, mono)
+                    message = f"exponent of {var} in {witness} is not divisible by {den}"
+                    raise PowerCollapseError(message, witness)
+                exps = list(exps)
+                exps[slot] = exps[slot] + e if merge else e
+                exps = tuple(exps)
+            if then:
+                lost(mono, then)
+            return exps
 
-        pairs = ((image(m), c) for m, c in self.terms.items())
+        coeffs = self.terms.values()
         if into.field != src.field:
-            coerce = into.field.coerce
-            pairs = ((m, coerce(c)) for m, c in pairs)
-        return Polynomial._raw(into, _accumulate({}, pairs))
+            coeffs = map(into.field.coerce, coeffs)
+        return Polynomial._raw(into, _accumulate({}, zip(map(image, self.terms), coeffs)))
 
     # ------------------------------------------------------------------
     # text form

@@ -391,6 +391,21 @@ def leibniz_oracle(derivation, f):
     return out
 
 
+def orbit_oracle(derivation, name, bound):
+    """x, D x, ..., D^bound x for the generator x, D applied at every step from x's normal form.
+
+    The orbit ends at the first zero, as ``derivation._orbit`` does.
+    """
+    element = derivation.algebra.variable(name)
+    orbit = [element]
+    for _ in range(bound):
+        element = derivation.apply(element)
+        if not element:
+            break
+        orbit.append(element)
+    return orbit
+
+
 def s_polynomial_oracle(f, g, order):
     """The S-polynomial of f and g: both lead coefficients are 1 after scaling."""
     keyf = order.key_for(f.context)

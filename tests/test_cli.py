@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from suspensia import cli
 from suspensia.cli import main
-from suspensia.parseio import save_json
+from suspensia.parseio import MAX_EXPONENT, save_json
 
 import helpers
 
@@ -376,6 +376,52 @@ def test_non_positive_exponent_is_input_error(capsys):
     for command, ks in (("suspend", "0"), ("torus", "2,-1")):
         assert main([command, fixture, "--f", "x0", "--k", ks]) == 3
         assert "input error:" in capsys.readouterr().err
+
+
+def test_lift_power_is_refused_where_the_artifact_could_not_be_read(tmp_path, capsys):
+    # y^6 is the largest power of y in the Yp(3) relations and images, so
+    # the lift writes u^(6 * power): 6 * 166 = 996 reads back, 6 * 167 = 1002
+    # and 6 * 10^12 would not, and exited 0 after writing the file
+    fixture = str(FIXTURES / "yp3_derivation.json")
+    top = MAX_EXPONENT // 6
+    for power in (top + 1, 10**12):
+        out = tmp_path / f"lift{power}.json"
+        argv = ["lift", fixture, "--var", "y", "--new", "u", "--power", str(power),
+                "--out", str(out)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"input error: --power {power} would write an exponent {6 * power} "
+            f"of the new variable, past the limit {MAX_EXPONENT}\n"
+        )
+        assert not out.exists()
+    out = tmp_path / "lift.json"
+    argv = ["lift", fixture, "--var", "y", "--new", "u", "--power", str(top), "--out", str(out)]
+    assert main(argv) == 0
+    assert f"u^{6 * top}" in out.read_text()
+    assert main(["validate", str(out)]) == 0
+    assert "derivation 'lifted' ok: well defined" in capsys.readouterr().out
+
+
+def test_suspension_exponent_is_refused_where_the_artifact_could_not_be_read(tmp_path, capsys):
+    # an entry past the limit was written as y1^1001 and exited 0; torus
+    # reads --k by the same rule
+    fixture = str(FIXTURES / "yp3.json")
+    for command in ("suspend", "torus"):
+        out = tmp_path / command
+        argv = [command, fixture, "--f", "x0", "--k", f"{MAX_EXPONENT + 1},2", "--out", str(out)]
+        assert main(argv[:-2] if command == "torus" else argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"input error: --k entry {MAX_EXPONENT + 1} exceeds the "
+                                f"exponent limit {MAX_EXPONENT}\n")
+        assert not out.exists()
+    out = tmp_path / "suspension"
+    argv = ["suspend", fixture, "--f", "x0", "--k", f"{MAX_EXPONENT},2", "--out", str(out)]
+    assert main(argv) == 0
+    assert f"y1^{MAX_EXPONENT}" in (out / "suspension.json").read_text()
+    assert main(["validate", str(out / "suspension.json")]) == 0
 
 
 def _nested_algebra(tmp_path, relation):

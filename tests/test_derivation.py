@@ -1,9 +1,11 @@
 """Derivation certification: well-definedness, nilpotency, decomposition, exp."""
 
 import dataclasses
+import functools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 from types import MappingProxyType, SimpleNamespace
 
 import pytest
@@ -28,11 +30,14 @@ from suspensia import (
     build_vandermonde_lnd,
     certify_lnd,
     decompose,
+    elimination,
     exp,
+    grevlex,
     homogeneous_degree,
     homogenize_lnd,
     identity_morphism,
     is_diagonal_semisimple,
+    lex,
     lift_along_root,
     lift_lnd,
     new_derivation,
@@ -40,9 +45,10 @@ from suspensia import (
     parse_expression,
     zero_derivation,
 )
-from suspensia import poly
-from suspensia.coeff import root_of_unity
+from suspensia import parseio, poly
+from suspensia.coeff import CyclotomicField, root_of_unity
 from suspensia.constructions import yp_weight_row
+from suspensia.derivation import _orbits
 
 from helpers import nonzero_random_polynomial, random_polynomial
 
@@ -167,18 +173,19 @@ def test_certify_cap_boundary_vandermonde():
 
 
 @st.composite
-def _random_free_derivations(draw, triangular=None):
-    """A derivation of Q[x0..x(n-1)], n in {3, 4}, with a cap in 0..8.
+def _random_free_derivations(draw, triangular=None, field=QQ):
+    """A derivation of field[x0..x(n-1)], n in {3, 4}, with a cap in 0..8.
 
     Unless ``triangular`` is given, most draws are triangular (x_i's image
     only mentions x_j with j < i); the rest may mention any generator, which
-    gives cycles and self-loops.
+    gives cycles and self-loops.  Over Q(z@p) each coefficient is an integer
+    times a root of unity.
     """
     n = draw(st.integers(min_value=3, max_value=4))
     if triangular is None:
         triangular = draw(st.integers(min_value=0, max_value=3)) > 0
     names = tuple(f"x{i}" for i in range(n))
-    context = Context(QQ, names)
+    context = Context(field, names)
     images = {}
     for i, name in enumerate(names):
         allowed = range(i) if triangular else range(n)
@@ -189,6 +196,8 @@ def _random_free_derivations(draw, triangular=None):
                 if allowed:
                     mono[draw(st.sampled_from(allowed))] += 1
             coeff = draw(st.integers(min_value=-3, max_value=3).filter(bool))
+            if field != QQ:
+                coeff = coeff * root_of_unity(field.p, draw(st.integers(1, field.p)))
             terms[tuple(mono)] = coeff
         images[name] = Polynomial(context, terms)
     algebra = PresentedAlgebra(context, [])
@@ -230,7 +239,9 @@ def test_certify_zero_derivation():
 
 
 def test_zero_image_needs_no_application(monkeypatch):
-    # U(x) = 0 when D(x) = 0: order 0 is read off the image, D is never applied
+    # U(x) = 0 when D(x) = 0: order 0 is read off the image.  The orbit of y
+    # starts at the stored image D(y) = x, and U(y) = 1 stops it there, so D
+    # is never applied
     from suspensia.derivation import Derivation
 
     applied = []
@@ -238,7 +249,28 @@ def test_zero_image_needs_no_application(monkeypatch):
     monkeypatch.setattr(Derivation, "apply", lambda d, v: applied.append(v) or apply(d, v))
     certificate = certify_lnd(D(free_xy(), x="0", y="x"), 4)
     assert certificate.orders == {"x": 0, "y": 1}
-    assert len(applied) == 1
+    assert applied == []
+
+
+def test_yp3_application_counts(monkeypatch):
+    # y and w have image 0.  z breaks the x_j <-> z cycle and is iterated
+    # from its stored image D(z) to D^2(z) = 0, and each x_j from D(x_j) to
+    # its bound U(x_j) = 2: one application each, 4 in all, where computing
+    # each D(x) again made 8.  exp iterates the same orbits; compose pushes
+    # each of the six images of exp(D/2) along its own orbit
+    fixture = Path(__file__).parent / "fixtures" / "yp3_derivation.json"
+    derivation = parseio.load_derivation(fixture)
+    applied = []
+    apply = Derivation.apply
+    monkeypatch.setattr(Derivation, "apply", lambda d, v: applied.append(v) or apply(d, v))
+    assert certify_lnd(derivation).orders == {"x0": 2, "x1": 2, "x2": 2, "y": 0, "z": 1, "w": 0}
+    assert len(applied) == 4
+    applied.clear()
+    half = exp(derivation, Fraction(1, 2))
+    assert len(applied) == 4
+    applied.clear()
+    half.compose(half)
+    assert len(applied) == 11
 
 
 def test_degree_function_laws_partial_derivative():
@@ -832,3 +864,85 @@ def test_exp_matches_direct_series(case, t):
             expected = expected + term * (t ** j / math.factorial(j))
             term = derivation.apply(term)
         assert morphism.images[name] == expected, name
+
+
+# ----------------------------------------------------------------------
+# orbits start at the stored images
+
+
+def _check_orbits_against_the_oracle(derivation, cap, t):
+    """``_orbits``, ``certify_lnd`` and exp(tD) agree with orbits iterated from each generator.
+
+    The oracle applies D from the generator's normal form until a zero, or
+    cap + 1 times, so it finds every order up to ``cap`` without the bound
+    ``_orbits`` stops at.
+    """
+    algebra = derivation.algebra
+    names = algebra.variables
+    oracles = {name: helpers.orbit_oracle(derivation, name, cap + 1) for name in names}
+    orders = {}
+    for i, orbit in _orbits(derivation, cap):
+        oracle = oracles[names[i]]
+        if len(oracle) > cap + 1:
+            assert orbit is None, names[i]
+        else:
+            assert orbit == oracle, names[i]
+            orders[names[i]] = len(oracle) - 1
+    certificate = certify_lnd(derivation, cap)
+    assert dict(certificate.orders) == orders
+    if not certificate.certified:
+        with pytest.raises(InconclusiveError):
+            exp(derivation, t, cap)
+        return
+    images = exp(derivation, t, cap).images
+    for name, oracle in oracles.items():
+        series, scalar = algebra.zero(), Fraction(1)
+        for k, element in enumerate(oracle):
+            if k:
+                scalar = scalar * t / k
+            series = series + element * scalar
+        assert images[name] == series, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((QQ, CyclotomicField(3))).flatmap(
+        lambda field: _random_free_derivations(triangular=True, field=field)
+    ),
+    st.sampled_from(_T_VALUES[:4]),
+)
+def test_orbits_of_triangular_derivations_match_the_oracle(case, t):
+    derivation, cap = case
+    _check_orbits_against_the_oracle(derivation, cap, t)
+
+
+@functools.cache
+def _orbit_cases():
+    """Derivations whose orbits start at images stored by each route."""
+    yp3 = build_vandermonde_lnd(3)
+    algebra = yp3.algebra
+    assert algebra.order == elimination("z")
+    by_grevlex = PresentedAlgebra(algebra.context, algebra.relations, order=grevlex())
+    images = {name: image.rep for name, image in yp3.images.items()}
+    # x is reducible: its normal form is y^2, and D(x) = 2*y is stored as given
+    parabola_context = Context(QQ, ("x", "y"))
+    parabola = PresentedAlgebra(parabola_context, [parse_expression("x - y^2", parabola_context)],
+                                order=lex())
+    assert parabola.variable("x").rep == parse_expression("y^2", parabola_context)
+    return {
+        "Yp(3) elimination(z)": yp3,
+        "Yp(3) grevlex": new_derivation(by_grevlex, images),
+        "Yp(3) lifted along y = u^2": lift_along_root(certify_lnd(yp3), "y", "u", 2).derivation,
+        "parabola": D(parabola, x="2*y", y="1"),
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(("Yp(3) elimination(z)", "Yp(3) grevlex", "Yp(3) lifted along y = u^2",
+                     "parabola")),
+    st.integers(min_value=0, max_value=4),
+    st.sampled_from(_T_VALUES[:4]),
+)
+def test_orbits_from_stored_images_match_the_oracle(name, cap, t):
+    _check_orbits_against_the_oracle(_orbit_cases()[name], cap, t)

@@ -141,6 +141,18 @@ def test_collapse_power_divisibility_failure():
     assert str(info.value) == "exponent of y in y^3 is not divisible by 2"
 
 
+def test_convert_refuses_the_first_offending_variable():
+    # x has no counterpart in the target and y^3 does not collapse: the
+    # variable earlier in the source's order decides which error is raised
+    target = Context(QQ, ("s",))
+    root = ("y", "s", Fraction(1, 2))
+    with pytest.raises(ContextError, match="variable 'x' has no counterpart"):
+        P("x*y^3", QXY).convert(target, root)
+    with pytest.raises(PowerCollapseError) as info:
+        P("x*y^3", Context(QQ, ("y", "x"))).convert(target, root)
+    assert info.value.witness == "y^3*x"
+
+
 def test_root_scale_must_be_positive():
     ctx = Context(QQ, ("x", "y"))
     with pytest.raises(ValueError, match="root scale must be positive"):
@@ -315,6 +327,20 @@ def test_sums_match_the_merge_loop_oracles(seed, field):
     if f and g:
         order = grevlex()
         assert_same_terms(s_polynomial(f, g, order), s_polynomial_oracle(f, g, order))
+
+
+def test_leibniz_image_adds_the_products_one_at_a_time():
+    # D(f) = 2y*(-x - y) + (2x + 2y)*(y + 2x).  The second product's first
+    # pair 2x*y cancels the first product's -2x*y, and its last pair 2y*2x
+    # brings x*y back: summed on its own first, the second product leaves
+    # x*y in place, ahead of x^2, where one dict fed by both would not
+    x, y = (1, 0), (0, 1)
+    f = Polynomial(QXY, {(1, 1): 2, (0, 2): 1})
+    images = {"x": Polynomial(QXY, {x: -1, y: -1}), "y": Polynomial(QXY, {y: 1, x: 2})}
+    derivation = new_derivation(PresentedAlgebra(QXY, []), images)
+    image = derivation.leibniz_image(f)
+    assert list(image.terms) == [(1, 1), (2, 0)]
+    assert_same_terms(image, leibniz_oracle(derivation, f))
 
 
 def _summing_calls():
