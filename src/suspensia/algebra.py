@@ -198,7 +198,7 @@ class AlgebraElement(_Frozen):
         return self.rep == other.rep
 
     def __bool__(self):
-        return bool(self.rep.terms)
+        return bool(self.rep)
 
     def __str__(self):
         return self.rep.text()
@@ -263,7 +263,7 @@ class Grading:
     def degree(self, value) -> tuple:
         """The multidegree of a homogeneous element; raises if inhomogeneous."""
         rep = value.rep if isinstance(value, AlgebraElement) else value
-        if not rep.terms:
+        if not rep:
             raise ValueError("the zero element has no degree")
         out = []
         for weights in self.matrix:

@@ -144,7 +144,7 @@ def _is_rational(num: tuple) -> bool:
 class CyclotomicNumber:
     """Element of the field Q(z) with z a primitive p-th root of unity."""
 
-    __slots__ = ("p", "_num", "_den")
+    __slots__ = ("_p", "_num", "_den")
 
     def __init__(self, p: int, coeffs) -> None:
         p = CyclotomicField(p).p
@@ -155,9 +155,14 @@ class CyclotomicNumber:
             )
         # the lcm of reduced denominators leaves no common factor behind
         den = lcm(*(c.denominator for c in coeffs))
-        self.p = p
+        self._p = p
         self._num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
         self._den = den
+
+    @property
+    def p(self) -> int:
+        """The prime order of the root of unity z."""
+        return self._p
 
     @property
     def coeffs(self) -> tuple:
@@ -171,25 +176,25 @@ class CyclotomicNumber:
 
     def _coerce(self, other):
         if isinstance(other, CyclotomicNumber):
-            if other.p != self.p:
+            if other._p != self._p:
                 raise CoefficientError(
-                    f"mixed cyclotomic orders {self.p} and {other.p}"
+                    f"mixed cyclotomic orders {self._p} and {other._p}"
                 )
             return other
         if isinstance(other, int):
-            return _rational(self.p, other, 1)
+            return _rational(self._p, other, 1)
         if isinstance(other, Fraction):
-            return _rational(self.p, other.numerator, other.denominator)
+            return _rational(self._p, other.numerator, other.denominator)
         return None
 
     def _scale(self, n: int, d: int) -> CyclotomicNumber:
         """Multiply by the rational n/d (d > 0)."""
         if not n:
-            return _rational(self.p, 0, 1)
+            return _rational(self._p, 0, 1)
         if n == 1 and d == 1:
             return self
         num = self._num if n == 1 else tuple(map(mul, self._num, repeat(n)))
-        return _reduced(self.p, num, self._den * d)
+        return _reduced(self._p, num, self._den * d)
 
     def _combine(self, other, op):
         """Apply op (add or sub) coordinatewise over a common denominator."""
@@ -199,9 +204,9 @@ class CyclotomicNumber:
         a, b = self._num, other._num
         da, db = self._den, other._den
         if da == db:
-            return _reduced(self.p, tuple(map(op, a, b)), da)
+            return _reduced(self._p, tuple(map(op, a, b)), da)
         num = tuple(map(op, map(mul, a, repeat(db)), map(mul, b, repeat(da))))
-        return _reduced(self.p, num, da * db)
+        return _reduced(self._p, num, da * db)
 
     def __add__(self, other):
         return self._combine(other, add)
@@ -218,7 +223,7 @@ class CyclotomicNumber:
         return other - self
 
     def __neg__(self):
-        return _new(self.p, tuple(-x for x in self._num), self._den)
+        return _new(self._p, tuple(-x for x in self._num), self._den)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -233,12 +238,12 @@ class CyclotomicNumber:
             return self._scale(b[0], other._den)
         if _is_rational(a):
             return other._scale(a[0], self._den)
-        return _reduced(self.p, _convolve(self.p, a, b), self._den * other._den)
+        return _reduced(self._p, _convolve(self._p, a, b), self._den * other._den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> CyclotomicNumber:
-        p, a = self.p, self._num
+        p, a = self._p, self._num
         if not any(a):
             raise CoefficientError("division by zero")
         if _is_rational(a):
@@ -269,12 +274,12 @@ class CyclotomicNumber:
         if ints is None:
             return NotImplemented
         base, n = (self, ints[0]) if ints[0] >= 0 else (self.inverse(), -ints[0])
-        return _power(base, n, _rational(self.p, 1, 1))
+        return _power(base, n, _rational(self._p, 1, 1))
 
     def __eq__(self, other):
         if isinstance(other, CyclotomicNumber):
             return (
-                self.p == other.p
+                self._p == other._p
                 and self._den == other._den
                 and self._num == other._num
             )
@@ -291,7 +296,7 @@ class CyclotomicNumber:
     def __hash__(self):
         if _is_rational(self._num):
             return hash(Fraction(self._num[0], self._den))
-        return hash((self.p, self._num, self._den))
+        return hash((self._p, self._num, self._den))
 
     def __bool__(self):
         return any(self._num)
@@ -305,10 +310,10 @@ class CyclotomicNumber:
         return Fraction(self._num[0], self._den)
 
     def __str__(self) -> str:
-        return _cyclotomic_text(self.p, self._num, self._den)
+        return _cyclotomic_text(self._p, self._num, self._den)
 
     def __repr__(self):
-        return f"CyclotomicNumber({self.p}, {self})"
+        return f"CyclotomicNumber({self._p}, {self})"
 
 
 # --- text: one renderer for signed sums of terms ---------------------------
@@ -343,7 +348,7 @@ def _coefficient_text(c) -> tuple:
     if isinstance(c, CyclotomicNumber):
         num, den = c._num, c._den
         if not _is_rational(num):
-            return (1, f"({_cyclotomic_text(c.p, num, den)})")
+            return (1, f"({_cyclotomic_text(c._p, num, den)})")
         return _rational_text(num[0], den)
     return _rational_text(c.numerator, c.denominator)
 
@@ -362,7 +367,7 @@ def _signed_sum(terms) -> str:
 def _new(p: int, num: tuple, den: int) -> CyclotomicNumber:
     """Wrap numerators and a denominator that already satisfy the invariant."""
     value = object.__new__(CyclotomicNumber)
-    value.p = p
+    value._p = p
     value._num = num
     value._den = den
     return value
@@ -385,7 +390,7 @@ def _rational(p: int, n: int, d: int) -> CyclotomicNumber:
 
 def _root_exponent(c, p: int) -> int | None:
     """k when c is the root power z^k of Q(z@p), 0 <= k < p; else None."""
-    if not isinstance(c, CyclotomicNumber) or c.p != p or c._den != 1:
+    if not isinstance(c, CyclotomicNumber) or c._p != p or c._den != 1:
         return None
     num = c._num
     if num.count(1) == 1 and num.count(0) == p - 2:
@@ -444,7 +449,7 @@ class CyclotomicField:
 
     def coerce(self, value) -> CyclotomicNumber:
         if isinstance(value, CyclotomicNumber):
-            if value.p != self.p:
+            if value._p != self.p:
                 raise CoefficientError(
                     f"cyclotomic order {value.p} does not match field order {self.p}"
                 )

@@ -43,7 +43,7 @@ from types import MappingProxyType
 
 from .algebra import AlgebraElement, Grading, GradingError, PresentedAlgebra, _Frozen
 from .coeff import _integer, stored_integers
-from .poly import Polynomial, Substitution, _accumulate, _product
+from .poly import Polynomial, Substitution, _accumulate, _leibniz
 
 #: The order of the zero element (absorbing under addition of orders).
 MINUS_INFINITY = float("-inf")
@@ -87,11 +87,11 @@ class RelationCheck:
 
     @property
     def identically_zero(self) -> bool:
-        return not self.image.terms
+        return not self.image
 
     @property
     def ok(self) -> bool:
-        return not self.normal_form.terms
+        return not self.normal_form
 
     def to_json(self) -> dict:
         return {
@@ -193,7 +193,7 @@ class Derivation(_Frozen):
         for r in algebra.relations:
             raw = self.leibniz_image(r)
             nf = algebra.normal_form(raw)
-            if nf.terms:
+            if nf:
                 raise NotWellDefinedError(
                     f"image of relation {r.text()} is not in the ideal (normal form: {nf.text()})",
                     r, nf,
@@ -212,31 +212,10 @@ class Derivation(_Frozen):
         """Image of a plain polynomial under the Leibniz extension (no reduction).
 
         D(f) is the sum over the variables v of (df/dv) * D(v), each product
-        made in one pass and no partial derivative built as a polynomial:
-        for a v with D(v) != 0 that occurs in f, the terms c*m of f with
-        m_v > 0 become (m - e_v, c*m_v), and their pairs with the terms of
-        D(v) merge into a fresh dict.  The first nonempty product is the
-        running sum and each later one merges into it, so the terms keep the
-        order of adding the products one at a time.
+        made in one pass by ``poly._leibniz``.
         """
-        terms = f.terms.items()
-        out = {}
-        for i, name in enumerate(self.algebra.variables):
-            image = self.images[name].rep.terms
-            if not image:
-                continue
-            lowered = {
-                m[:i] + (m[i] - 1,) + m[i + 1:]: c if m[i] == 1 else c * m[i]
-                for m, c in terms if m[i]
-            }
-            if not lowered:
-                continue
-            partial = _product(lowered, image)
-            if out:
-                _accumulate(out, partial.items())
-            else:
-                out = partial
-        return Polynomial._raw(self.algebra.context, out)
+        algebra, images = self.algebra, self.images
+        return _leibniz(algebra.context, f, [images[name].rep for name in algebra.variables])
 
     def apply(self, value) -> AlgebraElement:
         a = self.algebra.element(value)
@@ -329,9 +308,9 @@ def _orbits(derivation: Derivation, cap: int):
         if bounded:
             # generators outside the image do not occur in it; weight 0
             weights = [found.get(v, 0) for v in range(len(names))]
-            limit = min(limit, 1 + image.weighted_degree(weights)) if image.terms else 0
+            limit = min(limit, 1 + image.weighted_degree(weights)) if image else 0
         orbit = [algebra.variable(names[pick])]
-        if image.terms:
+        if image:
             orbit.extend(_orbit(derivation, derivation.images[names[pick]], limit - 1))
         if len(orbit) <= cap + 1:
             found[pick] = len(orbit) - 1
@@ -466,13 +445,13 @@ def is_diagonal_semisimple(derivation: Derivation):
     weights = []
     for name in algebra.variables:
         img = derivation.images[name].rep
-        if not img.terms:
+        if not img:
             weights.append(algebra.field.zero)
             continue
         # a generator in the ideal has image 0 (D is well defined), so gen is nonzero
         gen = algebra.variable(name).rep
         lead = next(iter(gen.terms))
-        scale = img.coefficient(lead) / gen.terms[lead]
+        scale = img.coefficient(lead) / gen.coefficient(lead)
         if img != gen * scale:
             return None
         weights.append(scale)
@@ -504,7 +483,7 @@ class AlgebraMorphism(_Frozen):
         substitute = self._substitution()
         for r in source.relations:
             nf = target.normal_form(substitute(r))
-            if nf.terms:
+            if nf:
                 raise MorphismError(f"relation {r.text()} maps to nonzero {nf.text()}")
 
     @classmethod
@@ -603,7 +582,7 @@ def _series(field, orbit, t) -> Polynomial:
     first = next(terms).rep
     if not t:
         return first
-    out = dict(first.terms)
+    out = first.terms.copy()
     scalar = field.one
     for k, term in enumerate(terms, 1):
         scalar = scalar * t * Fraction(1, k)

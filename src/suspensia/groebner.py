@@ -167,7 +167,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     if f.context != g.context:
         raise ContextError("polynomials from different contexts")
     keyf = order.key_for(f.context)
-    terms = _s_poly_terms(_Reducer(f.terms, keyf), _Reducer(g.terms, keyf))
+    terms = _s_poly_terms(_Reducer(f._terms, keyf), _Reducer(g._terms, keyf))
     return Polynomial._raw(f.context, terms)
 
 
@@ -196,18 +196,18 @@ class GroebnerBasis:
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         """The unique remainder of f against this basis."""
-        if f.context != self.context:
+        if f._context != self.context:
             raise ContextError("polynomial does not live in the basis context")
         if not self._reducers:
             return f
-        terms = _reduce_terms(f.terms, self._reducers, self._key)
-        return f if terms is f.terms else Polynomial._raw(self.context, terms)
+        terms = _reduce_terms(f._terms, self._reducers, self._key)
+        return f if terms is f._terms else Polynomial._raw(self.context, terms)
 
     def is_member(self, f: Polynomial) -> bool:
-        return not self.normal_form(f).terms
+        return not self.normal_form(f)
 
     def is_unit_ideal(self) -> bool:
-        return any(g.is_constant() and g.terms for g in self.generators)
+        return any(g and g.is_constant() for g in self.generators)
 
 
 def buchberger(
@@ -224,7 +224,7 @@ def buchberger(
         if g.context != context:
             raise ContextError("generators from different contexts")
     keyf = order.key_for(context)
-    basis = [_Reducer(g.terms, keyf) for g in generators if g.terms]
+    basis = [_Reducer(g._terms, keyf) for g in generators if g]
 
     def lcm_of(i, j):
         return tuple(map(max, basis[i].lm, basis[j].lm))
@@ -305,9 +305,9 @@ def eliminate(basis: GroebnerBasis, drop) -> GroebnerBasis:
     new_ctx = Context(basis.context.field, kept)
     keyf = grevlex().key_for(new_ctx)
     reducers = [
-        _Reducer(g.convert(new_ctx).terms, keyf)
+        _Reducer(g.convert(new_ctx)._terms, keyf)
         for g in basis.generators
-        if all(m[i] == 0 for m in g.terms for i in drop_idx)
+        if all(m[i] == 0 for m in g._terms for i in drop_idx)
     ]
     reducers.sort(key=lambda r: keyf(r.lm))
     return GroebnerBasis(new_ctx, grevlex(), tuple(reducers), keyf)

@@ -286,7 +286,7 @@ class _Parser:
         if t == 1:
             power = _term_power(*next(iter(base.items())), e)
         else:
-            power = (Polynomial._raw(self.context, base) ** e).terms
+            power = (Polynomial._raw(self.context, base) ** e).terms.copy()
         self.check_constants(power, tok)
         return power
 

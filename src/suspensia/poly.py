@@ -5,7 +5,11 @@ context variable) to nonzero coefficients.  The canonical text form uses
 ``^`` for powers and ``*`` between factors, with terms in graded-lex order;
 it is exactly the format the expression parser reads back.
 
-Polynomials are immutable by convention; all operations return new values.
+Polynomials are immutable, and all operations return new values.  The term
+dict sits in a private slot that only this module and ``groebner`` read;
+``context`` and ``terms`` are read-only properties, and ``terms`` is a
+read-only mapping over that dict (``dict(p.terms)`` gives a copy).  The
+Leibniz rule's term loop, ``_leibniz``, lives here for that reason.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, itemgetter
+from types import MappingProxyType
 
 from .coeff import CoefficientError, CyclotomicNumber, _integer, _integers
 from .coeff import _coefficient_text, _power, _signed_sum
@@ -90,19 +95,28 @@ def _gradedlex_key(mono):
 
 
 class Polynomial:
-    __slots__ = ("context", "terms")
+    __slots__ = ("_context", "_terms")
 
     def __init__(self, context: Context, terms=None):
-        self.context = context
-        self.terms = _accumulate({}, _checked_pairs(context, terms) if terms else ())
+        self._context = context
+        self._terms = _accumulate({}, _checked_pairs(context, terms) if terms else ())
 
     @classmethod
     def _raw(cls, context: Context, terms: dict) -> Polynomial:
         # trusted constructor: terms already canonical for this context
         poly = object.__new__(cls)
-        poly.context = context
-        poly.terms = terms
+        poly._context = context
+        poly._terms = terms
         return poly
+
+    @property
+    def context(self) -> Context:
+        return self._context
+
+    @property
+    def terms(self) -> MappingProxyType:
+        """The terms, exponent tuple -> nonzero coefficient, as a read-only mapping."""
+        return MappingProxyType(self._terms)
 
     @classmethod
     def zero(cls, context: Context) -> Polynomial:
@@ -140,18 +154,18 @@ class Polynomial:
 
     def _operand(self, other):
         if isinstance(other, Polynomial):
-            if other.context != self.context:
+            if other._context != self._context:
                 raise ContextError("polynomials from different contexts")
             return other
         if isinstance(other, (int, Fraction, CyclotomicNumber)):
-            return Polynomial.constant(self.context, other)
+            return Polynomial.constant(self._context, other)
         return None
 
     def __add__(self, other):
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        return Polynomial._raw(self.context, _accumulate(dict(self.terms), other.terms.items()))
+        return Polynomial._raw(self._context, _accumulate(dict(self._terms), other._terms.items()))
 
     __radd__ = __add__
 
@@ -159,8 +173,8 @@ class Polynomial:
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        negated = ((m, -c) for m, c in other.terms.items())
-        return Polynomial._raw(self.context, _accumulate(dict(self.terms), negated))
+        negated = ((m, -c) for m, c in other._terms.items())
+        return Polynomial._raw(self._context, _accumulate(dict(self._terms), negated))
 
     def __rsub__(self, other):
         other = self._operand(other)
@@ -170,51 +184,51 @@ class Polynomial:
 
     def __neg__(self):
         return Polynomial._raw(
-            self.context, {m: -c for m, c in self.terms.items()}
+            self._context, {m: -c for m, c in self._terms.items()}
         )
 
     def __mul__(self, other):
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        return Polynomial._raw(self.context, _product(self.terms, other.terms))
+        return Polynomial._raw(self._context, _product(self._terms, other._terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         n = _integer(n, 0, ValueError, "polynomial power must be a non-negative integer")
-        return _power(self, n, Polynomial.one(self.context))
+        return _power(self, n, Polynomial.one(self._context))
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
-            return self.context == other.context and self.terms == other.terms
+            return self._context == other._context and self._terms == other._terms
         if isinstance(other, (int, Fraction, CyclotomicNumber)):
             other = self._operand(other)
-            return self.terms == other.terms
+            return self._terms == other._terms
         return NotImplemented
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     # ------------------------------------------------------------------
     # structure queries
 
     def is_constant(self) -> bool:
-        return all(not any(m) for m in self.terms)
+        return all(not any(m) for m in self._terms)
 
     def constant_value(self):
-        if not self.terms:
-            return self.context.field.zero
+        if not self._terms:
+            return self._context.field.zero
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self.text()}")
-        return next(iter(self.terms.values()))
+        return next(iter(self._terms.values()))
 
     def degree_in(self, name: str) -> int:
-        i = self.context.index(name)
-        return max((m[i] for m in self.terms), default=0)
+        i = self._context.index(name)
+        return max((m[i] for m in self._terms), default=0)
 
     def coefficient(self, mono):
-        return self.terms.get(tuple(mono), self.context.field.zero)
+        return self._terms.get(tuple(mono), self._context.field.zero)
 
     def diff(self, name: str) -> Polynomial:
         """Formal partial derivative with respect to one variable.
@@ -222,10 +236,10 @@ class Polynomial:
         Lowering one exponent is injective and c*e != 0 over a field of
         characteristic 0, so no two terms merge and none cancels.
         """
-        i = self.context.index(name)
-        return Polynomial._raw(self.context, {
+        i = self._context.index(name)
+        return Polynomial._raw(self._context, {
             mono[:i] + (mono[i] - 1,) + mono[i + 1:]: coeff * mono[i]
-            for mono, coeff in self.terms.items() if mono[i]
+            for mono, coeff in self._terms.items() if mono[i]
         })
 
     # ------------------------------------------------------------------
@@ -235,28 +249,28 @@ class Polynomial:
         weights = _integers(weights)
         if weights is None:
             raise ContextError("weights must be integers")
-        if len(weights) != self.context.nvars:
+        if len(weights) != self._context.nvars:
             raise ContextError(
                 f"weight vector length {len(weights)} does not match "
-                f"{self.context.nvars} variables"
+                f"{self._context.nvars} variables"
             )
         return weights
 
     def weighted_degree(self, weights):
         """Max weight of the monomials, or None for the zero polynomial."""
         weights = self._check_weights(weights)
-        if not self.terms:
+        if not self._terms:
             return None
-        return max(monomial_weight(m, weights) for m in self.terms)
+        return max(monomial_weight(m, weights) for m in self._terms)
 
     def weighted_components(self, weights) -> dict:
         """Split into weight-homogeneous parts, keyed by weighted degree."""
         weights = self._check_weights(weights)
         buckets = {}
-        for mono, coeff in self.terms.items():
+        for mono, coeff in self._terms.items():
             buckets.setdefault(monomial_weight(mono, weights), {})[mono] = coeff
         return {
-            deg: Polynomial._raw(self.context, part)
+            deg: Polynomial._raw(self._context, part)
             for deg, part in sorted(buckets.items())
         }
 
@@ -268,8 +282,8 @@ class Polynomial:
 
         Unbound variables must exist (by name) in the target context.
         """
-        target = into if into is not None else self.context
-        return Substitution(self.context, bindings, target)(self)
+        target = into if into is not None else self._context
+        return Substitution(self._context, bindings, target)(self)
 
     def convert(self, into: Context, root: tuple | None = None) -> Polynomial:
         """Reinterpret in another context, mapping variables by name.
@@ -283,7 +297,7 @@ class Polynomial:
         and scale 1/k collapses var^k to new_var.  A monomial whose e*scale
         is not an integer raises ``PowerCollapseError`` with it as witness.
         """
-        src = self.context
+        src = self._context
         targets = [into.index(n) if n in into.variables else None for n in src.variables]
         root_index, num, den = None, 1, 1
         if root is not None:
@@ -337,10 +351,10 @@ class Polynomial:
                 lost(mono, then)
             return exps
 
-        coeffs = self.terms.values()
+        coeffs = self._terms.values()
         if into.field != src.field:
             coeffs = map(into.field.coerce, coeffs)
-        return Polynomial._raw(into, _accumulate({}, zip(map(image, self.terms), coeffs)))
+        return Polynomial._raw(into, _accumulate({}, zip(map(image, self._terms), coeffs)))
 
     # ------------------------------------------------------------------
     # text form
@@ -348,7 +362,7 @@ class Polynomial:
     def sorted_terms(self):
         """Terms in canonical (graded-lex, descending) order."""
         return sorted(
-            self.terms.items(), key=lambda kv: _gradedlex_key(kv[0]), reverse=True
+            self._terms.items(), key=lambda kv: _gradedlex_key(kv[0]), reverse=True
         )
 
     def text(self) -> str:
@@ -358,8 +372,8 @@ class Polynomial:
         is rendered once; a Q(z@p) coefficient is looked up by its stored
         integers.
         """
-        terms = self.terms
-        names = self.context.variables
+        terms = self._terms
+        names = self._context.variables
         powers = [{1: name} for name in names]
         coefficients = {}
         pieces = []
@@ -410,7 +424,7 @@ class Substitution:
         for name in source.variables:
             if name in bindings:
                 g = bindings[name]
-                if not isinstance(g, Polynomial) or g.context != target:
+                if not isinstance(g, Polynomial) or g._context != target:
                     raise ContextError(f"binding for {name!r} is not in the target context")
                 images.append(g)
             else:
@@ -427,9 +441,9 @@ class Substitution:
         return power
 
     def __call__(self, f: Polynomial) -> Polynomial:
-        if f.context != self.source:
+        if f._context != self.source:
             raise ContextError("polynomial is not in the source context of the substitution")
-        return _sum(self.target, (self._term(mono, coeff) for mono, coeff in f.terms.items()))
+        return _sum(self.target, (self._term(mono, coeff) for mono, coeff in f._terms.items()))
 
     def _term(self, mono, coeff) -> Polynomial:
         term = Polynomial.constant(self.target, coeff)
@@ -444,8 +458,8 @@ def _accumulate(out: dict, pairs) -> dict:
 
     The one loop that adds a coefficient into a term dict.  Every incoming
     coefficient must be nonzero, so only a collision can cancel, and a sum
-    that cancels is dropped.  ``out`` is mutated: pass a fresh dict, never a
-    polynomial's own ``terms``.
+    that cancels is dropped.  ``out`` is mutated: pass a dict that no
+    polynomial holds yet; a polynomial's stored terms are never written.
     """
     get = out.get
     for mono, coeff in pairs:
@@ -473,7 +487,37 @@ def _sum(context: Context, polys) -> Polynomial:
     """The sum of polynomials of one context, accumulated into one dict."""
     out = {}
     for f in polys:
-        _accumulate(out, f.terms.items())
+        _accumulate(out, f._terms.items())
+    return Polynomial._raw(context, out)
+
+
+def _leibniz(context: Context, f: Polynomial, images) -> Polynomial:
+    """The sum over the variables v of (df/dv) * images[v], images in variable order.
+
+    Each product is made in one pass and no partial derivative is built as
+    a polynomial: for a v with images[v] != 0 that occurs in f, the terms
+    c*m of f with m_v > 0 become (m - e_v, c*m_v), and their pairs with the
+    terms of images[v] merge into a fresh dict.  The first nonempty product
+    is the running sum and each later one merges into it, so the terms keep
+    the order of adding the products one at a time.
+    """
+    terms = f._terms.items()
+    out = {}
+    for i, image in enumerate(images):
+        image = image._terms
+        if not image:
+            continue
+        lowered = {
+            m[:i] + (m[i] - 1,) + m[i + 1:]: c if m[i] == 1 else c * m[i]
+            for m, c in terms if m[i]
+        }
+        if not lowered:
+            continue
+        partial = _product(lowered, image)
+        if out:
+            _accumulate(out, partial.items())
+        else:
+            out = partial
     return Polynomial._raw(context, out)
 
 

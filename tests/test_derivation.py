@@ -811,6 +811,11 @@ FORGERIES = {
     "algebra deletion": lambda v: delattr(v.plane, "basis"),
     "element rep": lambda v: setattr(v.zero.images["x"], "rep", v.plane.one().rep),
     "element algebra": lambda v: setattr(v.plane.one(), "algebra", v.free),
+    "image terms": lambda v: v.zero.images["x"].rep.terms.update(v.plane.one().rep.terms),
+    "image terms item": lambda v: v.zero.images["x"].rep.terms.__setitem__((0, 0), Fraction(1)),
+    "image term dict": lambda v: setattr(v.zero.images["x"].rep, "terms", {(0, 0): Fraction(1)}),
+    "relation context": lambda v: setattr(v.plane.relations[0], "context", v.free.context),
+    "basis generator terms": lambda v: v.plane.basis.generators[0].terms.clear(),
     "derivation images": lambda v: setattr(v.zero, "images", {}),
     "derivation witnesses": lambda v: setattr(v.zero, "well_defined", None),
     "morphism images": lambda v: setattr(v.morphism, "images", {}),
