@@ -325,6 +325,8 @@ def main(argv=None) -> int:
         _parser = _build_parser()
     try:
         args = _parser.parse_args(argv)
+        if any(isinstance(value, list) for value in vars(args).values()):  # "--t=--" gives []
+            raise UsageError("an option's value may not be '--'")
         return args.handler(args)
     except (parseio.ParseError, parseio.SchemaError, UsageError, CoefficientError,
             SizeLimitError, constructions.ConstructionError, ContextError, OSError) as exc:

@@ -273,6 +273,9 @@ class CyclotomicNumber:
         ints = _integers((n,))
         if ints is None:
             return NotImplemented
+        k = _root_exponent(self, self._p)
+        if k is not None:  # z^k to any integer power n is z^(k*n mod p)
+            return _root(self._p, k * ints[0] % self._p)
         base, n = (self, ints[0]) if ints[0] >= 0 else (self.inverse(), -ints[0])
         return _power(base, n, _rational(self._p, 1, 1))
 

@@ -15,10 +15,8 @@ The product P = L_2*...*L_p is multiplied out once (``form_products``); F is
 L_1*P and D(z) is y^(p-1)*P.  Every coefficient of a form is a root power
 z^k, so the forms are multiplied in the group ring Z[t]/(t^p - 1), each
 coefficient packed into one int of p slots, and a coefficient product is a
-rotation of the slots (``_root_products``).  This is exact: every slot is a
-non-negative count of term products, at most the product of the forms'
-term counts, so a slot one bit wider than that bound never overflows; each
-result is unpacked once through the fold z^(p-1) = -(1 + ... + z^(p-2)).
+rotation of the slots (``_root_products``, which shows it exact); ``poly``
+packs and unpacks the monomials.
 D is certified from its values on the forms, without expanding a Leibniz
 image of F or iterating D.
 ``build_vandermonde_lnd(p)`` builds the forms, P, L_1*P and Yp itself, so Yp
@@ -76,7 +74,7 @@ from .derivation import (
 )
 from .groebner import elimination
 from .parseio import dump_canonical
-from .poly import Context, ContextError, Polynomial, _sum
+from .poly import Context, ContextError, Polynomial, _packed, _sum, _unpacked
 from .suspension import lift_along_root
 
 DEFAULT_MAX_PRIME = 7
@@ -142,11 +140,9 @@ def linear_forms(p: int) -> tuple:
 class FormProducts:
     """P = L_2*...*L_p and L_1*P over Q(z@p), each multiplied out once.
 
-    ``form_products`` is the only builder.  It multiplies the forms as
-    packed rotations in Z[t]/(t^p - 1) (see ``_root_products``), which is
-    exact because every coefficient of a form is a power of z.  ``build_F``
-    descends ``full`` to Q; ``build_vandermonde_lnd`` presents Yp from
-    ``full`` and takes D(z) from ``tail``.
+    ``form_products`` is the only builder (see ``_root_products``).
+    ``build_F`` descends ``full`` to Q; ``build_vandermonde_lnd`` presents
+    Yp from ``full`` and takes D(z) from ``tail``.
     """
 
     forms: tuple
@@ -172,9 +168,10 @@ def _root_products(p: int, factors) -> tuple:
       integer multiplicity of t^0..t^(p-1), and z^k starts as 1 << k*width;
     * multiplying by z^k rotates the slots by k (two shifts and a mask), and
       adding two coefficients is one int addition;
-    * a monomial is one int with a field per variable, wide enough for the
-      sum of the factors' largest exponents in it, so adding two packed
-      monomials multiplies the monomials without a carry between fields.
+    * a monomial is one int with a field per variable (``poly._packed``),
+      wide enough for the sum of the factors' largest exponents in it, so
+      adding two packed monomials multiplies the monomials without a carry
+      between fields.
 
     Each term product adds +1 to exactly one slot, so no slot exceeds the
     product N of the factors' term counts (an empty factor counted as one
@@ -191,23 +188,16 @@ def _root_products(p: int, factors) -> tuple:
     width = prod(max(len(f.terms), 1) for f in factors).bit_length() + 1
     span = p * width
     ring = (1 << span) - 1
-    fields, offset = [], 0
-    for v in range(context.nvars):
-        bits = sum(max((m[v] for m in f.terms), default=0) for f in factors).bit_length()
-        fields.append((offset, (1 << bits) - 1))
-        offset += bits
+    fields, factor_terms = _packed(factors)
 
-    packed = []
-    for f in factors:
-        terms = []
-        for mono, c in f.terms.items():
-            k = _root_exponent(c, p)
-            if k is None:
-                raise ConstructionError(f"a factor's coefficient {c} is not a power of z@{p}")
-            # z^k: slots move up by k, and the top k wrap round to the bottom
-            up = k * width
-            terms.append((sum(e << at for e, (at, _) in zip(mono, fields)), up, span - up))
-        packed.append(terms)
+    def rotation(c) -> tuple:
+        k = _root_exponent(c, p)
+        if k is None:
+            raise ConstructionError(f"a factor's coefficient {c} is not a power of z@{p}")
+        # z^k: slots move up by k, and the top k wrap round to the bottom
+        return k * width, span - k * width
+
+    packed = [[(mono, *rotation(c)) for mono, c in terms] for terms in factor_terms]
 
     def times(acc: dict, terms: list) -> dict:
         out = {}
@@ -226,9 +216,8 @@ def _root_products(p: int, factors) -> tuple:
         for m, c in acc.items():
             top = c >> (span - width)
             if c != top * ones:
-                mono = tuple((m >> at) & mask for at, mask in fields)
-                out[mono] = _new(p, tuple(((c >> at) & low) - top for at in below_top), 1)
-        return Polynomial._raw(context, out)
+                out[m] = _new(p, tuple(((c >> at) & low) - top for at in below_top), 1)
+        return _unpacked(context, fields, out)
 
     tail = {0: 1}
     for terms in packed[1:]:

@@ -23,7 +23,8 @@ well-definedness itself, so ``exp`` checks a terminating orbit for every
 generator and does not push the relations through the images it builds.
 The ``Exponential`` it returns pushes an element f, in ``apply`` and
 ``compose``, as its series: the sum of t^k D^k(f) / k! over the D-orbit of
-f, which ends by the bound the certified orders give to f.
+f, which ends by the bound the certified orders give to f.  Only its
+scalars t^k / k! are made here: loops over monomials are ``poly``'s.
 ``AlgebraMorphism(source, target, images)`` checks every relation and
 pushes by substitution.  The unchecked builders are private:
 ``Derivation._proved`` for the family derivation and the lifts, whose
@@ -39,11 +40,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, count
 from types import MappingProxyType
 
 from .algebra import AlgebraElement, Grading, GradingError, PresentedAlgebra, _Frozen
 from .coeff import _integer, stored_integers
-from .poly import Polynomial, Substitution, _accumulate, _leibniz
+from .poly import Polynomial, Substitution, _leibniz, _occurring, _sum
 
 #: The order of the zero element (absorbing under addition of orders).
 MINUS_INFINITY = float("-inf")
@@ -288,10 +290,7 @@ def _orbits(derivation: Derivation, cap: int):
     cap = _integer(cap, 0, DerivationError, _BAD_CAP)
     algebra = derivation.algebra
     names = algebra.variables
-    supports = [
-        {v for v, column in enumerate(zip(*derivation.images[name].rep.terms)) if any(column)}
-        for name in names
-    ]
+    supports = [_occurring(derivation.images[name].rep) for name in names]
     found = {}
     pending = list(range(len(names)))
     while pending:
@@ -553,7 +552,7 @@ class Exponential(AlgebraMorphism):
     def _push(self, a: AlgebraElement) -> AlgebraElement:
         bound = a.rep.weighted_degree(self.orders) if a else 0
         orbit = _orbit(self.derivation, a, bound)
-        return AlgebraElement(self.target, _series(self.target.field, orbit, self.t))
+        return AlgebraElement(self.target, _series(self.target, orbit, self.t))
 
 
 def identity_morphism(algebra: PresentedAlgebra) -> AlgebraMorphism:
@@ -572,22 +571,17 @@ def _orbit(derivation: Derivation, a: AlgebraElement, bound: int):
         yield a
 
 
-def _series(field, orbit, t) -> Polynomial:
+def _series(algebra, orbit, t) -> Polynomial:
     """The sum of t^k f_k / k! over an orbit f_0, f_1 = D f_0, ... of normal forms.
 
     For t = 0 no term after f_0 is taken, so an orbit computed on demand is
     not iterated.  Scalar multiples and sums of normal forms are normal forms.
     """
-    terms = iter(orbit)
-    first = next(terms).rep
+    reps = (a.rep for a in orbit)
     if not t:
-        return first
-    out = first.terms.copy()
-    scalar = field.one
-    for k, term in enumerate(terms, 1):
-        scalar = scalar * t * Fraction(1, k)
-        _accumulate(out, ((m, c * scalar) for m, c in term.rep.terms.items()))
-    return Polynomial._raw(first.context, out)
+        return next(reps)
+    scalars = accumulate(count(1), lambda s, k: s * t * Fraction(1, k), initial=algebra.field.one)
+    return _sum(algebra.context, reps, scalars)
 
 
 def _check_sizes(t, orders: tuple, orbits: list, max_digits: int) -> None:
@@ -653,7 +647,7 @@ def exp(derivation: Derivation, t, cap: int = DEFAULT_CAP,
     if max_digits is not None:
         _check_sizes(t, orders, orbits, max_digits)
     images = {
-        name: AlgebraElement(algebra, _series(algebra.field, orbit, t))
+        name: AlgebraElement(algebra, _series(algebra, orbit, t))
         for name, orbit in zip(algebra.variables, orbits)
     }
     return Exponential._trusted(algebra, algebra, images, derivation=derivation, t=t,

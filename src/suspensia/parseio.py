@@ -13,7 +13,8 @@ INTEGER is ASCII digits ``0-9`` and IDENT is ``[A-Za-z_][A-Za-z0-9_]*``
 ring variables; ``z@p`` is the field constant of Q(z@p) and is rejected as a
 ring variable name.  Whitespace separates tokens; any other character, a
 Unicode digit such as '²' included, is an error.  Errors carry 1-based
-line/column.
+line/column.  Values are built by ``Polynomial``'s own operators; the one
+term dict the parser keeps is a sum's running total (``_Parser``).
 
 Description files are JSON objects with keys ``field``, ``variables``,
 ``relations`` and optional ``gradings`` (name -> weight matrix) and
@@ -27,14 +28,13 @@ import json
 import math
 import re
 from fractions import Fraction
-from operator import add
 from pathlib import Path
 
 from .algebra import PresentedAlgebra
-from .coeff import CyclotomicField, CyclotomicNumber, _root, _root_exponent, field_from_text
+from .coeff import CyclotomicField, _root, field_from_text
 from .coeff import stored_integers
 from .derivation import Derivation, new_derivation
-from .poly import NAME_PATTERN, Context, ContextError, Polynomial, _accumulate, _product
+from .poly import NAME_PATTERN, Context, ContextError, Polynomial, _accumulate
 
 
 class ParseError(ValueError):
@@ -151,12 +151,12 @@ _MAX_NESTING = 100
 
 
 class _Parser:
-    """A recursive-descent parser whose values are term dicts that it owns.
+    """A recursive-descent parser whose values are polynomials.
 
-    Sums merge in place through ``poly._accumulate``, products go through
-    ``poly._product``, and a power of a one-term base through
-    ``_term_power``; only a power of a base of several terms builds a
-    ``Polynomial``.  The result is wrapped once.
+    Atoms are ``Polynomial.constant`` and ``Polynomial.variable`` values, and
+    factors, products and powers are their ``-``, ``*`` and ``**``.  The one
+    term dict it owns is an ``expr``'s running sum, into which each summand
+    merges in place through ``poly._accumulate``; the sum is wrapped once.
     """
 
     def __init__(self, tokens, context: Context):
@@ -164,9 +164,7 @@ class _Parser:
         self.pos = 0
         self.context = context
         self.depth = 0
-        self.one = context.field.one
-        self.constant = (0,) * context.nvars
-        self.units = {}  # variable name -> its exponent tuple, filled as names appear
+        self.variables = {}  # name -> its Polynomial, filled as names appear
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -190,14 +188,12 @@ class _Parser:
         self.depth -= 1
         return value
 
-    def check_constants(self, terms: dict, token: _Token, monomials=None):
-        """Refuse terms if a coefficient (at ``monomials``, default all) is too large."""
-        for mono in terms if monomials is None else monomials:
-            c = terms.get(mono)
-            if c is not None:
-                ints = stored_integers(c)
-                if max(ints) >= _CONSTANT_LIMIT or -min(ints) >= _CONSTANT_LIMIT:
-                    self.refuse_constant(token)
+    def check_constants(self, coefficients, token: _Token):
+        """Refuse the coefficients if one is too large."""
+        for c in coefficients:
+            ints = stored_integers(c)
+            if max(ints) >= _CONSTANT_LIMIT or -min(ints) >= _CONSTANT_LIMIT:
+                self.refuse_constant(token)
 
     def refuse_constant(self, token: _Token):
         self.fail(f"a constant of more than {MAX_DIGITS} digits exceeds the limit", token)
@@ -212,20 +208,23 @@ class _Parser:
         value = self.expr()
         if self.peek().kind != "end":
             self.fail(f"unexpected {self.peek().value!r}")
-        return Polynomial._raw(self.context, value)
+        return value
 
-    def expr(self) -> dict:
+    def expr(self) -> Polynomial:
         value = self.term()
+        if self.peek().kind not in ("+", "-"):
+            return value
+        out = _accumulate({}, value.terms.items())
         while self.peek().kind in ("+", "-"):
             op = self.take().kind
             tok = self.peek()
-            rhs = self.term()
-            _accumulate(value, rhs.items() if op == "+" else ((m, -c) for m, c in rhs.items()))
-            # only the coefficients at rhs's monomials changed
-            self.check_constants(value, tok, rhs)
-        return value
+            rhs = self.term().terms
+            _accumulate(out, rhs.items() if op == "+" else ((m, -c) for m, c in rhs.items()))
+            # only the coefficients at rhs's monomials changed; a cancelled one is gone
+            self.check_constants(filter(None, map(out.get, rhs)), tok)
+        return Polynomial._raw(self.context, out)
 
-    def term(self) -> dict:
+    def term(self) -> Polynomial:
         value = self.factor()
         while True:
             kind = self.peek().kind
@@ -235,62 +234,51 @@ class _Parser:
                 return value
             tok = self.peek()
             rhs = self.factor()
-            if len(value) * len(rhs) > MAX_TERMS:
+            if len(value.terms) * len(rhs.terms) > MAX_TERMS:
                 self.refuse_terms(tok)
-            if len(value) == 1 == len(rhs):
-                (m1, c1), = value.items()
-                (m2, c2), = rhs.items()
-                value = {tuple(map(add, m1, m2)): c1 * c2}
-            else:
-                value = _product(value, rhs)
-            self.check_constants(value, tok)
+            value = value * rhs
+            self.check_constants(value.terms.values(), tok)
 
-    def factor(self) -> dict:
+    def factor(self) -> Polynomial:
         if self.peek().kind == "-":
-            return {m: -c for m, c in self.nested(self.factor).items()}
+            return -self.nested(self.factor)
         return self.power()
 
-    def power(self) -> dict:
-        base = self.atom()
-        if self.peek().kind == "^":
-            self.take()
-            tok = self.peek()
-            if tok.kind != "int":
-                self.fail("malformed exponent: expected a non-negative integer")
-            if tok.value > MAX_EXPONENT:
-                self.fail(f"exponent {tok.value} exceeds the limit {MAX_EXPONENT}", tok)
-            self.take()
-            base = self.power_of(base, tok)
-            if self.peek().kind == "^":
-                self.fail("malformed exponent: chained '^' is not allowed")
-        return base
+    def power(self) -> Polynomial:
+        """An atom, or atom ** e with its term count and constants checked first.
 
-    def power_of(self, base: dict, tok: _Token) -> dict:
-        """base ** e for the exponent token, with the sizes of its constants checked.
-
-        The lex-first and lex-last terms of base**e have coefficients c**e,
-        and |c**e| >= 2**(e*(bits(c) - 1)), so a rational c there shows a
-        power too large before it is computed; the power is checked after.
-        A base of t > 1 terms is refused first if its power could have more
-        than ``MAX_TERMS`` terms.
+        A base of t > 1 terms is refused if its power could have more than
+        ``MAX_TERMS`` terms.  Under any monomial order, lex among them, the
+        first and last terms of base**e are those of base raised to e, with
+        coefficients c**e, and |c**e| >= 2**(e*(bits(c) - 1)), so a rational
+        c there shows a power too large before it is computed; the power is
+        checked after.
         """
+        base = self.atom()
+        if self.peek().kind != "^":
+            return base
+        self.take()
+        tok = self.peek()
+        if tok.kind != "int":
+            self.fail("malformed exponent: expected a non-negative integer")
         e = tok.value
-        t = len(base)
-        if t > 1 and math.comb(t + e - 1, e) > MAX_TERMS:
+        if e > MAX_EXPONENT:
+            self.fail(f"exponent {e} exceeds the limit {MAX_EXPONENT}", tok)
+        self.take()
+        terms = base.terms
+        if len(terms) > 1 and math.comb(len(terms) + e - 1, e) > MAX_TERMS:
             self.refuse_terms(tok)
-        for mono in (min(base), max(base)) if base else ():
-            c = base[mono]
+        for c in map(terms.get, (min(terms), max(terms))) if terms else ():
             bits = max(abs(c.numerator), c.denominator).bit_length() if isinstance(c, Fraction) else 0
             if e * (bits - 1) >= _CONSTANT_LIMIT_BITS:
                 self.refuse_constant(tok)
-        if t == 1:
-            power = _term_power(*next(iter(base.items())), e)
-        else:
-            power = (Polynomial._raw(self.context, base) ** e).terms.copy()
-        self.check_constants(power, tok)
+        power = base**e
+        self.check_constants(power.terms.values(), tok)
+        if self.peek().kind == "^":
+            self.fail("malformed exponent: chained '^' is not allowed")
         return power
 
-    def atom(self) -> dict:
+    def atom(self) -> Polynomial:
         tok = self.peek()
         if tok.kind == "int":
             self.take()
@@ -304,19 +292,17 @@ class _Parser:
                 if denom.value == 0:
                     self.fail("zero denominator", denom)
                 value = Fraction(tok.value, denom.value)
-            coeff = self.context.field.coerce(value)
-            return {self.constant: coeff} if coeff else {}
+            return Polynomial.constant(self.context, value)
         if tok.kind == "ident":
             self.take()
-            unit = self.units.get(tok.value)
-            if unit is None:
+            variable = self.variables.get(tok.value)
+            if variable is None:
                 try:
-                    index = self.context.index(tok.value)
+                    variable = Polynomial.variable(self.context, tok.value)
                 except ContextError:
                     self.fail(f"unknown identifier {tok.value!r}", tok)
-                unit = self.constant[:index] + (1,) + self.constant[index + 1:]
-                self.units[tok.value] = unit
-            return {unit: self.one}
+                self.variables[tok.value] = variable
+            return variable
         if tok.kind == "cyclo":
             self.take()
             field = self.context.field
@@ -325,7 +311,7 @@ class _Parser:
                     f"field constant z@{tok.value} is not available in {field.text}",
                     tok,
                 )
-            return {self.constant: _root(tok.value, 1)}
+            return Polynomial.constant(self.context, _root(tok.value, 1))
         if tok.kind == "(":
             value = self.nested(self.expr)
             if self.peek().kind != ")":
@@ -333,20 +319,6 @@ class _Parser:
             self.take()
             return value
         self.fail("expected a number, variable, or '('")
-
-
-def _term_power(mono: tuple, coeff, e: int) -> dict:
-    """The term dict of the e-th power of one term: its exponents scaled by e.
-
-    A root of unity z^k of Q(z@p) is raised as the root z^(k*e mod p); any other
-    coefficient as coeff**e.
-    """
-    if isinstance(coeff, CyclotomicNumber):
-        p = coeff.p
-        k = _root_exponent(coeff, p)
-        if k is not None:
-            return {tuple(x * e for x in mono): _root(p, k * e % p)}
-    return {tuple(x * e for x in mono): coeff**e}
 
 
 def parse_expression(text: str, context: Context) -> Polynomial:

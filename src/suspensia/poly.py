@@ -8,8 +8,10 @@ it is exactly the format the expression parser reads back.
 Polynomials are immutable, and all operations return new values.  The term
 dict sits in a private slot that only this module and ``groebner`` read;
 ``context`` and ``terms`` are read-only properties, and ``terms`` is a
-read-only mapping over that dict (``dict(p.terms)`` gives a copy).  The
-Leibniz rule's term loop, ``_leibniz``, lives here for that reason.
+read-only mapping over that dict (``dict(p.terms)`` gives a copy).  With
+``groebner``, this is the only module that builds exponent tuples, so the
+loops over monomials that others need live here: ``_leibniz``, ``_sum``,
+``_occurring``, ``_packed`` and ``_unpacked``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, itemgetter
+from itertools import chain, compress, repeat
+from operator import add, itemgetter, lshift, mul
 from types import MappingProxyType
 
 from .coeff import CoefficientError, CyclotomicNumber, _integer, _integers
@@ -154,7 +157,7 @@ class Polynomial:
 
     def _operand(self, other):
         if isinstance(other, Polynomial):
-            if other._context != self._context:
+            if other._context is not self._context and other._context != self._context:
                 raise ContextError("polynomials from different contexts")
             return other
         if isinstance(other, (int, Fraction, CyclotomicNumber)):
@@ -197,14 +200,20 @@ class Polynomial:
 
     def __pow__(self, n: int):
         n = _integer(n, 0, ValueError, "polynomial power must be a non-negative integer")
+        if len(self._terms) == 1:
+            (mono, coeff), = self._terms.items()
+            coeff = coeff if coeff == 1 else coeff**n
+            return Polynomial._raw(self._context, {tuple(map(mul, mono, repeat(n))): coeff})
         return _power(self, n, Polynomial.one(self._context))
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
             return self._context == other._context and self._terms == other._terms
         if isinstance(other, (int, Fraction, CyclotomicNumber)):
-            other = self._operand(other)
-            return self._terms == other._terms
+            try:
+                return self._terms == self._operand(other)._terms
+            except CoefficientError:  # a scalar outside the field equals no polynomial
+                return False
         return NotImplemented
 
     def __bool__(self):
@@ -476,18 +485,34 @@ def _accumulate(out: dict, pairs) -> dict:
 
 
 def _product(left: dict, right: dict) -> dict:
-    """The term dict of the product of two term dicts, merged row by row."""
-    right = right.items()
-    return _accumulate({}, (
-        (tuple(map(add, m1, m2)), c1 * c2) for m1, c1 in left.items() for m2, c2 in right
-    ))
+    """The term dict of the product of two term dicts, merged row by row.
+
+    A one-term operand c*m shifts the other's exponents by m and scales its
+    coefficients by c unless c is 1: no two products collide, so the terms
+    keep the merge's order.
+    """
+    if len(right) != 1:
+        if len(left) != 1:
+            right = right.items()
+            return _accumulate({}, (
+                (tuple(map(add, m1, m2)), c1 * c2) for m1, c1 in left.items() for m2, c2 in right
+            ))
+        left, right = right, left
+    (shift, scale), = right.items()
+    if scale == 1:
+        return {tuple(map(add, m, shift)): c for m, c in left.items()}
+    return {tuple(map(add, m, shift)): c * scale for m, c in left.items()}
 
 
-def _sum(context: Context, polys) -> Polynomial:
-    """The sum of polynomials of one context, accumulated into one dict."""
+def _sum(context: Context, polys, scalars=None) -> Polynomial:
+    """The sum of polynomials of one context, each times its nonzero scalar if given.
+
+    The terms are accumulated into one dict; no scalar past the last is drawn.
+    """
     out = {}
-    for f in polys:
-        _accumulate(out, f._terms.items())
+    for f, s in zip(polys, repeat(1) if scalars is None else scalars):
+        terms = f._terms.items()
+        _accumulate(out, terms if s == 1 else ((m, c * s) for m, c in terms))
     return Polynomial._raw(context, out)
 
 
@@ -519,6 +544,35 @@ def _leibniz(context: Context, f: Polynomial, images) -> Polynomial:
         else:
             out = partial
     return Polynomial._raw(context, out)
+
+
+def _occurring(f: Polynomial) -> set:
+    """The indices of the variables that occur in f."""
+    return set(chain.from_iterable(map(compress, repeat(range(f._context.nvars)), f._terms)))
+
+
+def _packed(polys) -> tuple:
+    """Fields (offset, mask), one per variable, and each poly's terms with packed monomials.
+
+    A field holds the sum over ``polys`` of their largest exponents in its
+    variable, so adding packed monomials, one from each poly, carries nothing.
+    """
+    fields, offset = [], 0
+    for v in range(polys[0]._context.nvars):
+        bits = sum(max((m[v] for m in f._terms), default=0) for f in polys).bit_length()
+        fields.append((offset, (1 << bits) - 1))
+        offset += bits
+    offsets = [at for at, _ in fields]
+    return fields, [
+        [(sum(map(lshift, m, offsets)), c) for m, c in f._terms.items()] for f in polys
+    ]
+
+
+def _unpacked(context: Context, fields, terms: dict) -> Polynomial:
+    """The polynomial of a dict from packed monomials to nonzero coefficients."""
+    return Polynomial._raw(context, {
+        tuple((m >> at) & mask for at, mask in fields): c for m, c in terms.items()
+    })
 
 
 def _checked_pairs(context: Context, terms: dict):

@@ -149,9 +149,7 @@ def suspend(base: PresentedAlgebra, function, exponents, names=None):
         raise ContextError("need exactly one fresh variable per exponent")
 
     context = Context(base.field, base.variables + names)
-    product = Polynomial.one(context)
-    for name, k in zip(names, ks):
-        product = product * Polynomial.variable(context, name) ** k
+    product = Polynomial.monomial(context, dict(zip(names, ks)))
     relations = [r.convert(context) for r in base.relations]
     relations.append(product - f.rep.convert(context))
     return PresentedAlgebra(context, relations), SuspensionSpec(base, f, ks, names)

@@ -564,13 +564,12 @@ def refuse_large_powers(monkeypatch):
 
     The limits are the exponent (``MAX_EXPONENT``) and, for a base of t > 1
     terms, the C(t+n-1, n) terms its n-th power can have (``MAX_TERMS``).
-    Both routes the parser powers by are guarded: ``Polynomial.__pow__``
-    for a base of several terms and ``parseio._term_power`` for one term.
+    The parser raises every base, of one term or several, by
+    ``Polynomial.__pow__``, which is guarded.
     """
     from suspensia.parseio import MAX_EXPONENT, MAX_TERMS
 
     real_pow = Polynomial.__pow__
-    real_term_power = parseio._term_power
 
     def guarded(self, n):
         assert n <= MAX_EXPONENT, f"power {n} computed"
@@ -578,12 +577,7 @@ def refuse_large_powers(monkeypatch):
         assert t < 2 or math.comb(t + n - 1, n) <= MAX_TERMS, f"power {n} of {t} terms computed"
         return real_pow(self, n)
 
-    def guarded_term(mono, coeff, n):
-        assert n <= MAX_EXPONENT, f"power {n} computed"
-        return real_term_power(mono, coeff, n)
-
     monkeypatch.setattr(Polynomial, "__pow__", guarded)
-    monkeypatch.setattr(parseio, "_term_power", guarded_term)
 
 
 class BudgetExceeded(Exception):

@@ -747,6 +747,17 @@ def test_fuzz_exp_parameter(text):
     assert _run_quietly(argv) in EXIT_CODES
 
 
+def test_an_option_value_of_two_dashes_is_input_error(capsys):
+    # argparse reads "--t=--" as an empty list, which reached the parser and
+    # ended in a TypeError traceback (found by test_fuzz_exp_parameter)
+    derivation = str(FIXTURES / "yp3_derivation.json")
+    algebra = str(FIXTURES / "yp3.json")
+    for argv in (["exp", derivation, "--t=--"], ["suspend", algebra, "--f=--", "--k", "2,3"],
+                 ["lift", derivation, "--var=--", "--new", "u", "--power", "2"]):
+        assert main(argv) == 3
+        assert "may not be '--'" in capsys.readouterr().err
+
+
 @st.composite
 def _suspension_function(draw):
     """Short expression text over yp3.json's variables, perhaps made malformed.

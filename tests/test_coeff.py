@@ -269,3 +269,22 @@ def test_integer_kernel_agrees_with_oracle(case, k, q):
     ):
         assert rational.is_rational() and rational == q
         assert hash(rational) == hash(q)
+
+
+_PRIMES_TO_199 = [p for p in range(2, 200) if is_prime(p)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_PRIMES_TO_199), st.data())
+@example(199, None)
+def test_root_powers_to_negative_exponents_match_the_inverse(p, data):
+    # z^k ** n is the root z^(k*n mod p), with no inverse computed; the
+    # oracle inverts z^k and raises the inverse by square-and-multiply
+    if data is None:  # the densest root power, z^(p-1), at the largest order
+        i, n = p - 1, -(2 * p + 3)
+    else:
+        i, n = data.draw(st.integers(1, p)), data.draw(st.integers(-3 * p, -1))
+    root = root_of_unity(p, i)
+    expected = coeff._power(root.inverse(), -n, CyclotomicField(p).one)
+    assert root**n == expected
+    assert root**n == root_of_unity(p, i * n % p or p)

@@ -143,12 +143,26 @@ def test_every_polynomial_a_certificate_reaches_refuses_writes():
     assert certificate.certified and lifted.certified and bundle.report["ok"]
 
 
-def test_the_term_dict_is_named_only_in_poly_and_groebner():
-    # the representation of terms stays behind two modules, so it can change there alone
-    package = Path(suspensia.__file__).parent
-    naming = {
-        path.name for path in package.glob("*.py")
-        if re.search(r"\b_terms\b", path.read_text(encoding="utf-8"))
-    }
-    assert naming == {"poly.py", "groebner.py"}
+# the modules that may name each private piece of the term representation,
+# and how often: the term dict, the trusted wrap, the merge loop and the
+# product of two term dicts
+NAMING = {
+    "_terms": {"poly.py": None, "groebner.py": None},
+    "_raw": {"poly.py": None, "groebner.py": None, "parseio.py": 1},
+    "_accumulate": {"poly.py": None, "groebner.py": None, "parseio.py": None},
+    "_product": {"poly.py": None},
+}
 
+
+def test_the_term_dict_is_named_only_in_poly_and_groebner():
+    # the representation of terms stays behind two modules, so it can change
+    # there alone; the parser's one exception is wrapping its running sum
+    package = Path(suspensia.__file__).parent
+    texts = {path.name: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
+    for name, allowed in NAMING.items():
+        counts = {
+            module: len(re.findall(rf"\b{name}\b", text)) for module, text in texts.items()
+        }
+        assert {module for module, n in counts.items() if n} == allowed.keys(), name
+        for module, n in allowed.items():
+            assert n is None or counts[module] == n, (name, module, counts[module])

@@ -28,7 +28,6 @@ from suspensia import (
     load_derivation,
     parse_expression,
 )
-from suspensia import parseio
 from suspensia.cli import main
 from suspensia.coeff import CyclotomicField, field_from_text, root_of_unity
 from suspensia.parseio import (
@@ -166,12 +165,11 @@ def test_constant_digit_limit():
 def test_constant_limit_refuses_powers_before_computing(monkeypatch):
     # (10^1000 - 1)^1000 alone takes 0.8 s and 415 kB; a rational vertex
     # coefficient of the base shows the power past the limit beforehand
-    def refuse(*args):  # the exponent is the last argument of both
-        raise AssertionError(f"power {args[-1]} computed")
+    def refuse(base, n):
+        raise AssertionError(f"power {n} computed")
 
-    # a base of several terms is raised by Polynomial.__pow__, one term by _term_power
+    # every base, of one term or several, is raised by Polynomial.__pow__
     monkeypatch.setattr(Polynomial, "__pow__", refuse)
-    monkeypatch.setattr(parseio, "_term_power", refuse)
     nines = "9" * MAX_DIGITS
     for text in (f"({nines})^1000", f"(x + 1/{nines})^2", f"({nines}*x*y + y)^1000"):
         with pytest.raises(ParseError, match="digits exceeds the limit"):
@@ -349,20 +347,31 @@ def test_artifacts_parse_as_the_oracle_parses(family_artifacts, p):
             assert parsed.text() == text
 
 
-def test_artifacts_parse_without_polynomial_arithmetic(family_artifacts, monkeypatch):
-    # sums, products, negations and powers of the family's text act on the
-    # parser's own term dicts; none goes through a Polynomial operator
+def test_artifacts_parse_as_shifts_without_chained_sums(family_artifacts, monkeypatch):
+    # each summand of the family's text merges into the running sum in
+    # place, so no sum goes through a Polynomial operator; its products and
+    # powers all have a one-term operand, so each is an exponent shift or scale
     def refuse(*args):
-        raise AssertionError("Polynomial arithmetic while parsing")
+        raise AssertionError("a sum was chained with + or -")
 
-    methods = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__",
-               "__pow__")
+    real_mul, real_pow = Polynomial.__mul__, Polynomial.__pow__
+
+    def shift(f, g):
+        assert len(f.terms) == 1 or len(g.terms) == 1, "a product of two sums"
+        return real_mul(f, g)
+
+    def scale(f, n):
+        assert len(f.terms) == 1, "a power of a sum"
+        return real_pow(f, n)
+
     expected = {}
     for artifact in ("Yp.json", "derivation.json"):
         context, texts = _expressions(family_artifacts[5] / artifact)
         expected[artifact] = [parse_oracle(text, context) for text in texts]
-    for method in methods:
+    for method in ("__add__", "__radd__", "__sub__", "__rsub__"):
         monkeypatch.setattr(Polynomial, method, refuse)
+    monkeypatch.setattr(Polynomial, "__mul__", shift)
+    monkeypatch.setattr(Polynomial, "__pow__", scale)
     for artifact, oracles in expected.items():
         context, texts = _expressions(family_artifacts[5] / artifact)
         for text, oracle in zip(texts, oracles):

@@ -22,7 +22,7 @@ from suspensia import (
     root_of_unity,
     s_polynomial,
 )
-from suspensia.coeff import CyclotomicField
+from suspensia.coeff import CyclotomicField, _power
 from suspensia.poly import Substitution
 
 from helpers import (
@@ -34,6 +34,7 @@ from helpers import (
     leibniz_oracle,
     mul_oracle,
     random_polynomial,
+    random_scalar,
     s_polynomial_oracle,
     sub_oracle,
     substitution_oracle,
@@ -77,6 +78,17 @@ def test_context_mismatch():
     other = Context(QQ, ("x", "z"))
     with pytest.raises(ContextError):
         P("x", QXY) + P("x", other)
+
+
+def test_no_polynomial_equals_a_scalar_outside_its_field():
+    # as for polynomials of different contexts, == is False, not an error
+    z3, z5 = root_of_unity(3, 1), root_of_unity(5, 1)
+    assert (Polynomial.one(Context(QQ, ("x", "y"))) == z3) is False
+    cyclotomic = Polynomial.constant(Context(CyclotomicField(3), ("x",)), z3)
+    assert (cyclotomic == z5) is False
+    assert cyclotomic != z5 and cyclotomic == z3
+    # a rational value of Q(z@p) still equals the constant over Q
+    assert Polynomial.one(QXY) == CyclotomicField(5).one
 
 
 def test_ring_axioms_random():
@@ -375,3 +387,47 @@ def test_sums_are_accumulated_not_chained(monkeypatch, call):
     for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
         monkeypatch.setattr(Polynomial, name, refuse)
     assert run().terms
+
+
+class _OracleProduct:
+    """A polynomial whose ``*`` is ``mul_oracle``, for ``coeff._power``."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __mul__(self, other):
+        return _OracleProduct(mul_oracle(self.f, other.f))
+
+
+def _one_term(rng, context):
+    """A single term: a shift (sometimes 0) times a scalar (sometimes 1, -1 or a root power)."""
+    field = context.field
+    mono = tuple(rng.randint(0, 3) for _ in range(context.nvars)) if rng.random() < 0.8 else None
+    choices = [field.one, -field.one, random_scalar(rng, field)]
+    if isinstance(field, CyclotomicField):
+        choices.append(root_of_unity(field.p, rng.randint(1, field.p)))
+    coeff = rng.choice(choices) or field.one
+    return Polynomial(context, {mono or (0,) * context.nvars: coeff})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([QQ, CyclotomicField(3)]), st.integers(0, 12))
+def test_one_term_powers_match_square_and_multiply(seed, field, n):
+    # the exponents are scaled by n and the coefficient raised once
+    ctx = Context(field, ("x", "y", "w"))
+    term = _one_term(random.Random(seed), ctx)
+    oracle = _power(_OracleProduct(term), n, _OracleProduct(Polynomial.one(ctx))).f
+    assert_same_terms(term**n, oracle)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([QQ, CyclotomicField(3)]))
+def test_one_term_products_match_brute_force(seed, field):
+    # a one-term operand on either side shifts and scales the other,
+    # keeping the order in which the row-by-row product inserts its terms
+    rng = random.Random(seed)
+    ctx = Context(field, ("x", "y", "w"))
+    term = _one_term(rng, ctx)
+    f = random_polynomial(rng, ctx, max_terms=6, max_exp=2)
+    for factors in ([term, f], [f, term], [term, term]):
+        assert_same_terms(factors[0] * factors[1], brute_force_product(factors))

@@ -14,7 +14,12 @@ than an earlier one):
 * ``lift_along_root`` of the certificate along y = u^2 (n = 2p);
 * the whole ``certify_bundle(p, 2p)``, which repeats every stage above;
 * the text ``build-yp`` writes from that bundle: ``algebra_to_data`` of Xp
-  and Yp, ``derivation_to_data``, and ``dump_canonical`` of each.
+  and Yp, ``derivation_to_data``, and ``dump_canonical`` of each;
+* ``parse_expression`` of every relation and image in that text, in its
+  algebra's context.
+
+The script exits 1 unless the bundle's report is ok and every parsed text
+equals the bundle's polynomial it was written from.
 
 ``SUSPENSIA_MAX_P`` is set to p in this process only, so a prime past the
 library's default ceiling can be timed.
@@ -45,7 +50,9 @@ def main() -> int:
 
     from suspensia import Polynomial, certify_bundle, certify_family_lnd, lift_along_root
     from suspensia.constructions import _descend, build_Xp, form_products, linear_forms
-    from suspensia.parseio import algebra_to_data, derivation_to_data, dump_canonical
+    from suspensia.parseio import (
+        algebra_to_data, derivation_to_data, dump_canonical, parse_expression,
+    )
 
     def stage(name, run):
         best = float("inf")
@@ -69,15 +76,28 @@ def main() -> int:
     bundle = stage("certify_bundle", lambda: certify_bundle(p, 2 * p))
 
     def artifact_texts():
-        return [dump_canonical(data) for data in (
+        data = (
             algebra_to_data(bundle.Xp),
             algebra_to_data(bundle.Yp),
             {"algebra": "Yp.json", **derivation_to_data(bundle.derivation)},
-        )]
+        )
+        return data, [dump_canonical(d) for d in data]
 
-    texts = stage("artifact text", artifact_texts)
+    (xp_data, yp_data, derivation_data), texts = stage("artifact text", artifact_texts)
     print(f"{'':<26} Xp, Yp and derivation.json hold {sum(map(len, texts)):,} characters")
-    return 0 if bundle.report["ok"] else 1
+
+    # (text, context, the polynomial it was written from) for every expression
+    Yp = bundle.Yp
+    written = [
+        *((text, bundle.Xp.context, r) for text, r in zip(xp_data["relations"], bundle.Xp.relations)),
+        *((text, Yp.context, r) for text, r in zip(yp_data["relations"], Yp.relations)),
+        *((derivation_data["images"][v], Yp.context, bundle.derivation.images[v].rep)
+          for v in Yp.variables),
+    ]
+    parsed = stage("parse back", lambda: [parse_expression(t, c) for t, c, _ in written])
+    mismatched = sum(f != expected for f, (_, _, expected) in zip(parsed, written))
+    print(f"{'':<26} {len(written)} texts parsed, {mismatched} differ from the bundle")
+    return 0 if bundle.report["ok"] and not mismatched else 1
 
 
 if __name__ == "__main__":
