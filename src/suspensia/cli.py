@@ -325,7 +325,7 @@ def main(argv=None) -> int:
         _parser = _build_parser()
     try:
         args = _parser.parse_args(argv)
-        if any(isinstance(value, list) for value in vars(args).values()):  # "--t=--" gives []
+        if any(value in ([], "--") for value in vars(args).values()):  # "--t=--": [] or "--"
             raise UsageError("an option's value may not be '--'")
         return args.handler(args)
     except (parseio.ParseError, parseio.SchemaError, UsageError, CoefficientError,

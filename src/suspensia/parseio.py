@@ -153,10 +153,9 @@ _MAX_NESTING = 100
 class _Parser:
     """A recursive-descent parser whose values are polynomials.
 
-    Atoms are ``Polynomial.constant`` and ``Polynomial.variable`` values, and
-    factors, products and powers are their ``-``, ``*`` and ``**``.  The one
-    term dict it owns is an ``expr``'s running sum, into which each summand
-    merges in place through ``poly._accumulate``; the sum is wrapped once.
+    Atoms are ``Polynomial.constant`` and ``.variable`` values combined by
+    ``-``, ``*`` and ``**``.  The one term dict it owns is an ``expr``'s
+    running sum, merged in place through ``poly._accumulate`` and wrapped once.
     """
 
     def __init__(self, tokens, context: Context):
@@ -247,12 +246,11 @@ class _Parser:
     def power(self) -> Polynomial:
         """An atom, or atom ** e with its term count and constants checked first.
 
-        A base of t > 1 terms is refused if its power could have more than
-        ``MAX_TERMS`` terms.  Under any monomial order, lex among them, the
-        first and last terms of base**e are those of base raised to e, with
-        coefficients c**e, and |c**e| >= 2**(e*(bits(c) - 1)), so a rational
-        c there shows a power too large before it is computed; the power is
-        checked after.
+        A base of t > 1 terms is refused if base**e could have more than
+        ``MAX_TERMS`` terms.  Under any monomial order the extreme terms of
+        base**e are those of base to the e, with coefficients c**e, and
+        |c**e| >= 2**(e*(bits(c) - 1)), so a rational c there shows a power
+        too large before it is computed; the power is checked after.
         """
         base = self.atom()
         if self.peek().kind != "^":

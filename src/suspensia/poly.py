@@ -27,12 +27,6 @@ from types import MappingProxyType
 from .coeff import CoefficientError, CyclotomicNumber, _integer, _integers
 from .coeff import _coefficient_text, _power, _signed_sum
 
-# An exponent tuple, one non-negative integer per context variable.
-Monomial = tuple
-
-# An integer weight per context variable; one row of a grading matrix.
-WeightVector = tuple
-
 #: A variable name, and an identifier in expression text: ASCII letters,
 #: digits and '_', not starting with a digit.
 NAME_PATTERN = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -157,7 +151,7 @@ class Polynomial:
 
     def _operand(self, other):
         if isinstance(other, Polynomial):
-            if other._context is not self._context and other._context != self._context:
+            if other._context != self._context:
                 raise ContextError("polynomials from different contexts")
             return other
         if isinstance(other, (int, Fraction, CyclotomicNumber)):
@@ -202,8 +196,7 @@ class Polynomial:
         n = _integer(n, 0, ValueError, "polynomial power must be a non-negative integer")
         if len(self._terms) == 1:
             (mono, coeff), = self._terms.items()
-            coeff = coeff if coeff == 1 else coeff**n
-            return Polynomial._raw(self._context, {tuple(map(mul, mono, repeat(n))): coeff})
+            return Polynomial._raw(self._context, {tuple(map(mul, mono, repeat(n))): coeff**n})
         return _power(self, n, Polynomial.one(self._context))
 
     def __eq__(self, other):
