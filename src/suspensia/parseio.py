@@ -12,9 +12,11 @@ INTEGER is ASCII digits ``0-9`` and IDENT is ``[A-Za-z_][A-Za-z0-9_]*``
 (``poly.NAME_PATTERN``, the pattern variable names obey).  Identifiers are
 ring variables; ``z@p`` is the field constant of Q(z@p) and is rejected as a
 ring variable name.  Whitespace separates tokens; any other character, a
-Unicode digit such as '²' included, is an error.  Errors carry 1-based
-line/column.  Values are built by ``Polynomial``'s own operators; the one
-term dict the parser keeps is a sum's running total (``_Parser``).
+Unicode digit such as '²' included, is an error.  The text is read in one
+pass, and of several errors the first, reading left to right, is raised,
+with its 1-based line/column.  Values are built by ``Polynomial``'s own
+operators; the one term dict the parser keeps is a sum's running total
+(``_Parser``).
 
 Description files are JSON objects with keys ``field``, ``variables``,
 ``relations`` and optional ``gradings`` (name -> weight matrix) and
@@ -51,7 +53,7 @@ class SchemaError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# lexer
+# parser
 
 #: Longest integer literal, in digits.  Longer literals are refused before
 #: they are converted, which keeps every literal, and its square, under the
@@ -81,66 +83,14 @@ MAX_EXPONENT = 1000
 MAX_TERMS = 10_000
 
 
-class _Token:
-    __slots__ = ("kind", "value", "line", "column")
-
-    def __init__(self, kind, value, line, column):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.column = column
-
-
 #: One alternative per token class, tried in order.  The search skips
-#: whitespace other than '\n', which starts a new line; any other character
-#: that no token class takes is an error.
+#: whitespace, '\n' included; any other character that no token class
+#: takes is an error.
 _TOKEN_RE = re.compile(
-    r"(?P<newline>\n)|(?P<int>[0-9]+)"
+    r"(?P<int>[0-9]+)"
     rf"|(?P<cyclo>{NAME_PATTERN}@[0-9]*)|(?P<ident>{NAME_PATTERN})"
     r"|(?P<op>[-+*/^()])|(?P<other>\S)"
 )
-
-
-def _integer(digits: str, line: int, column: int) -> int:
-    if len(digits) > MAX_DIGITS:
-        raise ParseError(
-            f"integer literal of {len(digits)} digits exceeds the limit of {MAX_DIGITS}",
-            line,
-            column,
-        )
-    return int(digits)
-
-
-def _lex(text: str):
-    tokens = []
-    line, line_start = 1, 0
-    for match in _TOKEN_RE.finditer(text):
-        kind, value = match.lastgroup, match.group()
-        column = match.start() - line_start + 1
-        if kind == "op":
-            tokens.append(_Token(value, value, line, column))
-        elif kind == "ident":
-            tokens.append(_Token("ident", value, line, column))
-        elif kind == "int":
-            tokens.append(_Token("int", _integer(value, line, column), line, column))
-        elif kind == "newline":
-            line, line_start = line + 1, match.end()
-        elif kind == "cyclo":
-            name, _, digits = value.partition("@")
-            at = column + len(name)
-            if name != "z":
-                raise ParseError(f"unexpected '@' after {name!r}", line, at)
-            if not digits:
-                raise ParseError("expected a prime after 'z@'", line, at + 1)
-            tokens.append(_Token("cyclo", _integer(digits, line, at + 1), line, column))
-        else:
-            raise ParseError(f"unexpected character {value!r}", line, column)
-    tokens.append(_Token("end", None, line, len(text) - line_start + 1))
-    return tokens
-
-
-# ----------------------------------------------------------------------
-# parser
 
 _ATOM_STARTS = {"int", "ident", "cyclo", "("}
 
@@ -151,95 +101,122 @@ _MAX_NESTING = 100
 
 
 class _Parser:
-    """A recursive-descent parser whose values are polynomials.
+    """A recursive-descent parser that reads its text in one pass.
 
-    Atoms are ``Polynomial.constant`` and ``.variable`` values combined by
-    ``-``, ``*`` and ``**``.  The one term dict it owns is an ``expr``'s
-    running sum, merged in place through ``poly._accumulate`` and wrapped once.
+    It holds only the current token's kind, value and offset, and checks each
+    token before it reads the next, so of several errors the first, left to
+    right, is raised; its line and column are worked out from the offset then.
+    Each distinct atom is built once per parse, in ``atoms``.  The one term
+    dict it owns is an ``expr``'s running sum, merged in place through
+    ``poly._accumulate`` and wrapped once.
     """
 
-    def __init__(self, tokens, context: Context):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, text: str, context: Context):
+        self.text = text
+        self.matches = _TOKEN_RE.finditer(text)
         self.context = context
         self.depth = 0
-        self.variables = {}  # name -> its Polynomial, filled as names appear
+        self.atoms = {}  # (kind, value) -> its Polynomial, filled as atoms appear
+        self.advance()
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def advance(self):
+        """Read the next token into ``kind``, ``value`` and ``start``."""
+        match = next(self.matches, None)
+        if match is None:
+            self.kind, self.value, self.start = "end", None, len(self.text)
+            return
+        kind, value, start = match.lastgroup, match.group(), match.start()
+        if kind == "op":
+            kind = value
+        elif kind == "int":
+            value = self.integer(value, start)
+        elif kind == "cyclo":
+            name, _, digits = value.partition("@")
+            at = start + len(name)
+            if name != "z":
+                self.fail(f"unexpected '@' after {name!r}", at)
+            if not digits:
+                self.fail("expected a prime after 'z@'", at + 1)
+            value = self.integer(digits, at + 1)
+        elif kind == "other":
+            self.fail(f"unexpected character {value!r}", start)
+        self.kind, self.value, self.start = kind, value, start
 
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def integer(self, digits: str, start: int) -> int:
+        if len(digits) > MAX_DIGITS:
+            message = f"integer literal of {len(digits)} digits exceeds the limit of {MAX_DIGITS}"
+            self.fail(message, start)
+        return int(digits)
 
-    def fail(self, message: str, token: _Token | None = None):
-        token = token or self.peek()
-        raise ParseError(message, token.line, token.column)
+    def fail(self, message: str, start: int | None = None):
+        """Raise at offset ``start`` of the text, by default the current token's."""
+        start = self.start if start is None else start
+        text = self.text
+        raise ParseError(message, text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start))
 
     def nested(self, parse):
         """Take the token opening one nesting level, then parse its body."""
-        tok = self.take()
         self.depth += 1
         if self.depth > _MAX_NESTING:
-            self.fail("expression nested too deeply", tok)
+            self.fail("expression nested too deeply")
+        self.advance()
         value = parse()
         self.depth -= 1
         return value
 
-    def check_constants(self, coefficients, token: _Token):
+    def check_constants(self, coefficients, start: int):
         """Refuse the coefficients if one is too large."""
         for c in coefficients:
             ints = stored_integers(c)
             if max(ints) >= _CONSTANT_LIMIT or -min(ints) >= _CONSTANT_LIMIT:
-                self.refuse_constant(token)
+                self.refuse_constant(start)
 
-    def refuse_constant(self, token: _Token):
-        self.fail(f"a constant of more than {MAX_DIGITS} digits exceeds the limit", token)
+    def refuse_constant(self, start: int | None = None):
+        self.fail(f"a constant of more than {MAX_DIGITS} digits exceeds the limit", start)
 
-    def refuse_terms(self, token: _Token):
+    def refuse_terms(self, start: int | None = None):
         self.fail(
             f"a product or power that could have more than {MAX_TERMS} terms exceeds the limit",
-            token,
+            start,
         )
 
     def parse(self) -> Polynomial:
         value = self.expr()
-        if self.peek().kind != "end":
-            self.fail(f"unexpected {self.peek().value!r}")
+        if self.kind != "end":
+            self.fail(f"unexpected {self.value!r}")
         return value
 
     def expr(self) -> Polynomial:
         value = self.term()
-        if self.peek().kind not in ("+", "-"):
+        if self.kind not in ("+", "-"):
             return value
         out = _accumulate({}, value.terms.items())
-        while self.peek().kind in ("+", "-"):
-            op = self.take().kind
-            tok = self.peek()
+        while self.kind in ("+", "-"):
+            op = self.kind
+            self.advance()
+            start = self.start
             rhs = self.term().terms
             _accumulate(out, rhs.items() if op == "+" else ((m, -c) for m, c in rhs.items()))
             # only the coefficients at rhs's monomials changed; a cancelled one is gone
-            self.check_constants(filter(None, map(out.get, rhs)), tok)
+            self.check_constants(filter(None, map(out.get, rhs)), start)
         return Polynomial._raw(self.context, out)
 
     def term(self) -> Polynomial:
         value = self.factor()
         while True:
-            kind = self.peek().kind
-            if kind == "*":
-                self.take()
-            elif kind not in _ATOM_STARTS:
+            if self.kind == "*":
+                self.advance()
+            elif self.kind not in _ATOM_STARTS:
                 return value
-            tok = self.peek()
+            start = self.start
             rhs = self.factor()
             if len(value.terms) * len(rhs.terms) > MAX_TERMS:
-                self.refuse_terms(tok)
+                self.refuse_terms(start)
             value = value * rhs
-            self.check_constants(value.terms.values(), tok)
+            self.check_constants(value.terms.values(), start)
 
     def factor(self) -> Polynomial:
-        if self.peek().kind == "-":
+        if self.kind == "-":
             return -self.nested(self.factor)
         return self.power()
 
@@ -253,75 +230,78 @@ class _Parser:
         too large before it is computed; the power is checked after.
         """
         base = self.atom()
-        if self.peek().kind != "^":
+        if self.kind != "^":
             return base
-        self.take()
-        tok = self.peek()
-        if tok.kind != "int":
+        self.advance()
+        if self.kind != "int":
             self.fail("malformed exponent: expected a non-negative integer")
-        e = tok.value
+        e = self.value
         if e > MAX_EXPONENT:
-            self.fail(f"exponent {e} exceeds the limit {MAX_EXPONENT}", tok)
-        self.take()
+            self.fail(f"exponent {e} exceeds the limit {MAX_EXPONENT}")
         terms = base.terms
         if len(terms) > 1 and math.comb(len(terms) + e - 1, e) > MAX_TERMS:
-            self.refuse_terms(tok)
+            self.refuse_terms()
         for c in map(terms.get, (min(terms), max(terms))) if terms else ():
-            bits = max(abs(c.numerator), c.denominator).bit_length() if isinstance(c, Fraction) else 0
+            rational = isinstance(c, Fraction) or c.is_rational()
+            bits = max(map(abs, stored_integers(c))).bit_length() if rational else 0
             if e * (bits - 1) >= _CONSTANT_LIMIT_BITS:
-                self.refuse_constant(tok)
+                self.refuse_constant()
         power = base**e
-        self.check_constants(power.terms.values(), tok)
-        if self.peek().kind == "^":
+        self.check_constants(power.terms.values(), self.start)
+        self.advance()
+        if self.kind == "^":
             self.fail("malformed exponent: chained '^' is not allowed")
         return power
 
     def atom(self) -> Polynomial:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.take()
-            value = Fraction(tok.value)
-            if self.peek().kind == "/":
-                self.take()
-                denom = self.peek()
-                if denom.kind != "int":
-                    self.fail("expected an integer denominator")
-                self.take()
-                if denom.value == 0:
-                    self.fail("zero denominator", denom)
-                value = Fraction(tok.value, denom.value)
-            return Polynomial.constant(self.context, value)
-        if tok.kind == "ident":
-            self.take()
-            variable = self.variables.get(tok.value)
-            if variable is None:
-                try:
-                    variable = Polynomial.variable(self.context, tok.value)
-                except ContextError:
-                    self.fail(f"unknown identifier {tok.value!r}", tok)
-                self.variables[tok.value] = variable
-            return variable
-        if tok.kind == "cyclo":
-            self.take()
-            field = self.context.field
-            if not isinstance(field, CyclotomicField) or field.p != tok.value:
-                self.fail(
-                    f"field constant z@{tok.value} is not available in {field.text}",
-                    tok,
-                )
-            return Polynomial.constant(self.context, _root(tok.value, 1))
-        if tok.kind == "(":
+        kind, value = self.kind, self.value
+        if kind == "(":
             value = self.nested(self.expr)
-            if self.peek().kind != ")":
+            if self.kind != ")":
                 self.fail("expected ')'")
-            self.take()
+            self.advance()
             return value
-        self.fail("expected a number, variable, or '('")
+        if kind not in _ATOM_STARTS:
+            self.fail("expected a number, variable, or '('")
+        if kind == "int":
+            self.advance()
+            if self.kind != "/":
+                return self.atom_of(kind, value)
+            self.advance()
+            if self.kind != "int":
+                self.fail("expected an integer denominator")
+            if self.value == 0:
+                self.fail("zero denominator")
+            kind, value = "/", (value, self.value)
+        atom = self.atom_of(kind, value)
+        self.advance()
+        return atom
+
+    def atom_of(self, kind: str, value) -> Polynomial:
+        """The atom's value, built on its first use; an error is the current token's."""
+        atom = self.atoms.get((kind, value))
+        if atom is not None:
+            return atom
+        context = self.context
+        if kind == "ident":
+            try:
+                atom = Polynomial.variable(context, value)
+            except ContextError:
+                self.fail(f"unknown identifier {value!r}")
+        elif kind == "cyclo":
+            field = context.field
+            if not isinstance(field, CyclotomicField) or field.p != value:
+                self.fail(f"field constant z@{value} is not available in {field.text}")
+            atom = Polynomial.constant(context, _root(value, 1))
+        else:
+            atom = Polynomial.constant(context, Fraction(*value) if kind == "/" else value)
+        self.atoms[kind, value] = atom
+        return atom
 
 
 def parse_expression(text: str, context: Context) -> Polynomial:
     """Parse the canonical text form in the given variable/field context."""
-    return _Parser(_lex(text), context).parse()
+    return _Parser(text, context).parse()
 
 
 # ----------------------------------------------------------------------

@@ -8,11 +8,13 @@ each operation its own hand-written merge and build sums by chaining,
 where the library merges every sum through ``poly._accumulate``.  The text
 oracles (``text_oracle``, ``parse_oracle``) print through ``Fraction``s and
 read back through ``Polynomial`` arithmetic, where the library works on
-stored integers and term dicts.
+stored integers and term dicts; ``parse_oracle`` reads its tokens through
+a lexer of its own, which counts lines as it goes.
 """
 
 import heapq
 import math
+import re
 import signal
 import sys
 import time
@@ -25,7 +27,7 @@ from suspensia import Context, CyclotomicNumber, Polynomial, QQ, new_derivation
 from suspensia import parseio
 from suspensia.coeff import CoefficientError, CyclotomicField, root_of_unity, stored_integers
 from suspensia.parseio import ParseError
-from suspensia.poly import ContextError
+from suspensia.poly import NAME_PATTERN, ContextError
 
 
 def reduce_cyclotomic_oracle(p, dense):
@@ -113,23 +115,88 @@ def text_oracle(f):
     return out[3:] if out[1] == "+" else "-" + out[3:]
 
 
+class _Token:
+    __slots__ = ("kind", "value", "line", "column")
+
+    def __init__(self, kind, value, line, column):
+        self.kind = kind
+        self.value = value
+        self.line = line
+        self.column = column
+
+
+#: The token classes of ``parseio._TOKEN_RE``, with '\n' a class of its own
+#: so that the lexer counts lines as it goes.
+_TOKEN_RE = re.compile(
+    r"(?P<newline>\n)|(?P<int>[0-9]+)"
+    rf"|(?P<cyclo>{NAME_PATTERN}@[0-9]*)|(?P<ident>{NAME_PATTERN})"
+    r"|(?P<op>[-+*/^()])|(?P<other>\S)"
+)
+
+
+def _integer_oracle(digits, line, column):
+    if len(digits) > parseio.MAX_DIGITS:
+        raise ParseError(
+            f"integer literal of {len(digits)} digits exceeds the limit of {parseio.MAX_DIGITS}",
+            line,
+            column,
+        )
+    return int(digits)
+
+
+def _lex_oracle(text):
+    """The tokens of ``text``, one ``_Token`` each, made as they are asked for.
+
+    Lines are counted at each '\n' and columns from the line's start, where
+    the library works both out from an offset only when it raises.  A
+    lexical error is raised when its token is reached, so the parser's
+    errors come left to right.
+    """
+    line, line_start = 1, 0
+    for match in _TOKEN_RE.finditer(text):
+        kind, value = match.lastgroup, match.group()
+        column = match.start() - line_start + 1
+        if kind == "op":
+            yield _Token(value, value, line, column)
+        elif kind == "ident":
+            yield _Token("ident", value, line, column)
+        elif kind == "int":
+            yield _Token("int", _integer_oracle(value, line, column), line, column)
+        elif kind == "newline":
+            line, line_start = line + 1, match.end()
+        elif kind == "cyclo":
+            name, _, digits = value.partition("@")
+            at = column + len(name)
+            if name != "z":
+                raise ParseError(f"unexpected '@' after {name!r}", line, at)
+            if not digits:
+                raise ParseError("expected a prime after 'z@'", line, at + 1)
+            yield _Token("cyclo", _integer_oracle(digits, line, at + 1), line, column)
+        else:
+            raise ParseError(f"unexpected character {value!r}", line, column)
+    yield _Token("end", None, line, len(text) - line_start + 1)
+
+
 class _ParserOracle:
     """The expression parser on ``Polynomial`` values: every sum, product,
     negation and power is a ``Polynomial`` operation, and ``z@p^k`` is a
-    square-and-multiply.  The limits are checked at the library's points."""
+    square-and-multiply.  The limits are checked at the library's points.
+    It reads a token from ``tokens`` only when it looks at it."""
 
     def __init__(self, tokens, context):
         self.tokens = tokens
-        self.pos = 0
+        self.current = None  # the token looked at and not yet taken
         self.context = context
         self.depth = 0
 
     def peek(self):
-        return self.tokens[self.pos]
+        if self.current is None:
+            self.current = next(self.tokens)
+        return self.current
 
     def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
+        tok = self.peek()
+        self.current = None
         return tok
 
     def fail(self, message, token=None):
@@ -266,8 +333,8 @@ class _ParserOracle:
 
 
 def parse_oracle(text, context):
-    """``parse_expression`` through ``Polynomial`` arithmetic, on the library's tokens."""
-    return _ParserOracle(parseio._lex(text), context).parse()
+    """``parse_expression`` through ``Polynomial`` arithmetic, on the oracle's own tokens."""
+    return _ParserOracle(_lex_oracle(text), context).parse()
 
 
 def brute_force_product(factors):

@@ -110,6 +110,42 @@ def test_non_ascii_characters_are_located(text, message, column):
     assert (info.value.line, info.value.column) == (1, column)
 
 
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ("x +\n  q", "unknown identifier 'q'", 2, 3),
+        ("x\n\n é", "unexpected character 'é'", 3, 2),
+        ("x +\n\n", "expected a number, variable, or '\\('", 3, 1),
+        ("x\n  +z@", "expected a prime after 'z@'", 2, 6),
+        ("\n\n  (x))", "unexpected '\\)'", 3, 6),
+        ("x y\n  2^3^4", "chained '\\^' is not allowed", 2, 6),
+        ("x + + é", "expected a number, variable, or '\\('", 1, 5),
+        ("q é", "unknown identifier 'q'", 1, 1),
+        ("x^y é", "malformed exponent", 1, 3),
+        ("x é z@", "unexpected character 'é'", 1, 3),
+        ("1/0\n q@3", "zero denominator", 1, 3),
+    ],
+)
+def test_the_first_error_left_to_right_is_located(text, message, line, column):
+    with pytest.raises(ParseError, match=message) as info:
+        parse_expression(text, QXY)
+    assert (info.value.line, info.value.column) == (line, column)
+
+
+def test_a_parse_keeps_no_per_token_state():
+    # 5,000 summands of 9 tokens each, cancelling in pairs: only the running
+    # sum and the current token are held, never a list of tokens
+    text = "x" + " + 2*x*y^2 - 2*y^2*x" * 5000
+    tracemalloc.start()
+    try:
+        value = parse_expression(text, QXY)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == Polynomial.variable(QXY, "x")
+    assert peak < 1024 * 1024
+
+
 def test_exponent_limit():
     assert parse_expression(f"x^{MAX_EXPONENT}", QXY) == Polynomial.monomial(
         QXY, {"x": MAX_EXPONENT}
@@ -170,10 +206,13 @@ def test_constant_limit_refuses_powers_before_computing(monkeypatch):
 
     # every base, of one term or several, is raised by Polynomial.__pow__
     monkeypatch.setattr(Polynomial, "__pow__", refuse)
+    # in Q(z@p) a rational coefficient is a CyclotomicNumber, bounded the same way
     nines = "9" * MAX_DIGITS
+    ctx3 = Context(CyclotomicField(3), ("x", "y"))
     for text in (f"({nines})^1000", f"(x + 1/{nines})^2", f"({nines}*x*y + y)^1000"):
-        with pytest.raises(ParseError, match="digits exceeds the limit"):
-            parse_expression(text, QXY)
+        for context in (QXY, ctx3):
+            with pytest.raises(ParseError, match="digits exceeds the limit"):
+                parse_expression(text, context)
 
 
 def test_constant_limit_stops_products_and_sums_early():
@@ -441,8 +480,10 @@ def _texts(draw):
     and differences, or pieces joined at random, which is mostly malformed.
 
     The random pieces add an unknown name, a foreign field constant, a zero
-    denominator and stray operators; they are joined by spaces, so a number
-    never runs into a long exponent.
+    denominator, stray operators, a bad ``z@`` and ``q@3``, and characters
+    no token takes; they are joined by spaces or newlines, so a number never
+    runs into a long exponent, and a text with several errors shows which
+    one, and on which line, is reported.
     """
     field = draw(st.sampled_from(_FIELDS))
     atoms = st.sampled_from(_atoms(field))
@@ -459,8 +500,12 @@ def _texts(draw):
 
     pieces = _atoms(field) + [
         "q", "1/0", "2x", "x(y", "x^2", "z@5", "/", "^", "^2", "+", "-", "*", "(", "(", ")", ")",
+        "é", "²", "q@3", "z@",
     ]
-    random_pieces = st.lists(st.sampled_from(pieces), max_size=16).map(" ".join)
+    separator = st.sampled_from([" ", " ", "\n"])
+    random_pieces = st.lists(st.tuples(separator, st.sampled_from(pieces)), max_size=16).map(
+        lambda pairs: "".join(sep + piece for sep, piece in pairs)
+    )
     return field, draw(st.one_of(st.recursive(atoms, extend, max_leaves=8), random_pieces))
 
 
