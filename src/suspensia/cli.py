@@ -27,6 +27,7 @@ from .derivation import (
     MorphismError,
     NotWellDefinedError,
     SizeLimitError,
+    _exponential,
     certificate_json,
     certify_lnd,
     decompose,
@@ -300,7 +301,7 @@ def _cmd_exp(args) -> int:
     morphism = exp(derivation, scalar, args.cap, max_digits=parseio.MAX_DIGITS)
     for line in _image_lines(morphism.images):
         print(line)
-    half = exp(derivation, algebra.field.coerce(scalar) * Fraction(1, 2), args.cap)
+    half = _exponential(derivation, morphism.orbits, morphism.t * Fraction(1, 2))
     one_param = half.compose(half)
     if not one_param.agrees_with(morphism):
         raise MorphismError("one-parameter law failed (internal error)")

@@ -45,7 +45,7 @@ from types import MappingProxyType
 
 from .algebra import AlgebraElement, Grading, GradingError, PresentedAlgebra, _Frozen
 from .coeff import _integer, stored_integers
-from .poly import Polynomial, Substitution, _leibniz, _occurring, _sum
+from .poly import Polynomial, _leibniz, _occurring, _sum
 
 #: The order of the zero element (absorbing under addition of orders).
 MINUS_INFINITY = float("-inf")
@@ -469,9 +469,10 @@ class AlgebraMorphism(_Frozen):
     name, or a nonzero normal form, raises ``MorphismError``.  ``compose``,
     ``identity_morphism`` and ``exp`` build
     through ``_trusted`` instead: their maps are algebra maps by
-    construction.  A morphism pushes elements by substitution: each
-    generator goes to its image, one table of image powers per call of
-    ``apply`` or ``compose`` (``Exponential`` pushes along D-orbits instead).
+    construction.  ``apply`` and ``compose`` push elements through one
+    hook, ``_push``: here ``Polynomial.substitute`` sends each generator to
+    its image, one table of image powers per pushed element;
+    ``Exponential`` overrides it to push along D-orbits.
     """
 
     __slots__ = ("source", "target", "images")
@@ -479,9 +480,9 @@ class AlgebraMorphism(_Frozen):
     def __init__(self, source, target, images: dict):
         self._fill(source=source, target=target,
                    images=_images(source.variables, images, target.element, MorphismError))
-        substitute = self._substitution()
+        bindings = {name: img.rep for name, img in self.images.items()}
         for r in source.relations:
-            nf = target.normal_form(substitute(r))
+            nf = target.normal_form(r.substitute(bindings, target.context))
             if nf:
                 raise MorphismError(f"relation {r.text()} maps to nonzero {nf.text()}")
 
@@ -492,30 +493,24 @@ class AlgebraMorphism(_Frozen):
             source=source, target=target, images=MappingProxyType(dict(images)), **fields
         )
 
-    def _substitution(self) -> Substitution:
+    def _push(self, a: AlgebraElement) -> AlgebraElement:
+        """The image in the target of an element of the source."""
         bindings = {name: img.rep for name, img in self.images.items()}
-        return Substitution(self.source.context, bindings, self.target.context)
-
-    def _pusher(self):
-        """The map sending an element of the source to its image in the target."""
-        substitute = self._substitution()
-        return lambda a: self.target.element(substitute(a.rep))
+        return self.target.element(a.rep.substitute(bindings, self.target.context))
 
     def apply(self, value) -> AlgebraElement:
-        return self._pusher()(self.source.element(value))
+        return self._push(self.source.element(value))
 
     def compose(self, inner: AlgebraMorphism) -> AlgebraMorphism:
         """The map sending x first through inner, then through this morphism.
 
-        Every image of ``inner`` goes through one push map of this morphism:
-        one table of powers for a substitution, the D-orbit series for an
-        ``Exponential``.
+        Every image of ``inner`` goes through ``_push``: a substitution, or
+        the D-orbit series for an ``Exponential``.
         """
         if not inner.target.same_presentation(self.source):
             raise MorphismError("morphisms do not compose: target/source mismatch")
-        push = self._pusher()
         images = {
-            name: push(self.source.element(img)) for name, img in inner.images.items()
+            name: self._push(self.source.element(img)) for name, img in inner.images.items()
         }
         return AlgebraMorphism._trusted(inner.source, self.target, images)
 
@@ -528,26 +523,26 @@ class AlgebraMorphism(_Frozen):
 
 
 class Exponential(AlgebraMorphism):
-    """exp(tD) for a certified derivation D, pushing elements as its series.
+    """exp(tD) for a certified derivation D; its ``_push`` sums D-orbit series.
 
-    Holds D, t and the nilpotency orders ``exp`` certified, as weights in
-    variable order.  An element f goes to the sum of t^k D^k(f) / k! over
-    k <= U(f), where U(f) is the weighted degree of f's normal form under
-    those orders: nu is a degree function (see the module docstring), so
-    nu(f) <= U(f) and D^(U+1)(f) = 0 is never computed.  The orbit also
-    stops at the first D^k(f) = 0.  Each term is a normal form, so the sum
-    is one and is not reduced again; the cost is linear in the size of the
-    iterates, where a substitution multiplies powers of the images.
+    Holds D, t, the generator orbits x, D x, ..., D^order x that ``exp``
+    certified, as tuples in variable order, and their orders as weights in
+    variable order.  The images are the series over those orbits, and
+    ``_exponential`` sums the same orbits again for another t.  An element
+    f goes to the sum of t^k D^k(f) / k! over k <= U(f), where U(f) is the
+    weighted degree of f's normal form under those orders: nu is a degree
+    function (see the module docstring), so nu(f) <= U(f) and
+    D^(U+1)(f) = 0 is never computed.  The orbit also stops at the first
+    D^k(f) = 0.  Each term is a normal form, so the sum is one and is not
+    reduced again; the cost is linear in the size of the iterates, where a
+    substitution multiplies powers of the images.
 
-    Only ``exp`` builds one, through ``_trusted``, with the orders it has
-    just certified: they are trusted, and orders that are too small would
-    cut the series short.  The class is not exported.
+    Only ``_exponential`` builds one, through ``_trusted``, from orbits
+    ``exp`` has certified: they are trusted, and orbits that are too short
+    would cut the series short.  The class is not exported.
     """
 
-    __slots__ = ("derivation", "t", "orders")
-
-    def _pusher(self):
-        return self._push
+    __slots__ = ("derivation", "t", "orders", "orbits")
 
     def _push(self, a: AlgebraElement) -> AlgebraElement:
         bound = a.rep.weighted_degree(self.orders) if a else 0
@@ -584,7 +579,7 @@ def _series(algebra, orbit, t) -> Polynomial:
     return _sum(algebra.context, reps, scalars)
 
 
-def _check_sizes(t, orders: tuple, orbits: list, max_digits: int) -> None:
+def _check_sizes(t, orbits: tuple, max_digits: int) -> None:
     """Refuse t and orbits whose series could hold integers of max_digits digits.
 
     t^U is not computed: U * b, with b the bit length of the largest
@@ -593,7 +588,7 @@ def _check_sizes(t, orders: tuple, orbits: list, max_digits: int) -> None:
     then stay below 10**max_digits).  The orbit coefficients, computed
     already, are compared with 10**max_digits.
     """
-    top = max(orders, default=0)
+    top = max(map(len, orbits), default=1) - 1
     bits = max(abs(n) for n in stored_integers(t)).bit_length()
     if top * bits >= (10**max_digits).bit_length():
         raise SizeLimitError(f"t^{top} could exceed {max_digits} digits; use a smaller t")
@@ -618,9 +613,9 @@ def exp(derivation: Derivation, t, cap: int = DEFAULT_CAP,
     sum is finite and lands back in the algebra.  For a well-defined
     locally nilpotent D of a Q-algebra, exp(tD) is an algebra automorphism,
     so the relations map to zero by that theorem and are not substituted
-    into the images.  The returned ``Exponential`` keeps the orders it
-    certified here and pushes every element, in ``apply`` and ``compose``,
-    along its D-orbit up to the bound those orders give.
+    into the images.  The returned ``Exponential`` keeps the orbits and
+    orders it certified here and pushes every element, in ``apply`` and
+    ``compose``, along its D-orbit up to the bound those orders give.
 
     With ``max_digits``, ``SizeLimitError`` is raised once the orbits are
     known and before any series is summed, so before t is raised to any
@@ -642,16 +637,22 @@ def exp(derivation: Derivation, t, cap: int = DEFAULT_CAP,
     for i, orbit in _orbits(derivation, cap):
         if orbit is None:
             raise InconclusiveError("cannot exponentiate an inconclusive certificate")
-        orbits[i] = orbit
-    orders = tuple(len(orbit) - 1 for orbit in orbits)
+        orbits[i] = tuple(orbit)
+    orbits = tuple(orbits)
     if max_digits is not None:
-        _check_sizes(t, orders, orbits, max_digits)
+        _check_sizes(t, orbits, max_digits)
+    return _exponential(derivation, orbits, t)
+
+
+def _exponential(derivation: Derivation, orbits: tuple, t) -> Exponential:
+    """exp(tD), t in the field, from D's certified generator orbits in variable order."""
+    algebra = derivation.algebra
     images = {
         name: AlgebraElement(algebra, _series(algebra, orbit, t))
         for name, orbit in zip(algebra.variables, orbits)
     }
     return Exponential._trusted(algebra, algebra, images, derivation=derivation, t=t,
-                                orders=orders)
+                                orders=tuple(len(orbit) - 1 for orbit in orbits), orbits=orbits)
 
 
 def certificate_json(certificate: LNDCertificate) -> dict:

@@ -41,6 +41,18 @@ class MonomialOrder:
     kind: str
     block: tuple = ()
 
+    def __post_init__(self):
+        object.__setattr__(self, "block", tuple(self.block))
+        if self.kind not in ("lex", "grevlex", "elimination"):
+            raise OrderError(f"unknown monomial order kind {self.kind!r}")
+        if self.kind != "elimination":
+            if self.block:
+                raise OrderError(f"a {self.kind} order takes no elimination block")
+        elif not self.block:
+            raise OrderError("elimination order needs at least one block variable")
+        elif len(set(self.block)) != len(self.block):
+            raise OrderError("repeated variable in elimination block")
+
     def renamed(self, var: str, new_var: str) -> MonomialOrder:
         """The same order with var renamed to new_var inside the block."""
         return MonomialOrder(
@@ -53,24 +65,20 @@ class MonomialOrder:
             return lambda m: m
         if self.kind == "grevlex":
             return lambda m: (sum(m), *map(neg, reversed(m)))
-        if self.kind == "elimination":
-            idx = tuple(context.index(v) for v in self.block)
-            if len(set(idx)) != len(idx):
-                raise OrderError("repeated variable in elimination block")
-            rest = tuple(i for i in range(context.nvars) if i not in set(idx))
-            # one gather puts each block's exponents in reversed order
-            gather = idx[::-1] + rest[::-1]
-            pick = itemgetter(*gather) if len(gather) > 1 else tuple
-            nb = len(idx)
+        idx = tuple(context.index(v) for v in self.block)
+        rest = tuple(i for i in range(context.nvars) if i not in set(idx))
+        # one gather puts each block's exponents in reversed order
+        gather = idx[::-1] + rest[::-1]
+        pick = itemgetter(*gather) if len(gather) > 1 else tuple
+        nb = len(idx)
 
-            def key(m):
-                v = pick(m)
-                b = v[:nb]
-                r = v[nb:]
-                return (sum(b), *map(neg, b), sum(r), *map(neg, r))
+        def key(m):
+            v = pick(m)
+            b = v[:nb]
+            r = v[nb:]
+            return (sum(b), *map(neg, b), sum(r), *map(neg, r))
 
-            return key
-        raise OrderError(f"unknown monomial order kind {self.kind!r}")
+        return key
 
 
 def lex() -> MonomialOrder:
@@ -82,9 +90,7 @@ def grevlex() -> MonomialOrder:
 
 
 def elimination(*variables: str) -> MonomialOrder:
-    if not variables:
-        raise OrderError("elimination order needs at least one block variable")
-    return MonomialOrder("elimination", tuple(variables))
+    return MonomialOrder("elimination", variables)
 
 
 class _Reducer:

@@ -367,6 +367,10 @@ def derivation_from_data(images: dict, algebra: PresentedAlgebra) -> Derivation:
         and all(isinstance(k, str) and isinstance(v, str) for k, v in images.items()),
         "derivation images must map variable names to expression strings",
     )
+    for name in algebra.variables:
+        _expect(name in images, f"missing image for variable {name!r}")
+    for name in images:
+        _expect(name in algebra.variables, f"image given for unknown variable {name!r}")
     parsed = {
         name: parse_expression(expr, algebra.context) for name, expr in images.items()
     }

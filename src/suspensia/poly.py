@@ -282,10 +282,31 @@ class Polynomial:
     def substitute(self, bindings: dict, into: Context | None = None) -> Polynomial:
         """Image under the evaluation map sending bound variables to polynomials.
 
-        Unbound variables must exist (by name) in the target context.
+        Unbound variables must exist (by name) in the target context, and
+        every binding must lie in it, whether or not its variable occurs.
+        Within one call, each power image**e is computed the first time a
+        monomial needs it and reused by every later monomial.
         """
         target = into if into is not None else self._context
-        return Substitution(self._context, bindings, target)(self)
+        names = self._context.variables
+        images = [bindings[name] if name in bindings else Polynomial.variable(target, name)
+                  for name in names]
+        for name, g in zip(names, images):
+            if not isinstance(g, Polynomial) or g._context != target:
+                raise ContextError(f"binding for {name!r} is not in the target context")
+        powers = {}
+
+        def term(mono, coeff):
+            product = Polynomial.constant(target, coeff)
+            for i, e in enumerate(mono):
+                if e:
+                    power = powers.get((i, e))
+                    if power is None:
+                        power = powers[(i, e)] = images[i] ** e
+                    product = product * power
+            return product
+
+        return _sum(target, (term(mono, coeff) for mono, coeff in self._terms.items()))
 
     def convert(self, into: Context, root: tuple | None = None) -> Polynomial:
         """Reinterpret in another context, mapping variables by name.
@@ -407,52 +428,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.text()!r})"
-
-
-class Substitution:
-    """The evaluation map of ``Polynomial.substitute``, with one table of powers.
-
-    Built once from the source context, the bindings and the target
-    context; calling it on a polynomial of the source context gives that
-    polynomial's image.  Each power image**e is computed the first time a
-    monomial needs it and reused by every later call, so pushing several
-    polynomials through one map costs one table of powers, not one each.
-    """
-
-    __slots__ = ("source", "target", "images", "powers")
-
-    def __init__(self, source: Context, bindings: dict, target: Context):
-        images = []
-        for name in source.variables:
-            if name in bindings:
-                g = bindings[name]
-                if not isinstance(g, Polynomial) or g._context != target:
-                    raise ContextError(f"binding for {name!r} is not in the target context")
-                images.append(g)
-            else:
-                images.append(Polynomial.variable(target, name))
-        self.source = source
-        self.target = target
-        self.images = images
-        self.powers = {}
-
-    def _power(self, i: int, e: int) -> Polynomial:
-        power = self.powers.get((i, e))
-        if power is None:
-            power = self.powers[(i, e)] = self.images[i] ** e
-        return power
-
-    def __call__(self, f: Polynomial) -> Polynomial:
-        if f._context != self.source:
-            raise ContextError("polynomial is not in the source context of the substitution")
-        return _sum(self.target, (self._term(mono, coeff) for mono, coeff in f._terms.items()))
-
-    def _term(self, mono, coeff) -> Polynomial:
-        term = Polynomial.constant(self.target, coeff)
-        for i, e in enumerate(mono):
-            if e:
-                term = term * self._power(i, e)
-        return term
 
 
 def _accumulate(out: dict, pairs) -> dict:

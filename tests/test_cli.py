@@ -612,6 +612,34 @@ def test_derivation_name_on_a_standalone_file_is_input_error(capsys):
     assert captured.err.startswith("input error:") and "'nope'" in captured.err
 
 
+def _images_without_w(images):
+    del images["w"]
+
+
+@pytest.mark.parametrize(
+    "command, edit, message",
+    [
+        ("certify-derivation", lambda images: images.update(q="0"),
+         "image given for unknown variable 'q'"),
+        ("certify-derivation", _images_without_w, "missing image for variable 'w'"),
+        ("validate", None, "missing image for variable 'x0'"),
+    ],
+    ids=["standalone-unknown", "standalone-missing", "validate-unknown"],
+)
+def test_missing_or_unknown_image_is_input_error(command, edit, message, tmp_path, capsys):
+    # each exited 1 ("check failed") although the image names are malformed input
+    if edit is None:
+        data = json.loads((FIXTURES / "yp3.json").read_text())
+        data["derivations"] = {"d": {"q": "0"}}
+    else:
+        data = json.loads((FIXTURES / "yp3_derivation.json").read_text())
+        data["algebra"] = str(FIXTURES / data["algebra"])
+        edit(data["images"])
+    assert main([command, _write(tmp_path, "input.json", data)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and message in err
+
+
 def test_exp_power_past_the_term_limit_is_input_error(monkeypatch, capsys):
     helpers.refuse_large_powers(monkeypatch)
     argv = ["exp", str(FIXTURES / "yp3_derivation.json"), "--t=(x0+x1+x2+y+z+w)^1000"]

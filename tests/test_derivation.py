@@ -45,7 +45,8 @@ from suspensia import (
     parse_expression,
     zero_derivation,
 )
-from suspensia import parseio, poly
+from suspensia import parseio
+from suspensia.cli import main
 from suspensia.coeff import CyclotomicField, root_of_unity
 from suspensia.constructions import yp_weight_row
 from suspensia.derivation import _orbits
@@ -252,12 +253,14 @@ def test_zero_image_needs_no_application(monkeypatch):
     assert applied == []
 
 
-def test_yp3_application_counts(monkeypatch):
+def test_yp3_application_counts(monkeypatch, capsys):
     # y and w have image 0.  z breaks the x_j <-> z cycle and is iterated
     # from its stored image D(z) to D^2(z) = 0, and each x_j from D(x_j) to
     # its bound U(x_j) = 2: one application each, 4 in all, where computing
     # each D(x) again made 8.  exp iterates the same orbits; compose pushes
-    # each of the six images of exp(D/2) along its own orbit
+    # each of the six images of exp(D/2) along its own orbit.  The CLI's
+    # exp certifies the orbits once, for exp(tD), and sums exp(tD/2) over
+    # them: 4 + 11, where iterating them again for exp(tD/2) made 19
     fixture = Path(__file__).parent / "fixtures" / "yp3_derivation.json"
     derivation = parseio.load_derivation(fixture)
     applied = []
@@ -271,6 +274,10 @@ def test_yp3_application_counts(monkeypatch):
     applied.clear()
     half.compose(half)
     assert len(applied) == 11
+    applied.clear()
+    assert main(["exp", str(fixture), "--t=1/2"]) == 0
+    assert capsys.readouterr().out.endswith("one-parameter law verified at t/2 + t/2\n")
+    assert len(applied) == 15
 
 
 def test_degree_function_laws_partial_derivative():
@@ -653,10 +660,10 @@ def test_exp_on_triangular_derivations_matches_the_substitution_route(case, s, t
 
 
 def test_exponentials_push_along_orbits_not_by_substitution(y3_and_lift, monkeypatch):
-    def refuse(self, f):
+    def refuse(self, bindings, into=None):
         raise AssertionError("an exponential pushed an element by substitution")
 
-    monkeypatch.setattr(poly.Substitution, "__call__", refuse)
+    monkeypatch.setattr(Polynomial, "substitute", refuse)
     for derivation in y3_and_lift:
         algebra = derivation.algebra
         half = exp(derivation, Fraction(1, 2))

@@ -165,6 +165,31 @@ def test_empty_generators_zero_ideal():
     assert basis.normal_form(f) == f
 
 
+@pytest.mark.parametrize(
+    "kind, block, message",
+    [
+        ("deglex", (), "unknown monomial order kind 'deglex'"),
+        ("lex", ("x",), "a lex order takes no elimination block"),
+        ("grevlex", ("x",), "a grevlex order takes no elimination block"),
+        ("elimination", (), "elimination order needs at least one block variable"),
+        ("elimination", ("x", "y", "x"), "repeated variable in elimination block"),
+    ],
+)
+def test_monomial_order_is_checked_when_built(kind, block, message):
+    # each was accepted when built; the kind and repeats were refused only
+    # by key_for, and a block on lex or grevlex never
+    with pytest.raises(OrderError, match=message):
+        groebner.MonomialOrder(kind, block)
+
+
+def test_monomial_order_stores_its_block_as_a_tuple():
+    # a list block made an order unequal to elimination("z"), and unhashable
+    order = groebner.MonomialOrder("elimination", ["z"])
+    assert order == elimination("z") and hash(order) == hash(elimination("z"))
+    with pytest.raises(OrderError, match="at least one block variable"):
+        elimination()
+
+
 def test_elimination_order_sorts_block_first():
     key = elimination("y").key_for(QXY)
     y = (0, 1)

@@ -23,7 +23,6 @@ from suspensia import (
     s_polynomial,
 )
 from suspensia.coeff import CyclotomicField, _power
-from suspensia.poly import Substitution
 
 from helpers import (
     QXY,
@@ -133,10 +132,34 @@ def test_substitute_identity():
         assert f.substitute({"x": P("x", QXY)}) == f
 
 
+def test_substitute_raises_each_bound_image_to_each_exponent_once(monkeypatch):
+    # x^2 occurs in three terms and y in two: one call squares the image of
+    # x once, and raises the image of y to the first and second power once
+    f = P("x^2*y + x^2 + x^2*y^2 + 3*y - x", QXY)
+    bindings = {"x": P("y + 1", QXY), "y": P("x - y", QXY)}
+    raised = []
+    power = Polynomial.__pow__
+    monkeypatch.setattr(
+        Polynomial, "__pow__", lambda g, e: raised.append((g.text(), e)) or power(g, e)
+    )
+    image = f.substitute(bindings)
+    assert sorted(raised) == [("x - y", 1), ("x - y", 2), ("y + 1", 1), ("y + 1", 2)]
+    assert_same_terms(image, substitution_oracle(f, bindings, QXY))
+    # the table lives in the call: a second call computes its own
+    raised.clear()
+    assert f.substitute(bindings) == image
+    assert len(raised) == 4
+
+
 def test_substitute_unbound_variable_missing_from_target():
     target = Context(QQ, ("x",))
     with pytest.raises(ContextError):
         P("x + y", QXY).substitute({}, into=target)
+    # also when the variable does not occur, and for a binding in another context
+    with pytest.raises(ContextError):
+        P("x", QXY).substitute({}, into=target)
+    with pytest.raises(ContextError):
+        P("x", QXY).substitute({"y": P("x", target)})
 
 
 def test_collapse_power_defining_case():
@@ -328,9 +351,8 @@ def test_sums_match_the_merge_loop_oracles(seed, field):
         "x": random_polynomial(rng, target, max_terms=3, max_exp=2),
         "y": Polynomial.variable(target, "u") - Polynomial.variable(target, "w"),
     }
-    substitute = Substitution(ctx, bindings, target)
-    assert_same_terms(substitute(f), substitution_oracle(f, bindings, target))
-    assert_same_terms(substitute(g), substitution_oracle(g, bindings, target))
+    assert_same_terms(f.substitute(bindings, target), substitution_oracle(f, bindings, target))
+    assert_same_terms(g.substitute(bindings, target), substitution_oracle(g, bindings, target))
 
     images = {name: random_polynomial(rng, ctx, max_terms=3, max_exp=2) for name in ctx.variables}
     derivation = new_derivation(PresentedAlgebra(ctx, []), images)
@@ -364,12 +386,12 @@ def _summing_calls():
     twisted = new_derivation(
         PresentedAlgebra(ctx, []), {"x": P("y^2 - x", ctx), "y": P("x + z", ctx), "z": f}
     )
-    substitute = Substitution(ctx, {"x": P("y + z", ctx), "z": P("x - 1", ctx)}, ctx)
+    bindings = {"x": P("y + z", ctx), "z": P("x - 1", ctx)}
     automorphism = exp(nilpotent, Fraction(1, 2))
     element = algebra.element(P("x^3 + x*y", ctx))
     return {
         "leibniz_image": lambda: twisted.leibniz_image(f),
-        "substitution": lambda: substitute(f),
+        "substitution": lambda: f.substitute(bindings),
         "exp_apply": lambda: automorphism.apply(element).rep,
         "linear_forms": lambda: linear_forms(5)[1],
     }
