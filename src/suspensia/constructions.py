@@ -294,13 +294,6 @@ def build_Xp(p: int, G: Polynomial | None = None):
     return algebra, algebra.gradings["weights"]
 
 
-def yp_weight_row(p: int) -> tuple:
-    """Weights x_j -> 2, z -> p, y -> 0, w -> 0 in the first algebra's order."""
-    weights = {name: 2 for name in x_names(p)}
-    weights.update({"y": 0, "z": p, "w": 0})
-    return tuple(weights[name] for name in yp_context(p).variables)
-
-
 def _constants(p: int) -> list:
     """c_j = (2/p)*e_1^(-j): the inverse DFT of (2, 0, ..., 0) over Q(z@p)."""
     eps = root_of_unity(p, 1)

@@ -209,9 +209,6 @@ class GroebnerBasis:
         terms = _reduce_terms(f._terms, self._reducers, self._key)
         return f if terms is f._terms else Polynomial._raw(self.context, terms)
 
-    def is_member(self, f: Polynomial) -> bool:
-        return not self.normal_form(f)
-
     def is_unit_ideal(self) -> bool:
         return any(g and g.is_constant() for g in self.generators)
 

@@ -14,9 +14,10 @@ ring variables; ``z@p`` is the field constant of Q(z@p) and is rejected as a
 ring variable name.  Whitespace separates tokens; any other character, a
 Unicode digit such as '²' included, is an error.  The text is read in one
 pass, and of several errors the first, reading left to right, is raised,
-with its 1-based line/column.  Values are built by ``Polynomial``'s own
-operators; the one term dict the parser keeps is a sum's running total
-(``_Parser``).
+with its 1-based line/column.  A term is one running term while its
+factors have one term each, and only a factor of several terms goes
+through ``Polynomial``'s operators; the one term dict the parser keeps is
+a sum's running total (``_Parser``).
 
 Description files are JSON objects with keys ``field``, ``variables``,
 ``relations`` and optional ``gradings`` (name -> weight matrix) and
@@ -36,7 +37,7 @@ from .algebra import PresentedAlgebra
 from .coeff import CyclotomicField, _root, field_from_text
 from .coeff import stored_integers
 from .derivation import Derivation, new_derivation
-from .poly import NAME_PATTERN, Context, ContextError, Polynomial, _accumulate
+from .poly import NAME_PATTERN, Context, ContextError, Polynomial, _accumulate, _monomial
 
 
 class ParseError(ValueError):
@@ -106,17 +107,24 @@ class _Parser:
     It holds only the current token's kind, value and offset, and checks each
     token before it reads the next, so of several errors the first, left to
     right, is raised; its line and column are worked out from the offset then.
-    Each distinct atom is built once per parse, in ``atoms``.  The one term
-    dict it owns is an ``expr``'s running sum, merged in place through
-    ``poly._accumulate`` and wrapped once.
+
+    A term is one running term, its exponents in a list and one coefficient,
+    while its factors have one term each; it becomes a ``Polynomial`` once,
+    when it ends, and ``Polynomial`` ``*`` runs only from the first factor
+    of several terms on.  An ``expr``'s running sum is one term dict, merged
+    in place through ``poly._accumulate`` and wrapped once.  Each distinct
+    atom is built once per parse, and so is each parenthesized constant with
+    no '(' inside: a later copy of its text takes the first one's value.
     """
 
     def __init__(self, text: str, context: Context):
         self.text = text
         self.matches = _TOKEN_RE.finditer(text)
         self.context = context
+        self.one = context.field.one
         self.depth = 0
-        self.atoms = {}  # (kind, value) -> its Polynomial, filled as atoms appear
+        self.atoms = {}  # (kind, value) -> a variable's index or a number's coefficient
+        self.constants = {}  # "(...)" -> (its coefficient, the nesting it takes)
         self.advance()
 
     def advance(self):
@@ -154,13 +162,13 @@ class _Parser:
         text = self.text
         raise ParseError(message, text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start))
 
-    def nested(self, parse):
+    def nested(self, parse, *args):
         """Take the token opening one nesting level, then parse its body."""
         self.depth += 1
         if self.depth > _MAX_NESTING:
             self.fail("expression nested too deeply")
         self.advance()
-        value = parse()
+        value = parse(*args)
         self.depth -= 1
         return value
 
@@ -202,27 +210,50 @@ class _Parser:
         return Polynomial._raw(self.context, out)
 
     def term(self) -> Polynomial:
-        value = self.factor()
+        """A product of factors, each checked as it is multiplied in.
+
+        ``value`` is the running term's coefficient, its exponents in
+        ``exps``, until a factor of several terms makes it a ``Polynomial``.
+        """
+        context = self.context
+        exps = [0] * context.nvars
+        value = self.factor(exps)
         while True:
             if self.kind == "*":
                 self.advance()
             elif self.kind not in _ATOM_STARTS:
-                return value
+                return value if isinstance(value, Polynomial) else _monomial(context, exps, value)
             start = self.start
-            rhs = self.factor()
+            if isinstance(value, Polynomial):
+                shift = [0] * context.nvars
+                rhs = self.factor(shift)
+                if not isinstance(rhs, Polynomial):
+                    rhs = _monomial(context, shift, rhs)
+            else:
+                rhs = self.factor(exps)
+                if not isinstance(rhs, Polynomial):
+                    if rhs is not self.one:
+                        value = value * rhs
+                        self.check_constants((value,), start)
+                    continue
+                value = _monomial(context, exps, value)
             if len(value.terms) * len(rhs.terms) > MAX_TERMS:
                 self.refuse_terms(start)
             value = value * rhs
             self.check_constants(value.terms.values(), start)
 
-    def factor(self) -> Polynomial:
+    def factor(self, exps: list):
+        """A signed factor: its coefficient, with its exponents added into
+        ``exps``, or, for a factor of several terms, its ``Polynomial``."""
         if self.kind == "-":
-            return -self.nested(self.factor)
-        return self.power()
+            return -self.nested(self.factor, exps)
+        return self.power(exps)
 
-    def power(self) -> Polynomial:
+    def power(self, exps: list):
         """An atom, or atom ** e with its term count and constants checked first.
 
+        A variable or a one-term value adds its exponents, times e, into
+        ``exps``; the coefficient, or a value of several terms, is raised.
         A base of t > 1 terms is refused if base**e could have more than
         ``MAX_TERMS`` terms.  Under any monomial order the extreme terms of
         base**e are those of base to the e, with coefficients c**e, and
@@ -230,37 +261,55 @@ class _Parser:
         too large before it is computed; the power is checked after.
         """
         base = self.atom()
-        if self.kind != "^":
-            return base
-        self.advance()
-        if self.kind != "int":
-            self.fail("malformed exponent: expected a non-negative integer")
-        e = self.value
-        if e > MAX_EXPONENT:
-            self.fail(f"exponent {e} exceeds the limit {MAX_EXPONENT}")
-        terms = base.terms
-        if len(terms) > 1 and math.comb(len(terms) + e - 1, e) > MAX_TERMS:
-            self.refuse_terms()
-        for c in map(terms.get, (min(terms), max(terms))) if terms else ():
+        e = None
+        if self.kind == "^":
+            self.advance()
+            if self.kind != "int":
+                self.fail("malformed exponent: expected a non-negative integer")
+            e = self.value
+            if e > MAX_EXPONENT:
+                self.fail(f"exponent {e} exceeds the limit {MAX_EXPONENT}")
+        if isinstance(base, int):  # a variable's index
+            exps[base] += 1 if e is None else e
+            base = self.one
+        else:
+            if isinstance(base, Polynomial) and len(base.terms) == 1:
+                (mono, base), = base.terms.items()
+                for i, k in enumerate(mono):
+                    exps[i] += k if e is None else k * e
+            if e is not None:
+                base = self.raised(base, e)
+        if e is not None:
+            self.advance()
+            if self.kind == "^":
+                self.fail("malformed exponent: chained '^' is not allowed")
+        return base
+
+    def raised(self, base, e: int):
+        """A coefficient, or a Polynomial of several terms, to the power e; the
+        current token is the exponent."""
+        if isinstance(base, Polynomial):
+            terms = base.terms
+            if math.comb(len(terms) + e - 1, e) > MAX_TERMS:
+                self.refuse_terms()
+            extremes = map(terms.get, (min(terms), max(terms)))
+        else:
+            extremes = (base,)
+        for c in extremes:
             rational = isinstance(c, Fraction) or c.is_rational()
             bits = max(map(abs, stored_integers(c))).bit_length() if rational else 0
             if e * (bits - 1) >= _CONSTANT_LIMIT_BITS:
                 self.refuse_constant()
         power = base**e
-        self.check_constants(power.terms.values(), self.start)
-        self.advance()
-        if self.kind == "^":
-            self.fail("malformed exponent: chained '^' is not allowed")
+        coefficients = power.terms.values() if isinstance(power, Polynomial) else (power,)
+        self.check_constants(coefficients, self.start)
         return power
 
-    def atom(self) -> Polynomial:
+    def atom(self):
+        """A variable's index, a number's coefficient, or a parenthesized value."""
         kind, value = self.kind, self.value
         if kind == "(":
-            value = self.nested(self.expr)
-            if self.kind != ")":
-                self.fail("expected ')'")
-            self.advance()
-            return value
+            return self.parenthesized()
         if kind not in _ATOM_STARTS:
             self.fail("expected a number, variable, or '('")
         if kind == "int":
@@ -277,7 +326,7 @@ class _Parser:
         self.advance()
         return atom
 
-    def atom_of(self, kind: str, value) -> Polynomial:
+    def atom_of(self, kind: str, value):
         """The atom's value, built on its first use; an error is the current token's."""
         atom = self.atoms.get((kind, value))
         if atom is not None:
@@ -285,18 +334,45 @@ class _Parser:
         context = self.context
         if kind == "ident":
             try:
-                atom = Polynomial.variable(context, value)
+                atom = context.index(value)
             except ContextError:
                 self.fail(f"unknown identifier {value!r}")
         elif kind == "cyclo":
             field = context.field
             if not isinstance(field, CyclotomicField) or field.p != value:
                 self.fail(f"field constant z@{value} is not available in {field.text}")
-            atom = Polynomial.constant(context, _root(value, 1))
+            atom = _root(value, 1)
         else:
-            atom = Polynomial.constant(context, Fraction(*value) if kind == "/" else value)
+            atom = context.field.coerce(Fraction(*value) if kind == "/" else value)
         self.atoms[kind, value] = atom
         return atom
+
+    def parenthesized(self):
+        """'(' expr ')': a constant's coefficient, else its Polynomial.
+
+        A constant whose text has no '(' inside is kept by its text, and a
+        later copy of that text takes its value without being read again,
+        unless the copy could nest past ``_MAX_NESTING``: '(' and each '-'
+        in it may open a level.  Such a copy is read, and raises where the
+        text does.
+        """
+        text, start = self.text, self.start
+        key = text[start:text.find(")", start) + 1]
+        known = self.constants.get(key)
+        if known is not None and self.depth + known[1] <= _MAX_NESTING:
+            self.matches = _TOKEN_RE.finditer(text, start + len(key))
+            self.advance()
+            return known[0]
+        value = self.nested(self.expr)
+        if self.kind != ")":
+            self.fail("expected ')'")
+        terms = value.terms
+        if len(terms) < 2 and not any(next(iter(terms), ())):
+            value = next(iter(terms.values()), self.context.field.zero)
+            if self.start == start + len(key) - 1:  # the first ')' closes it
+                self.constants[key] = (value, 1 + key.count("-"))
+        self.advance()
+        return value
 
 
 def parse_expression(text: str, context: Context) -> Polynomial:

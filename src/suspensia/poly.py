@@ -11,7 +11,8 @@ dict sits in a private slot that only this module and ``groebner`` read;
 read-only mapping over that dict (``dict(p.terms)`` gives a copy).  With
 ``groebner``, this is the only module that builds exponent tuples, so the
 loops over monomials that others need live here: ``_leibniz``, ``_sum``,
-``_occurring``, ``_packed`` and ``_unpacked``.
+``_occurring``, ``_packed``, ``_unpacked``, and ``_monomial`` for the
+parser's running term.
 """
 
 from __future__ import annotations
@@ -470,6 +471,15 @@ def _product(left: dict, right: dict) -> dict:
     if scale == 1:
         return {tuple(map(add, m, shift)): c for m, c in left.items()}
     return {tuple(map(add, m, shift)): c * scale for m, c in left.items()}
+
+
+def _monomial(context: Context, exponents: list, coeff) -> Polynomial:
+    """The one-term polynomial coeff * x^exponents, or 0 if coeff is 0.
+
+    Trusted: ``exponents`` holds one non-negative int per variable and
+    ``coeff`` lies in the context's field.
+    """
+    return Polynomial._raw(context, {tuple(exponents): coeff} if coeff else {})
 
 
 def _sum(context: Context, polys, scalars=None) -> Polynomial:

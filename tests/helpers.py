@@ -26,6 +26,7 @@ from operator import add, le, neg, sub
 from suspensia import Context, CyclotomicNumber, Polynomial, QQ, new_derivation
 from suspensia import parseio
 from suspensia.coeff import CoefficientError, CyclotomicField, root_of_unity, stored_integers
+from suspensia.constructions import x_names, yp_context
 from suspensia.parseio import ParseError
 from suspensia.poly import NAME_PATTERN, ContextError
 
@@ -564,6 +565,13 @@ def assert_lift_matches_oracle(lifted, certificate, target, root=None):
     assert lifted.derivation == derivation
     assert dict(lifted.orders) == orders
     assert lifted.cap == certificate.cap
+
+
+def yp_weight_row(p):
+    """The weights x_j -> 2, z -> p, y -> 0, w -> 0, in the order of Yp's variables."""
+    weights = {name: 2 for name in x_names(p)}
+    weights.update({"y": 0, "z": p, "w": 0})
+    return tuple(weights[name] for name in yp_context(p).variables)
 
 
 def random_fraction(rng, span=6):

@@ -42,7 +42,7 @@ from suspensia.coeff import CyclotomicField
 from suspensia.constructions import _root_products, yp_context
 from suspensia.linalg import SingularMatrixError, solve_linear
 
-from helpers import brute_force_product, root_products_oracle
+from helpers import brute_force_product, root_products_oracle, yp_weight_row
 
 
 def test_f3_closed_form_against_bruteforce_oracle():
@@ -273,7 +273,6 @@ def test_inverse_vandermonde_identity():
 
 def test_yp_grading_homogeneous_with_homogeneous_derivation():
     from suspensia import attach_grading, decompose
-    from suspensia.constructions import yp_weight_row
 
     d = build_vandermonde_lnd(3)
     certify_lnd(d, 8)

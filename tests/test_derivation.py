@@ -48,10 +48,9 @@ from suspensia import (
 from suspensia import parseio
 from suspensia.cli import main
 from suspensia.coeff import CyclotomicField, root_of_unity
-from suspensia.constructions import yp_weight_row
-from suspensia.derivation import _orbits
+from suspensia.derivation import SizeLimitError, _orbits
 
-from helpers import nonzero_random_polynomial, random_polynomial
+from helpers import nonzero_random_polynomial, random_polynomial, yp_weight_row
 
 import helpers
 
@@ -373,6 +372,39 @@ def test_decompose_zero_derivation():
     )
     assert pieces.components == {}
     assert pieces.lower is None and pieces.upper is None
+
+
+def test_derivations_with_different_images_or_algebras_differ():
+    # equal needs both the same presentation and the same images
+    algebra = free_xy()
+    shift = D(algebra, x="0", y="x")
+    assert shift == D(free_xy(), x="0", y="x")
+    assert shift != D(algebra, x="0", y="2*x") and not shift == D(algebra, x="0", y="2*x")
+    assert shift != D(algebra_from_strings(QQ, ["x", "y"], ["x^2"]), x="0", y="x")
+
+
+def test_decompose_refuses_a_grading_of_another_algebra():
+    algebra = free_xy()
+    d = D(algebra, x="x^2 + 1", y="0")
+    with pytest.raises(DerivationError, match="grading belongs to a different algebra"):
+        decompose(d, attach_grading(torus_line(), [(1, -1)]))
+    # a grading of an equal algebra built separately is accepted
+    twin = free_xy()
+    assert twin is not algebra
+    pieces = decompose(d, attach_grading(twin, [(1, 0)]))
+    assert dict(pieces.components) == dict(decompose(d, attach_grading(algebra, [(1, 0)])).components)
+    assert (pieces.lower, pieces.upper) == (-1, 1)
+
+
+def test_exp_size_guard_refuses_at_the_bit_length_boundary():
+    # one orbit x, D(x) = 1, so the largest order is 1 and t^1 is checked:
+    # 10**1 has bit length 4, so a t of 4 bits is refused and one of 3 is not
+    algebra = algebra_from_strings(QQ, ["x"], [])
+    d = D(algebra, x="1")
+    assert (10**1).bit_length() == 4
+    with pytest.raises(SizeLimitError, match="t\\^1 could exceed 1 digits"):
+        exp(d, 8, max_digits=1)
+    assert exp(d, 7, max_digits=1).images["x"].rep == parse_expression("x + 7", algebra.context)
 
 
 def test_homogeneous_degree_vector(y3):

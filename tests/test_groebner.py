@@ -39,7 +39,7 @@ def _assert_is_groebner(basis):
     for i in range(len(gens)):
         for j in range(i):
             s = s_polynomial(gens[i], gens[j], basis.order)
-            assert basis.is_member(s), (gens[i].text(), gens[j].text())
+            assert not basis.normal_form(s), (gens[i].text(), gens[j].text())
 
 
 def _assert_is_reduced(basis):
@@ -77,8 +77,8 @@ def test_lex_example():
     assert len(basis.generators) == 2
     assert all(any(g == e for e in expected) for g in basis.generators)
     # the inputs are members and the Buchberger criterion holds
-    assert basis.is_member(P("x^2 - y", QXY))
-    assert basis.is_member(P("y^2 - x", QXY))
+    assert not basis.normal_form(P("x^2 - y", QXY))
+    assert not basis.normal_form(P("y^2 - x", QXY))
     _assert_is_groebner(basis)
     _assert_is_reduced(basis)
 
@@ -95,8 +95,8 @@ def test_normal_form_torus_line():
     ctx = Context(QQ, ("y", "w"))
     basis = buchberger([P("y*w - 1", ctx)])
     assert basis.normal_form(P("y*w", ctx)) == 1
-    assert basis.is_member(P("y*w - 1", ctx))
-    assert not basis.is_member(P("y", ctx))
+    assert not basis.normal_form(P("y*w - 1", ctx))
+    assert basis.normal_form(P("y", ctx))
 
 
 def test_normal_form_is_linear_and_idempotent():
@@ -114,7 +114,7 @@ def test_generators_reduce_to_zero_against_output():
     gens = [P("x^2*y - 1", QXY), P("x*y^2 - x", QXY)]
     basis = buchberger(gens)
     for g in gens:
-        assert basis.is_member(g)
+        assert not basis.normal_form(g)
     _assert_is_groebner(basis)
     _assert_is_reduced(basis)
 
@@ -258,7 +258,7 @@ def test_basis_of_random_rational_ideals_in_cyclotomic_field():
         for order in (grevlex(), lex()):
             basis = buchberger(gens, order, zctx)
             for g in gens:
-                assert basis.is_member(g), trial
+                assert not basis.normal_form(g), trial
             _assert_is_groebner(basis)
             _assert_is_reduced(basis)
 
@@ -272,7 +272,7 @@ def test_non_rational_generators_form_a_basis():
     ]
     basis = buchberger(twisted)
     for g in twisted:
-        assert basis.is_member(g)
+        assert not basis.normal_form(g)
     _assert_is_groebner(basis)
     _assert_is_reduced(basis)
 

@@ -41,9 +41,8 @@ from suspensia import (
     nu,
     root_of_unity,
 )
-from suspensia.constructions import yp_weight_row
 
-from helpers import QXY
+from helpers import QXY, yp_weight_row
 
 X = Polynomial.variable(QXY, "x")
 FREE = algebra_from_strings(QQ, ["x", "y"], [])

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import sys
 import time
 import tracemalloc
@@ -28,6 +29,7 @@ from suspensia import (
     load_derivation,
     parse_expression,
 )
+from suspensia import parseio
 from suspensia.cli import main
 from suspensia.coeff import CyclotomicField, field_from_text, root_of_unity
 from suspensia.parseio import (
@@ -51,6 +53,7 @@ from helpers import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+QXY3 = Context(QQ, ("x", "y", "w"))
 
 
 def test_basic_expression():
@@ -415,6 +418,70 @@ def test_artifacts_parse_as_shifts_without_chained_sums(family_artifacts, monkey
         context, texts = _expressions(family_artifacts[5] / artifact)
         for text, oracle in zip(texts, oracles):
             assert list(parse_expression(text, context).terms.items()) == list(oracle.terms.items())
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(x + y)*(w + 1)",
+        "2*x*(x + y)*3*(y - w)^2*w",
+        "(x + y)^2*-(w + 1)*(x - 1/2)",
+        "-x*(y + 1)*0*(x + w)",
+        "(x + y)^0*x^2*(x*y)^3*(1/2*w)^2",
+    ],
+)
+def test_products_with_sums_give_the_oracle_terms(text):
+    # a running term meets a sum, and a product of sums takes each later factor
+    assert _outcome(parse_expression, text, QXY3) == _outcome(parse_oracle, text, QXY3)
+
+
+@pytest.mark.parametrize(
+    "field, text",
+    [
+        (CyclotomicField(5), "(1 + z@5)*x + (1 + z@5)*y^2 - (1 + z@5)*(x + y) + (1 + z@5)^2*w"),
+        (CyclotomicField(5), "(2 - z@5^2)*(x + w)*(2 - z@5^2) - x*(2 - z@5^2)*(2 - z@5^2)*y"),
+        (CyclotomicField(3), "(-1 - z@3)*x - -(-1 - z@3) + (x - x)*y - (x - x) + (-1 - z@3)^0"),
+        (QQ, "(1/2 - 3)*x*(1/2 - 3) + (1/2 - 3)*(x + y)^2 + ( 1/2 - 3 )*w + (1/2 -3)"),
+    ],
+)
+def test_a_repeated_constant_gives_the_oracle_terms(field, text):
+    context = Context(field, QXY3.variables)
+    assert _outcome(parse_expression, text, context) == _outcome(parse_oracle, text, context)
+
+
+@pytest.mark.parametrize("outer", [98, 99])
+def test_a_repeated_constant_nested_deeper_is_read_again(outer):
+    # "(-1)" takes two levels: read first at the top, its copy inside 98
+    # parentheses reaches level 100 and parses, inside 99 it reaches 101
+    text = "(-1)*x + " + "(" * outer + "(-1)" + ")" * outer
+    ours = _outcome(parse_expression, text, QXY)
+    assert ours == _outcome(parse_oracle, text, QXY)
+    if outer == 99:
+        assert ours == f"expression nested too deeply (line 1, column {len('(-1)*x + ') + 101})"
+    else:
+        assert ours == [((1, 0), -1), ((0, 0), -1)]
+
+
+def test_each_distinct_constant_of_the_p5_image_is_parsed_once(family_artifacts, monkeypatch):
+    context, texts = _expressions(family_artifacts[5] / "derivation.json")
+    text = max(texts, key=len)  # D(z)
+    constants = re.findall(r"\([^()]*\)", text)
+    assert len(constants) > 2 * len(set(constants)) > 0
+    read = []
+    real_expr = parseio._Parser.expr
+
+    def expr(parser):
+        if parser.depth:
+            read.append(parser.start)
+        return real_expr(parser)
+
+    monkeypatch.setattr(parseio._Parser, "expr", expr)
+    parsed = parse_expression(text, context)
+    opened = [text.rindex("(", 0, at) for at in read]
+    assert sorted({text[at:text.index(")", at) + 1] for at in opened}) == sorted(set(constants))
+    assert len(read) == len(set(constants))
+    monkeypatch.undo()
+    assert list(parsed.terms.items()) == list(parse_oracle(text, context).terms.items())
 
 
 _FIELDS = [QQ, CyclotomicField(3), CyclotomicField(5), CyclotomicField(7)]
